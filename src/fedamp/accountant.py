@@ -15,24 +15,21 @@ only if its client participates (probability p) and then samples it
 * LowerBound (lb): the subsampled Gaussian bound at probability pq; no
   scheme consistent with the protocol can certify less.
 
-All routines are pure. Sweeps can fan out across threads (FEDAMP_THREADS)
-but always emit rows in grid order.
+All routines are pure.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .divergence import binomial_log_weights, weighted_normal_pdf
+from .divergence import SQRT_2PI, binomial_log_weights, weighted_normal_pdf
 from .numerics import (
     DomainError,
     RootResult,
@@ -43,14 +40,14 @@ from .numerics import (
 
 logger = logging.getLogger(__name__)
 
-THREAD_COUNT_ENV_VAR = "FEDAMP_THREADS"
-
 SIGMA_BRACKET = (1e-3, 1e4)
 SIGMA_REL_TOL = 1e-6
 EPS_BRACKET = (0.0, 64.0)
 EPS_ABS_TOL = 1e-7
 Z_SCAN_POINTS = 4096
 Z_ROOT_TOL = 1e-12
+SIGN_SCAN_POINTS = 10_000
+QUADRATURE_ABS_TOL = 1e-12
 
 
 class CalibrationError(RuntimeError):
@@ -110,9 +107,6 @@ class SamplingParams:
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "sigma", sigma)
-
-    def with_sigma(self, sigma: float) -> "SamplingParams":
-        return replace(self, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -194,19 +188,7 @@ def derive_constants(eps: float, params: SamplingParams) -> AmplificationConstan
     return _constants_from(eps, eps_prime, params)
 
 
-def derive_constants_from_eps_prime(
-    eps_prime: float, params: SamplingParams
-) -> AmplificationConstants:
-    """Constants parameterized by the inner level eps' (curve generation)."""
-    eps_prime = float(eps_prime)
-    if not math.isfinite(eps_prime) or eps_prime < 0.0:
-        raise DomainError(f"eps' must be finite and >= 0, got {eps_prime}")
-    pq = params.p * params.q
-    eps = math.log1p(pq * math.expm1(eps_prime)) if pq != 1.0 else eps_prime
-    return _constants_from(eps, eps_prime, params)
-
-
-def _integrand_terms(consts: AmplificationConstants, params: SamplingParams):
+def _integrand_terms(params: SamplingParams):
     idx, logw = binomial_log_weights(params.d, params.q)
     weights = np.exp(logw)
     weights = weights / weights.sum()
@@ -223,7 +205,7 @@ def main_integrand(z, consts: AmplificationConstants, params: SamplingParams):
 
     with w_i the Binom(d, q) weights. Vectorized over z.
     """
-    weights, means_s, means_u = _integrand_terms(consts, params)
+    weights, means_s, means_u = _integrand_terms(params)
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     value = _integrand_values(
         z_arr, weights, means_s, means_u, consts, params.sigma
@@ -231,9 +213,6 @@ def main_integrand(z, consts: AmplificationConstants, params: SamplingParams):
     if np.ndim(z) == 0:
         return float(value[0])
     return value
-
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def _integrand_values(z, weights, means_s, means_u, consts, sigma, with_scale=False):
@@ -247,7 +226,7 @@ def _integrand_values(z, weights, means_s, means_u, consts, sigma, with_scale=Fa
             consts.alpha_prime
             * consts.c1_bar
             * np.exp(-0.5 * t * t)
-            / (sigma * _SQRT_TWO_PI)
+            / (sigma * SQRT_2PI)
         )
     else:
         base = np.zeros_like(pos)
@@ -271,10 +250,7 @@ def _scan_window(consts: AmplificationConstants, params: SamplingParams):
 
 
 def find_z_star(
-    consts: AmplificationConstants,
-    params: SamplingParams,
-    scan_points: int = Z_SCAN_POINTS,
-    root_tol: float = Z_ROOT_TOL,
+    consts: AmplificationConstants, params: SamplingParams
 ) -> RootResult:
     """Crossing point z* above which the Main integrand is positive.
 
@@ -284,7 +260,7 @@ def find_z_star(
     bracket. The window is doubled and the grid densified on a failed scan
     before the degenerate regime is reported.
     """
-    weights, means_s, means_u = _integrand_terms(consts, params)
+    weights, means_s, means_u = _integrand_terms(params)
 
     def f_vec(z: np.ndarray) -> np.ndarray:
         return _integrand_values(z, weights, means_s, means_u, consts, params.sigma)
@@ -294,7 +270,7 @@ def find_z_star(
 
     lo, hi = _scan_window(consts, params)
     width = hi - lo
-    points = scan_points
+    points = Z_SCAN_POINTS
     max_seen = 0.0
     for attempt in range(3):
         grid = np.linspace(lo, hi, points)
@@ -319,7 +295,7 @@ def find_z_star(
             if after.size:
                 a = float(grid[last_neg])
                 b = float(grid[int(after[0])])
-                return find_root_bracketed(f_scalar, a, b, tol=root_tol)
+                return find_root_bracketed(f_scalar, a, b, tol=Z_ROOT_TOL)
         hi = hi + width * (2.0**attempt)
         points *= 4
     raise DegenerateIntegrandError(
@@ -343,7 +319,7 @@ def _delta_main_at(consts: AmplificationConstants, params: SamplingParams):
         logger.debug("main bound degenerate: %s", exc)
         return 0.0, None
     z_star = root.root
-    weights, means_s, means_u = _integrand_terms(consts, params)
+    weights, means_s, means_u = _integrand_terms(params)
     sf_sampled = _survival((z_star - means_s) / params.sigma)
     sf_unsampled = _survival((z_star - means_u) / params.sigma)
     scale = consts.alpha_prime * consts.c2_bar
@@ -374,16 +350,14 @@ def delta_main(params: SamplingParams, eps: float) -> PrivacyPoint:
     return PrivacyPoint(eps=float(eps), delta=delta, scheme=Scheme.MAIN)
 
 
-def delta_main_quadrature(
-    params: SamplingParams, eps: float, abs_tol: float = 1e-12
-) -> float:
+def delta_main_quadrature(params: SamplingParams, eps: float) -> float:
     """Quadrature oracle for delta_main: integrates the clamped integrand.
 
     Independent of the closed-form tail sums; shares only the integrand
     definition. Used by verification and the acceptance suite.
     """
     consts = derive_constants(eps, params)
-    weights, means_s, means_u = _integrand_terms(consts, params)
+    weights, means_s, means_u = _integrand_terms(params)
 
     def clamped(z: np.ndarray) -> np.ndarray:
         return np.maximum(
@@ -397,22 +371,22 @@ def delta_main_quadrature(
         breaks.append(find_z_star(consts, params).root)
     except DegenerateIntegrandError:
         pass
-    result = integrate_adaptive(clamped, lo, hi, abs_tol=abs_tol, break_points=breaks)
+    result = integrate_adaptive(
+        clamped, lo, hi, abs_tol=QUADRATURE_ABS_TOL, break_points=breaks
+    )
     return min(1.0, max(0.0, params.p * params.q * result.value))
 
 
-def count_integrand_sign_changes(
-    params: SamplingParams, eps: float, points: int = 10_000
-) -> int:
+def count_integrand_sign_changes(params: SamplingParams, eps: float) -> int:
     """Sign changes of the Main integrand on a dense scan of its window.
 
     Values within a relative noise floor of zero (cancellation dust,
     underflowed tails) carry no sign information and are skipped.
     """
     consts = derive_constants(eps, params)
-    weights, means_s, means_u = _integrand_terms(consts, params)
+    weights, means_s, means_u = _integrand_terms(params)
     lo, hi = _scan_window(consts, params)
-    grid = np.linspace(lo, hi, points)
+    grid = np.linspace(lo, hi, SIGN_SCAN_POINTS)
     values, scales = _integrand_values(
         grid, weights, means_s, means_u, consts, params.sigma, with_scale=True
     )
@@ -483,6 +457,45 @@ def delta_for_scheme(
     raise DomainError(f"unknown scheme {scheme!r}")
 
 
+def _bisect_monotone(
+    delta_at: Callable[[float], float],
+    name: str,
+    bracket: tuple[float, float],
+    delta_target: float,
+    to_coord: Callable[[float], float],
+    from_coord: Callable[[float], float],
+    too_wide: Callable[[float, float], bool],
+) -> float:
+    """Smallest x in the bracket with delta_at(x) <= delta_target, for delta
+    nonincreasing in x. The endpoints are evaluated at the raw bracket values
+    (from_coord(to_coord(x)) need not equal x); the bisection runs on
+    to_coord(x) while too_wide holds. Raises CalibrationError if the
+    endpoints are not ordered or the target is unreachable at the top."""
+    lo, hi = bracket
+    delta_lo = delta_at(lo)
+    delta_hi = delta_at(hi)
+    if delta_lo < delta_hi:
+        raise CalibrationError(
+            f"delta not monotone over {name} bracket [{lo}, {hi}]: "
+            f"{delta_lo:.3e} at lo vs {delta_hi:.3e} at hi"
+        )
+    if delta_hi > delta_target:
+        raise CalibrationError(
+            f"delta {delta_hi:.3e} at {name}={hi} still above target "
+            f"{delta_target:.3e}; target unreachable in bracket"
+        )
+    if delta_lo <= delta_target:
+        return lo
+    coord_lo, coord_hi = to_coord(lo), to_coord(hi)
+    while too_wide(coord_lo, coord_hi):
+        mid = 0.5 * (coord_lo + coord_hi)
+        if delta_at(from_coord(mid)) <= delta_target:
+            coord_hi = mid
+        else:
+            coord_lo = mid
+    return from_coord(coord_hi)
+
+
 def calibrate_sigma(
     scheme: Scheme,
     *,
@@ -493,7 +506,6 @@ def calibrate_sigma(
     eps_target: float,
     delta_target: float,
     sigma_bracket: tuple[float, float] = SIGMA_BRACKET,
-    rel_tol: float = SIGMA_REL_TOL,
 ) -> float:
     """Smallest sigma in the bracket certifying (eps_target, delta_target).
 
@@ -510,66 +522,26 @@ def calibrate_sigma(
         params = SamplingParams(p=p, q=q, d=d, C=C, sigma=sigma)
         return delta_for_scheme(scheme, params, eps_target).delta
 
-    lo, hi = sigma_bracket
-    delta_lo = delta_at(lo)
-    delta_hi = delta_at(hi)
-    if delta_lo < delta_hi:
-        raise CalibrationError(
-            f"delta not monotone over sigma bracket [{lo}, {hi}]: "
-            f"{delta_lo:.3e} at lo vs {delta_hi:.3e} at hi"
-        )
-    if delta_hi > delta_target:
-        raise CalibrationError(
-            f"delta {delta_hi:.3e} at sigma={hi} still above target "
-            f"{delta_target:.3e}; target unreachable in bracket"
-        )
-    if delta_lo <= delta_target:
-        return lo
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    while math.exp(log_hi - log_lo) > 1.0 + rel_tol:
-        mid = 0.5 * (log_lo + log_hi)
-        if delta_at(math.exp(mid)) <= delta_target:
-            log_hi = mid
-        else:
-            log_lo = mid
-    return math.exp(log_hi)
+    return _bisect_monotone(
+        delta_at, "sigma", sigma_bracket, delta_target, math.log, math.exp,
+        lambda lo, hi: math.exp(hi - lo) > 1.0 + SIGMA_REL_TOL,
+    )
 
 
 def eps_for_delta(
-    scheme: Scheme,
-    params: SamplingParams,
-    delta_target: float,
-    eps_bracket: tuple[float, float] = EPS_BRACKET,
-    abs_tol: float = EPS_ABS_TOL,
+    scheme: Scheme, params: SamplingParams, delta_target: float
 ) -> float:
-    """Smallest eps in the bracket with scheme-delta(eps) <= delta_target."""
+    """Smallest eps in EPS_BRACKET with scheme-delta(eps) <= delta_target."""
     if not (math.isfinite(delta_target) and 0.0 < delta_target < 1.0):
         raise DomainError(f"delta_target must lie in (0, 1), got {delta_target}")
-    lo, hi = eps_bracket
 
     def delta_at(eps: float) -> float:
         return delta_for_scheme(scheme, params, eps).delta
 
-    delta_lo = delta_at(lo)
-    delta_hi = delta_at(hi)
-    if delta_lo < delta_hi:
-        raise CalibrationError(
-            f"delta not monotone over eps bracket [{lo}, {hi}]"
-        )
-    if delta_lo <= delta_target:
-        return lo
-    if delta_hi > delta_target:
-        raise CalibrationError(
-            f"delta {delta_hi:.3e} at eps={hi} still above target "
-            f"{delta_target:.3e}; target unreachable in bracket"
-        )
-    while hi - lo > abs_tol:
-        mid = 0.5 * (lo + hi)
-        if delta_at(mid) <= delta_target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect_monotone(
+        delta_at, "eps", EPS_BRACKET, delta_target, float, float,
+        lambda lo, hi: hi - lo > EPS_ABS_TOL,
+    )
 
 
 class SweepVariable(Enum):
@@ -652,18 +624,16 @@ def _sweep_point(
         return fail(str(exc))
 
     try:
+        z_star = None
         if delta is not None and eps is None:
             eps = eps_for_delta(scheme, params, delta)
             delta_out = delta
+            if scheme is Scheme.MAIN:
+                _, z_star = _delta_main_at(derive_constants(eps, params), params)
+        elif scheme is Scheme.MAIN:
+            delta_out, z_star = _delta_main_at(derive_constants(eps, params), params)
         else:
             delta_out = delta_for_scheme(scheme, params, eps).delta
-        z_star = None
-        if scheme is Scheme.MAIN:
-            consts = derive_constants(eps, params)
-            try:
-                z_star = find_z_star(consts, params).root
-            except DegenerateIntegrandError:
-                z_star = None
         return SweepRow(
             scheme=scheme,
             p=params.p,
@@ -679,14 +649,6 @@ def _sweep_point(
         return fail(str(exc))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREAD_COUNT_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep(
     schemes: Sequence[Scheme],
     variable: SweepVariable,
@@ -700,8 +662,7 @@ def sweep(
     computed; for sigma, d and q-fixed-pq sweeps exactly one of eps/delta
     must be fixed (the fixed one is the target, the other is computed).
     Invalid grid points become rows with the error field set; the sweep
-    continues. Rows are emitted scheme-major in grid order, regardless of
-    the FEDAMP_THREADS fan-out.
+    continues. Rows are emitted scheme-major in grid order.
     """
     if len(values) == 0:
         raise DomainError("sweep needs a nonempty grid")
@@ -721,17 +682,8 @@ def sweep(
     if variable is SweepVariable.Q_FIXED_PQ and fixed.get("pq_product") is None:
         raise DomainError("q-fixed-pq sweep needs pq_product")
 
-    tasks = [
-        (scheme, float(value)) for scheme in schemes for value in values
+    return [
+        _sweep_point(scheme, float(value), variable, fixed)
+        for scheme in schemes
+        for value in values
     ]
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda sv: _sweep_point(sv[0], sv[1], variable, fixed), tasks
-                )
-            )
-    else:
-        rows = [_sweep_point(s, v, variable, fixed) for s, v in tasks]
-    return rows

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 import sys
 from contextlib import contextmanager
 
@@ -29,11 +28,11 @@ from .accountant import (
     sweep,
 )
 from .divergence import ajc_decompose, seeded_ajc_triples
-from .numerics import DomainError
 from .simulator import (
     SimConfig,
     Task,
     TrainingDivergedError,
+    _fmt,
     run_training,
     write_metrics_csv,
 )
@@ -65,17 +64,6 @@ _SCHEMES = {
     for s in (Scheme.MAIN, Scheme.ONLY_LOCAL, Scheme.UPPER_BOUND, Scheme.LOWER_BOUND)
 }
 _SWEEPS = {v.value: v for v in SweepVariable}
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    # 17 significant digits: lossless for 64-bit floats.
-    return "%.17g" % float(value)
 
 
 def _read_config(path: str) -> dict[str, str]:

@@ -7,7 +7,7 @@ produced by Poisson subsampling, evaluates hockey-stick divergences by
 adaptive quadrature, and checks the advanced-joint-convexity identity that
 links a mixture divergence to its conditional parts.
 
-Divergence quadrature defaults to 1e-13 absolute tolerance, several orders
+Divergence quadrature runs at 1e-13 absolute tolerance, several orders
 below the delta magnitudes the accountant certifies.
 """
 
@@ -28,8 +28,9 @@ if TYPE_CHECKING:
 MEAN_MERGE_TOL = 1e-12
 WEIGHT_DROP_THRESHOLD = 1e-300
 DEFAULT_ABS_TOL = 1e-13
+HOCKEY_STICK_SCAN_POINTS = 2048
 
-_SQRT_2PI = 2.5066282746310002
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_CHUNK_ELEMENTS = 1 << 22
 
 
@@ -134,13 +135,13 @@ def weighted_normal_pdf(
     k = means.shape[0]
     if n * k <= _MAX_CHUNK_ELEMENTS:
         t = (z[:, None] - means[None, :]) / sigma
-        return np.exp(-0.5 * t * t) @ weights / (sigma * _SQRT_2PI)
+        return np.exp(-0.5 * t * t) @ weights / (sigma * SQRT_2PI)
     chunk = max(1, _MAX_CHUNK_ELEMENTS // k)
     out = np.empty(n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         t = (z[start:stop, None] - means[None, :]) / sigma
-        out[start:stop] = np.exp(-0.5 * t * t) @ weights / (sigma * _SQRT_2PI)
+        out[start:stop] = np.exp(-0.5 * t * t) @ weights / (sigma * SQRT_2PI)
     return out
 
 
@@ -281,11 +282,7 @@ def _positivity_boundaries(
     return boundaries
 
 
-def hockey_stick(
-    query: HockeyStickQuery,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    scan_points: int = 2048,
-) -> float:
+def hockey_stick(query: HockeyStickQuery) -> float:
     """D_alpha(num || den) = integral of [num(z) - alpha * den(z)]_+ dz.
 
     The signed difference is scanned for sign changes, each boundary is
@@ -302,14 +299,14 @@ def hockey_stick(
     num_lo, num_hi = num.support()
     den_lo, den_hi = den.support()
     lo, hi = min(num_lo, den_lo), max(num_hi, den_hi)
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(lo, hi, HOCKEY_STICK_SCAN_POINTS)
     boundaries = _positivity_boundaries(signed, grid, signed(grid))
 
     def clamped(z: np.ndarray) -> np.ndarray:
         return np.maximum(signed(z), 0.0)
 
     result = integrate_adaptive(
-        clamped, lo, hi, abs_tol=abs_tol, break_points=boundaries
+        clamped, lo, hi, abs_tol=DEFAULT_ABS_TOL, break_points=boundaries
     )
     return min(1.0, max(0.0, result.value))
 
@@ -320,7 +317,6 @@ def ajc_decompose(
     mu1p: GaussianMixture1D,
     gamma: float,
     alpha: float,
-    abs_tol: float = DEFAULT_ABS_TOL,
 ) -> tuple[float, float]:
     """Both sides of the advanced-joint-convexity identity.
 
@@ -345,16 +341,14 @@ def ajc_decompose(
             alpha_prime,
             mix([(1.0 - gamma, mu0), (gamma, mu1)]),
             mix([(1.0 - gamma, mu0), (gamma, mu1p)]),
-        ),
-        abs_tol=abs_tol,
+        )
     )
     rhs = gamma * hockey_stick(
         HockeyStickQuery(
             alpha,
             mu1,
             mix([(1.0 - beta, mu0), (beta, mu1p)]),
-        ),
-        abs_tol=abs_tol,
+        )
     )
     return lhs, rhs
 

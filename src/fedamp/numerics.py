@@ -1,8 +1,8 @@
 """Numerical primitives for the privacy accounting stack.
 
-Scalar special functions (normal CDF and density, the Gaussian mechanism
-delta), a bracketed root finder, and an adaptive Gauss-Kronrod integrator.
-Everything is pure and reentrant; no global mutable state.
+The Gaussian mechanism delta, a bracketed root finder, and an adaptive
+Gauss-Kronrod integrator. Everything is pure and reentrant; no global
+mutable state.
 
 Accuracy targets are inherited from the accountant, which checks closed-form
 delta values against quadrature at the 1e-10 level. The primitives therefore
@@ -50,48 +50,11 @@ class RootResult:
     bracket: tuple[float, float]
 
 
-_INV_SQRT_2PI = 0.3989422804014327
-_SQRT_2PI = 2.5066282746310002
-
-
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF, tail-accurate.
-
-    Evaluated through the complementary error function (scipy's ndtr), so
-    relative accuracy is preserved deep into the lower tail instead of
-    degrading through a 1 - cdf(-x) subtraction.
-    """
-    x = _require_finite("x", x)
-    return float(ndtr(x))
-
-
-def gaussian_pdf(z: float, mu: float, sigma: float) -> float:
-    """Density of N(mu, sigma^2) at z."""
-    z = _require_finite("z", z)
-    mu = _require_finite("mu", mu)
-    sigma = _require_finite("sigma", sigma)
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    t = (z - mu) / sigma
-    return math.exp(-0.5 * t * t) / (sigma * _SQRT_2PI)
-
-
-def gaussian_log_pdf(z: float, mu: float, sigma: float) -> float:
-    """Log-density of N(mu, sigma^2) at z; safe where the density underflows."""
-    z = _require_finite("z", z)
-    mu = _require_finite("mu", mu)
-    sigma = _require_finite("sigma", sigma)
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    t = (z - mu) / sigma
-    return -0.5 * t * t - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
 
 
 def gaussian_mechanism_delta(eps: float, sigma: float, sensitivity: float) -> float:

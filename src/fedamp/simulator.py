@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence, TextIO
 
@@ -59,7 +59,6 @@ class SimConfig:
     m: int
     seed: int
     availability: float = 1.0
-    eta_schedule: str = "constant"
 
     def __post_init__(self) -> None:
         for name in ("N", "d", "T", "m"):
@@ -78,13 +77,6 @@ class SimConfig:
             raise DomainError(f"sigma must be >= 0 or None, got {self.sigma}")
         if not math.isfinite(self.eta) or self.eta <= 0.0:
             raise DomainError(f"eta must be positive, got {self.eta}")
-        if self.eta_schedule not in ("constant", "inv_sqrt"):
-            raise DomainError(f"unknown eta schedule {self.eta_schedule!r}")
-
-    def learning_rate(self, iteration: int) -> float:
-        if self.eta_schedule == "inv_sqrt":
-            return self.eta / math.sqrt(iteration + 1)
-        return self.eta
 
 
 @dataclass(frozen=True)
@@ -152,17 +144,6 @@ def make_streams(seed: int, n_clients: int) -> Streams:
         elements=element_generators,
         noise=np.random.Generator(np.random.PCG64(noise_ss)),
     )
-
-
-def clip_gradient(g: np.ndarray, C: float) -> np.ndarray:
-    """Scale g to L2 norm at most C, preserving direction."""
-    if C <= 0.0:
-        raise DomainError(f"C must be positive, got {C}")
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise DomainError("gradient has non-finite entries")
-    norm = float(np.linalg.norm(g))
-    return g / max(1.0, norm / C)
 
 
 def _clip_rows(rows: np.ndarray, C: float) -> np.ndarray:
@@ -286,11 +267,10 @@ def run_round(
 
     sigma = config.sigma if config.sigma is not None else 0.0
     scale = config.p * n_t * config.q * config.d
-    eta = config.learning_rate(state.iteration)
     # overflow here is legitimate; ModelState turns it into a divergence error
     with np.errstate(over="ignore"):
         estimate = (total + sigma * noise) / scale
-        new_weights = state.weights - eta * estimate
+        new_weights = state.weights - config.eta * estimate
     new_state = ModelState(weights=new_weights, iteration=state.iteration + 1)
     outcome = RoundOutcome(
         participants=participants,
@@ -357,20 +337,7 @@ def run_training(
         )
     else:
         sigma = config.sigma
-    effective = SimConfig(
-        N=config.N,
-        d=config.d,
-        p=config.p,
-        q=config.q,
-        C=config.C,
-        sigma=sigma,
-        T=config.T,
-        eta=config.eta,
-        m=config.m,
-        seed=config.seed,
-        availability=config.availability,
-        eta_schedule=config.eta_schedule,
-    )
+    effective = replace(config, sigma=sigma)
     streams = make_streams(config.seed, config.N)
     datasets, _ = make_synthetic_datasets(effective, task, streams.data)
     all_X = np.vstack([ds.features for ds in datasets])
@@ -408,9 +375,15 @@ def run_training(
     return rows
 
 
-def _fmt(x: float) -> str:
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     # 17 significant digits: lossless for 64-bit floats.
-    return "%.17g" % x
+    return "%.17g" % float(value)
 
 
 def write_metrics_csv(rows: Sequence[MetricsRow], stream: TextIO) -> None:
@@ -425,7 +398,7 @@ def write_metrics_csv(rows: Sequence[MetricsRow], stream: TextIO) -> None:
                 row.participants,
                 row.sampled_elements,
                 _fmt(row.sigma),
-                "" if row.eps_round is None else _fmt(row.eps_round),
-                "" if row.delta_round is None else _fmt(row.delta_round),
+                _fmt(row.eps_round),
+                _fmt(row.delta_round),
             ]
         )

@@ -7,12 +7,12 @@ formulas produce, the test fails with the measurement in its message
 rather than loosening the check. The repository README summarizes which
 criteria are in that state and why.
 
-Grid for criteria 3, 4, 5, 8: p, q in {0.01, 0.1, 0.5}; d in
+Grid for criteria 3, 4, 5, 8: the built-in grid of `fedamp verify`
+(fedamp.cli._default_verify_points): p, q in {0.01, 0.1, 0.5}; d in
 {1, 10, 30, 100}; sigma in {0.5, 1, 2, 5}; eps in {0.015, 0.1, 0.5, 1};
 C = 1 (576 points).
 """
 
-import itertools
 import math
 import time
 
@@ -29,6 +29,7 @@ from fedamp.accountant import (
     delta_only_local,
     delta_upper_bound,
 )
+from fedamp.cli import _default_verify_points
 from fedamp.divergence import (
     HockeyStickQuery,
     ajc_decompose,
@@ -47,20 +48,6 @@ from fedamp.simulator import (
     run_training,
     task_sample_grads,
 )
-
-GRID_P = (0.01, 0.1, 0.5)
-GRID_Q = (0.01, 0.1, 0.5)
-GRID_D = (1, 10, 30, 100)
-GRID_SIGMA = (0.5, 1.0, 2.0, 5.0)
-GRID_EPS = (0.015, 0.1, 0.5, 1.0)
-
-
-def grid_points():
-    for p, q, d, sigma, eps in itertools.product(
-        GRID_P, GRID_Q, GRID_D, GRID_SIGMA, GRID_EPS
-    ):
-        yield SamplingParams(p=p, q=q, d=d, C=1.0, sigma=sigma), eps
-
 
 def report(n: int, ok: bool, detail: str) -> None:
     line = f"criterion {n}: {'PASS' if ok else 'FAIL'} - {detail}"
@@ -108,7 +95,7 @@ def test_criterion_02_calibration_scenario_b():
 def test_criterion_03_closed_form_matches_quadrature():
     start = time.monotonic()
     worst = 0.0
-    for params, eps in grid_points():
+    for params, eps in _default_verify_points():
         closed = delta_main(params, eps).delta
         quad = delta_main_quadrature(params, eps)
         worst = max(worst, abs(closed - quad))
@@ -120,7 +107,7 @@ def test_criterion_03_closed_form_matches_quadrature():
 
 def test_criterion_04_bound_dominates_constructed_pair():
     worst = -math.inf
-    for params, eps in grid_points():
+    for params, eps in _default_verify_points():
         xi, xi_prime = worst_case_pair(params)
         oracle = hockey_stick(HockeyStickQuery(math.exp(eps), xi, xi_prime))
         worst = max(worst, oracle - delta_main(params, eps).delta)
@@ -132,7 +119,7 @@ def test_criterion_05_scheme_ordering():
     slack = 1e-12
     violations = {"lb<=main": 0, "main<=ub": 0, "ub<=ols": 0}
     worst_gap = 0.0
-    for params, eps in grid_points():
+    for params, eps in _default_verify_points():
         lb = delta_lower_bound(params, eps).delta
         mn = delta_main(params, eps).delta
         ub = delta_upper_bound(params, eps).delta
@@ -179,7 +166,7 @@ def test_criterion_07_reductions():
 
 def test_criterion_08_single_crossing():
     bad = 0
-    for params, eps in grid_points():
+    for params, eps in _default_verify_points():
         if count_integrand_sign_changes(params, eps) != 1:
             bad += 1
     ok = bad == 0

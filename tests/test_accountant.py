@@ -7,12 +7,14 @@ boundary parameter values.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedamp.accountant import (
     EPS_ABS_TOL,
+    EPS_BRACKET,
     SIGMA_BRACKET,
     SIGMA_REL_TOL,
     CalibrationError,
@@ -29,7 +31,6 @@ from fedamp.accountant import (
     delta_only_local,
     delta_upper_bound,
     derive_constants,
-    derive_constants_from_eps_prime,
     eps_for_delta,
     find_z_star,
     main_integrand,
@@ -73,11 +74,6 @@ class TestSamplingParams:
     def test_d_zero_allowed(self):
         assert params(d=0).d == 0
 
-    def test_with_sigma(self):
-        base = params(sigma=1.0)
-        assert base.with_sigma(2.0).sigma == 2.0
-        assert base.sigma == 1.0
-
 
 class TestDeriveConstants:
     def test_reference_eps_prime(self):
@@ -95,10 +91,9 @@ class TestDeriveConstants:
 
     def test_round_trip_through_eps_prime(self):
         for p, q, eps in [(0.1, 0.1, 0.015), (0.001, 0.1, 0.5), (0.5, 0.9, 2.0)]:
-            pr = params(p=p, q=q)
-            consts = derive_constants(eps, pr)
-            back = derive_constants_from_eps_prime(consts.eps_prime, pr)
-            assert back.eps == pytest.approx(eps, rel=1e-12)
+            consts = derive_constants(eps, params(p=p, q=q))
+            back = math.log1p(p * q * math.expm1(consts.eps_prime))
+            assert back == pytest.approx(eps, rel=1e-12)
 
     def test_tilted_split_sums_to_one(self):
         for p, q, eps in [(0.1, 0.1, 0.5), (0.01, 0.9, 0.1), (0.99, 0.01, 1.5)]:
@@ -237,7 +232,7 @@ class TestDeltaMain:
 
     def test_monotone_in_sigma_and_eps(self):
         pr = params(p=0.2, q=0.2, d=10)
-        deltas = [delta_main(pr.with_sigma(s), 0.1).delta for s in (0.5, 1.0, 2.0, 4.0)]
+        deltas = [delta_main(replace(pr, sigma=s), 0.1).delta for s in (0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b for a, b in zip(deltas, deltas[1:]))
         deltas = [delta_main(pr, e).delta for e in (0.0, 0.1, 0.5, 1.0)]
         assert all(a >= b for a, b in zip(deltas, deltas[1:]))
@@ -450,6 +445,15 @@ class TestEpsForDelta:
         assert ratios[0] == max(ratios)
         assert eps_main_path[-1] / eps_main_path[0] > 1e3
 
+    def test_bracket_floor_when_target_is_loose(self):
+        pr = params(p=0.1, q=0.01, d=5, sigma=100.0)
+        assert eps_for_delta(Scheme.ONLY_LOCAL, pr, 1e-4) == EPS_BRACKET[0] == 0.0
+
+    def test_unreachable_at_bracket_top(self):
+        pr = params(p=0.1, q=0.5, d=5, sigma=0.01)
+        with pytest.raises(CalibrationError, match="unreachable"):
+            eps_for_delta(Scheme.ONLY_LOCAL, pr, 1e-4)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             eps_for_delta(Scheme.MAIN, params(), 0.0)
@@ -472,14 +476,25 @@ class TestSweep:
         assert all(a >= b for a, b in zip(deltas, deltas[1:]))
 
     def test_z_star_only_on_main_rows(self):
-        rows = sweep(
+        eps_target = sweep(
             [Scheme.MAIN, Scheme.UPPER_BOUND],
             SweepVariable.SIGMA,
-            [1.0],
-            p=0.1, q=0.1, d=1, C=1.0, eps=0.1,
+            [1.0, 2.0],
+            p=0.1, q=0.1, d=5, C=1.0, eps=0.1,
         )
-        assert rows[0].z_star is not None
-        assert rows[1].z_star is None
+        delta_target = sweep(
+            [Scheme.MAIN, Scheme.UPPER_BOUND],
+            SweepVariable.DELTA,
+            [1e-5, 1e-6],
+            p=0.1, q=0.1, d=5, C=1.0, sigma=1.0,
+        )
+        for rows in (eps_target, delta_target):
+            for row in rows[:2]:
+                pr = params(row.p, row.q, row.d, row.C, row.sigma)
+                # on delta-target rows z* is taken at the computed eps
+                expected = find_z_star(derive_constants(row.eps, pr), pr).root
+                assert row.z_star == expected
+            assert [row.z_star for row in rows[2:]] == [None, None]
 
     def test_error_rows_do_not_abort(self):
         rows = sweep(
@@ -543,12 +558,3 @@ class TestSweep:
                 [Scheme.MAIN], SweepVariable.Q_FIXED_PQ, [0.1],
                 d=1, C=1.0, sigma=1.0, eps=0.1,  # missing pq_product
             )
-
-    def test_thread_fanout_is_deterministic(self, monkeypatch):
-        kwargs = dict(p=0.1, q=0.1, d=5, C=1.0, eps=0.1)
-        grid = [0.5, 1.0, 1.5, 2.0, 3.0]
-        monkeypatch.setenv("FEDAMP_THREADS", "1")
-        serial = sweep([Scheme.MAIN, Scheme.ONLY_LOCAL], SweepVariable.SIGMA, grid, **kwargs)
-        monkeypatch.setenv("FEDAMP_THREADS", "4")
-        threaded = sweep([Scheme.MAIN, Scheme.ONLY_LOCAL], SweepVariable.SIGMA, grid, **kwargs)
-        assert serial == threaded

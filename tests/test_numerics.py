@@ -1,4 +1,4 @@
-"""Scalar primitives: CDF/PDF evaluation, the mechanism delta, roots, quadrature.
+"""Scalar primitives: the mechanism delta, roots, quadrature.
 
 Reference values marked "mpmath" were frozen from 50-digit evaluations and
 are compared at tolerances the double-precision implementations must meet.
@@ -8,83 +8,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from fedamp.numerics import (
     AccuracyError,
     BracketError,
     DomainError,
     find_root_bracketed,
-    gaussian_log_pdf,
     gaussian_mechanism_delta,
-    gaussian_pdf,
     integrate_adaptive,
-    std_normal_cdf,
 )
 
-PHI_AT_1 = 0.8413447460685429  # mpmath
-PHI_AT_MINUS_20 = 2.7536241186062337e-89  # mpmath
-INV_SQRT_2PI = 0.3989422804014327  # mpmath
 TV_UNIT_SHIFT = 0.3829249225480262  # mpmath: delta at eps=0, sigma=1, C=1
 DELTA_HALF_EPS = 0.23842170813487663  # mpmath: delta at eps=0.5, sigma=1, C=1
 DELTA_SIGMA_100 = 2.9527154135473316e-4  # mpmath: delta at eps=0.015, sigma=100, C=1
-
-
-class TestStdNormalCdf:
-    def test_zero(self):
-        assert std_normal_cdf(0.0) == 0.5
-
-    def test_reference_point(self):
-        assert std_normal_cdf(1.0) == pytest.approx(PHI_AT_1, rel=1e-15)
-
-    def test_far_tail_relative_accuracy(self):
-        assert std_normal_cdf(-20.0) == pytest.approx(PHI_AT_MINUS_20, rel=1e-12)
-
-    def test_symmetry(self):
-        for x in np.linspace(-8.0, 8.0, 161):
-            total = std_normal_cdf(float(x)) + std_normal_cdf(float(-x))
-            assert total == pytest.approx(1.0, abs=1e-15)
-
-    def test_monotone(self):
-        grid = np.linspace(-12.0, 12.0, 401)
-        values = [std_normal_cdf(float(x)) for x in grid]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(DomainError):
-            std_normal_cdf(bad)
-
-
-class TestGaussianPdf:
-    def test_peak_value(self):
-        assert gaussian_pdf(0.0, 0.0, 1.0) == pytest.approx(INV_SQRT_2PI, rel=1e-15)
-
-    def test_scaling(self):
-        assert gaussian_pdf(3.0, 3.0, 0.25) == pytest.approx(
-            INV_SQRT_2PI / 0.25, rel=1e-15
-        )
-
-    def test_symmetry_about_mean(self):
-        assert gaussian_pdf(1.7, 1.0, 2.0) == gaussian_pdf(0.3, 1.0, 2.0)
-
-    def test_log_pdf_consistent(self):
-        for z in (-4.0, 0.0, 2.5, 11.0):
-            log_value = gaussian_log_pdf(z, 1.0, 2.0)
-            assert math.exp(log_value) == pytest.approx(
-                gaussian_pdf(z, 1.0, 2.0), rel=1e-12
-            )
-
-    def test_log_pdf_survives_underflow(self):
-        # pdf underflows to exact zero out here; the log form must not.
-        assert gaussian_pdf(40.0, 0.0, 1.0) == 0.0
-        assert gaussian_log_pdf(40.0, 0.0, 1.0) == pytest.approx(
-            -800.0 - math.log(math.sqrt(2 * math.pi)), rel=1e-12
-        )
-
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
-    def test_bad_sigma_rejected(self, sigma):
-        with pytest.raises(DomainError):
-            gaussian_pdf(0.0, 0.0, sigma)
 
 
 class TestGaussianMechanismDelta:
@@ -147,7 +84,7 @@ class TestFindRootBracketed:
         assert abs(result.residual) <= 1e-12
 
     def test_cdf_offset(self):
-        result = find_root_bracketed(lambda x: std_normal_cdf(x) - 0.5, -3.0, 5.0)
+        result = find_root_bracketed(lambda x: float(ndtr(x)) - 0.5, -3.0, 5.0)
         assert result.root == pytest.approx(0.0, abs=1e-10)
 
     def test_bracket_contains_root(self):
@@ -185,7 +122,7 @@ class TestIntegrateAdaptive:
             return np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
         result = integrate_adaptive(pdf, -8.0, 8.0, abs_tol=1e-13)
-        expected = 1.0 - 2.0 * std_normal_cdf(-8.0)
+        expected = 1.0 - 2.0 * float(ndtr(-8.0))
         assert result.value == pytest.approx(expected, abs=1e-12)
         assert result.error_estimate <= 1e-13
 

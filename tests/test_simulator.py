@@ -14,7 +14,7 @@ from fedamp.simulator import (
     SimConfig,
     Task,
     TrainingDivergedError,
-    clip_gradient,
+    _clip_rows,
     make_streams,
     make_synthetic_datasets,
     run_round,
@@ -41,24 +41,22 @@ def fresh_world(cfg: SimConfig, task: Task = Task.LINEAR_REGRESSION):
 
 
 class TestClipGradient:
+    """Per-sample gradient clipping, one gradient per row of `_clip_rows`."""
+
     def test_short_vector_unchanged(self):
-        g = np.array([0.3, -0.4])
-        np.testing.assert_array_equal(clip_gradient(g, 1.0), g)
+        g = np.array([[0.3, -0.4]])
+        np.testing.assert_array_equal(_clip_rows(g, 1.0), g)
 
     def test_long_vector_scaled_to_norm_c(self):
-        g = np.array([3.0, 4.0])
-        clipped = clip_gradient(g, 1.0)
-        assert np.linalg.norm(clipped) == pytest.approx(1.0, rel=1e-15)
+        g = np.array([[3.0, 4.0]])
+        clipped = _clip_rows(g, 1.0)
+        assert np.linalg.norm(clipped[0]) == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_allclose(clipped, g / 5.0)
 
     def test_zero_vector(self):
-        np.testing.assert_array_equal(clip_gradient(np.zeros(4), 0.5), np.zeros(4))
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            clip_gradient(np.ones(2), 0.0)
-        with pytest.raises(DomainError):
-            clip_gradient(np.array([1.0, math.nan]), 1.0)
+        np.testing.assert_array_equal(
+            _clip_rows(np.zeros((1, 4)), 0.5), np.zeros((1, 4))
+        )
 
 
 class TestSimConfig:
@@ -75,7 +73,6 @@ class TestSimConfig:
             dict(C=-1.0),
             dict(sigma=-0.5),
             dict(eta=0.0),
-            dict(eta_schedule="linear"),
         ],
     )
     def test_validation(self, overrides):
@@ -84,12 +81,6 @@ class TestSimConfig:
 
     def test_sigma_none_means_calibrate_later(self):
         assert config(sigma=None).sigma is None
-
-    def test_learning_rate_schedules(self):
-        assert config(eta=0.5).learning_rate(8) == 0.5
-        cfg = config(eta=0.5, eta_schedule="inv_sqrt")
-        assert cfg.learning_rate(0) == 0.5
-        assert cfg.learning_rate(3) == pytest.approx(0.25)
 
 
 class TestSyntheticData:
@@ -365,13 +356,6 @@ class TestRunTraining:
         cfg = config(T=5, sigma=1e308, eta=1e10)
         with pytest.raises(TrainingDivergedError, match="weights diverged"):
             run_training(cfg, Task.LINEAR_REGRESSION)
-
-    def test_inv_sqrt_schedule_changes_trajectory(self):
-        base = run_training(config(T=6), Task.LINEAR_REGRESSION)
-        decayed = run_training(
-            config(T=6, eta_schedule="inv_sqrt"), Task.LINEAR_REGRESSION
-        )
-        assert [r.loss for r in base] != [r.loss for r in decayed]
 
 
 class TestMetricsCsv:
