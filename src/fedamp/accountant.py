@@ -27,15 +27,21 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
-from .divergence import SQRT_2PI, binomial_log_weights, weighted_normal_pdf
+from .divergence import (
+    GaussianMixture1D,
+    HockeyStickQuery,
+    binomial_log_weights,  # noqa: F401  (only perfbench's tracer uses it here)
+    binomial_mixture,
+    hockey_stick,
+    weighted_normal_pdf,  # noqa: F401  (only perfbench's tracer uses it here)
+)
 from .numerics import (
     DomainError,
     RootResult,
     find_root_bracketed,
     gaussian_mechanism_delta,
-    integrate_adaptive,
+    integrate_adaptive,  # noqa: F401  (only perfbench's tracer uses it here)
 )
 
 logger = logging.getLogger(__name__)
@@ -45,9 +51,7 @@ SIGMA_REL_TOL = 1e-6
 EPS_BRACKET = (0.0, 64.0)
 EPS_ABS_TOL = 1e-7
 Z_SCAN_POINTS = 4096
-Z_ROOT_TOL = 1e-12
 SIGN_SCAN_POINTS = 10_000
-QUADRATURE_ABS_TOL = 1e-12
 
 
 class CalibrationError(RuntimeError):
@@ -188,55 +192,29 @@ def derive_constants(eps: float, params: SamplingParams) -> AmplificationConstan
     return _constants_from(eps, eps_prime, params)
 
 
-def _integrand_terms(params: SamplingParams):
-    idx, logw = binomial_log_weights(params.d, params.q)
-    weights = np.exp(logw)
-    weights = weights / weights.sum()
-    means_sampled = (idx + 1.0) * params.C
-    means_unsampled = idx * params.C
-    return weights, means_sampled, means_unsampled
+def main_pair(
+    consts: AmplificationConstants, params: SamplingParams
+) -> HockeyStickQuery:
+    """The mixture pair whose hockey-stick divergence, times pq, is Main.
 
-
-def main_integrand(z, consts: AmplificationConstants, params: SamplingParams):
-    """Signed integrand of the Main bound (before the positive-part clamp).
-
-    f(z) = sum_i w_i [N(z, (i+1)C, s^2) - a' c2_bar N(z, iC, s^2)]
-           - a' c1_bar N(z, 0, s^2)
-
-    with w_i the Binom(d, q) weights. Vectorized over z.
+    num = sum_i w_i N((i+1)C, s^2) and
+    den = c2_bar sum_i w_i N(iC, s^2) + c1_bar N(0, s^2) at alpha', with w_i
+    the Binom(d, q) weights; den has mass c1_bar + c2_bar = 1.
     """
-    weights, means_s, means_u = _integrand_terms(params)
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    value = _integrand_values(
-        z_arr, weights, means_s, means_u, consts, params.sigma
-    )
-    if np.ndim(z) == 0:
-        return float(value[0])
-    return value
-
-
-def _integrand_values(z, weights, means_s, means_u, consts, sigma, with_scale=False):
-    pos = weighted_normal_pdf(z, means_s, weights, sigma)
-    neg = consts.alpha_prime * consts.c2_bar * weighted_normal_pdf(
-        z, means_u, weights, sigma
-    )
+    sigma = params.sigma
+    unsampled = binomial_mixture(params.d, params.q, params.C, sigma)
+    numerator = GaussianMixture1D(unsampled.means + params.C, unsampled.weights, sigma)
+    means, weights = unsampled.means, consts.c2_bar * unsampled.weights
+    # the absent branch c1_bar N(0, s^2) shares component i = 0's mean
+    # unless the binomial's lower tail was dropped
     if consts.c1_bar != 0.0:
-        t = z / sigma
-        base = (
-            consts.alpha_prime
-            * consts.c1_bar
-            * np.exp(-0.5 * t * t)
-            / (sigma * SQRT_2PI)
-        )
-    else:
-        base = np.zeros_like(pos)
-    value = pos - neg - base
-    if with_scale:
-        # Cancellation noise lives at the local magnitude of the terms
-        # being subtracted, so sign classification must compare against
-        # this scale, not the integrand's global maximum.
-        return value, pos + neg + base
-    return value
+        if means[0] == 0.0:
+            weights[0] += consts.c1_bar
+        else:
+            means = np.concatenate([[0.0], means])
+            weights = np.concatenate([[consts.c1_bar], weights])
+    denominator = GaussianMixture1D(means, weights, sigma)
+    return HockeyStickQuery(consts.alpha_prime, numerator, denominator)
 
 
 def _scan_window(consts: AmplificationConstants, params: SamplingParams):
@@ -249,37 +227,30 @@ def _scan_window(consts: AmplificationConstants, params: SamplingParams):
     return lo, hi
 
 
-def find_z_star(
-    consts: AmplificationConstants, params: SamplingParams
-) -> RootResult:
-    """Crossing point z* above which the Main integrand is positive.
+def _signed_with_floor(pair: HockeyStickQuery, grid: np.ndarray):
+    """The Main integrand on a grid, with the level below which its sign
+    carries no information. Cancellation noise lives at the local magnitude
+    of the two terms being subtracted, so the floor scales with their sum;
+    the absolute 1e-300 keeps denormal dust out where that sum underflows."""
+    a, b = pair.terms(grid)
+    return a - b, np.maximum(1e-13 * (a + b), 1e-300)
 
-    Scans [-12s, (d+1)C + 12s + s^2 eps'/C] for the transition from
-    clearly-negative to clearly-positive values (a relative noise floor
-    discards cancellation dust and underflowed zeros), then refines the
-    bracket. The window is doubled and the grid densified on a failed scan
-    before the degenerate regime is reported.
+
+def find_z_star(pair: HockeyStickQuery, lo: float, hi: float) -> RootResult:
+    """Crossing point z* above which num - alpha * den of pair is positive.
+
+    Scans [lo, hi] (for Main, main_pair over _scan_window's
+    [-12s, (d+1)C + 12s + s^2 eps'/C]) for the transition from
+    clearly-negative to clearly-positive values, then refines that bracket
+    with find_root_bracketed (Brent's method). The window is doubled and the
+    grid densified on a failed scan before the degenerate regime is reported.
     """
-    weights, means_s, means_u = _integrand_terms(params)
-
-    def f_vec(z: np.ndarray) -> np.ndarray:
-        return _integrand_values(z, weights, means_s, means_u, consts, params.sigma)
-
-    def f_scalar(z: float) -> float:
-        return float(f_vec(np.array([z]))[0])
-
-    lo, hi = _scan_window(consts, params)
     width = hi - lo
     points = Z_SCAN_POINTS
     max_seen = 0.0
     for attempt in range(3):
         grid = np.linspace(lo, hi, points)
-        values, scales = _integrand_values(
-            grid, weights, means_s, means_u, consts, params.sigma, with_scale=True
-        )
-        # the relative floor alone vanishes where the local scale itself
-        # underflows, letting denormal dust pass as sign information
-        floors = np.maximum(1e-13 * scales, 1e-300)
+        values, floors = _signed_with_floor(pair, grid)
         negatives = np.nonzero(values < -floors)[0]
         positives = np.nonzero(values > floors)[0]
         max_seen = max(max_seen, float(values.max(initial=-math.inf)))
@@ -295,7 +266,7 @@ def find_z_star(
             if after.size:
                 a = float(grid[last_neg])
                 b = float(grid[int(after[0])])
-                return find_root_bracketed(f_scalar, a, b, tol=Z_ROOT_TOL)
+                return find_root_bracketed(pair.signed, a, b)
         hi = hi + width * (2.0**attempt)
         points *= 4
     raise DegenerateIntegrandError(
@@ -305,33 +276,15 @@ def find_z_star(
     )
 
 
-def _survival(x: np.ndarray) -> np.ndarray:
-    # P(N(0,1) > x), tail-accurate via ndtr's erfc backend.
-    return ndtr(-x)
-
-
 def _delta_main_at(consts: AmplificationConstants, params: SamplingParams):
     """(delta, z_star) for the Main scheme at fully derived constants."""
-    pq = params.p * params.q
+    pair = main_pair(consts, params)
     try:
-        root = find_z_star(consts, params)
+        z_star = find_z_star(pair, *_scan_window(consts, params)).root
     except DegenerateIntegrandError as exc:
         logger.debug("main bound degenerate: %s", exc)
         return 0.0, None
-    z_star = root.root
-    weights, means_s, means_u = _integrand_terms(params)
-    sf_sampled = _survival((z_star - means_s) / params.sigma)
-    sf_unsampled = _survival((z_star - means_u) / params.sigma)
-    scale = consts.alpha_prime * consts.c2_bar
-    terms = weights * (sf_sampled - scale * sf_unsampled)
-    tail = math.fsum(terms)
-    if consts.c1_bar != 0.0:
-        tail -= (
-            consts.alpha_prime
-            * consts.c1_bar
-            * float(_survival(np.array([z_star / params.sigma]))[0])
-        )
-    delta = pq * tail
+    delta = params.p * params.q * pair.tail(z_star)
     if delta < 0.0:
         logger.debug("clamping raw main delta %.3e to 0", delta)
         delta = 0.0
@@ -341,9 +294,9 @@ def _delta_main_at(consts: AmplificationConstants, params: SamplingParams):
 def delta_main(params: SamplingParams, eps: float) -> PrivacyPoint:
     """Amplified bound: delta at the target eps for the full protocol.
 
-    Evaluates the closed form at z* from find_z_star, pairing each
-    positive CDF term with its scaled negative partner before compensated
-    summation. The degenerate regime (integrand never positive) yields 0.
+    pq times the tail of main_pair above z* from find_z_star, summed in
+    closed form over the components' survival terms. The degenerate regime
+    (integrand never positive) yields 0.
     """
     consts = derive_constants(eps, params)
     delta, _ = _delta_main_at(consts, params)
@@ -351,48 +304,28 @@ def delta_main(params: SamplingParams, eps: float) -> PrivacyPoint:
 
 
 def delta_main_quadrature(params: SamplingParams, eps: float) -> float:
-    """Quadrature oracle for delta_main: integrates the clamped integrand.
+    """Quadrature oracle for delta_main: pq * hockey_stick(main_pair).
 
-    Independent of the closed-form tail sums; shares only the integrand
-    definition. Used by verification and the acceptance suite.
+    Shares only the pair with the closed form: hockey_stick finds its own
+    sign boundaries and integrates the clamped integrand, so neither
+    find_z_star nor the tail sums enter. Used by verification and the
+    acceptance suite.
     """
     consts = derive_constants(eps, params)
-    weights, means_s, means_u = _integrand_terms(params)
-
-    def clamped(z: np.ndarray) -> np.ndarray:
-        return np.maximum(
-            _integrand_values(z, weights, means_s, means_u, consts, params.sigma),
-            0.0,
-        )
-
-    lo, hi = _scan_window(consts, params)
-    breaks = []
-    try:
-        breaks.append(find_z_star(consts, params).root)
-    except DegenerateIntegrandError:
-        pass
-    result = integrate_adaptive(
-        clamped, lo, hi, abs_tol=QUADRATURE_ABS_TOL, break_points=breaks
-    )
-    return min(1.0, max(0.0, params.p * params.q * result.value))
+    return params.p * params.q * hockey_stick(main_pair(consts, params))
 
 
 def count_integrand_sign_changes(params: SamplingParams, eps: float) -> int:
     """Sign changes of the Main integrand on a dense scan of its window.
 
-    Values within a relative noise floor of zero (cancellation dust,
+    Values within find_z_star's noise floor of zero (cancellation dust,
     underflowed tails) carry no sign information and are skipped.
     """
     consts = derive_constants(eps, params)
-    weights, means_s, means_u = _integrand_terms(params)
     lo, hi = _scan_window(consts, params)
     grid = np.linspace(lo, hi, SIGN_SCAN_POINTS)
-    values, scales = _integrand_values(
-        grid, weights, means_s, means_u, consts, params.sigma, with_scale=True
-    )
-    signs = np.sign(values[np.abs(values) > 1e-13 * scales])
-    if signs.size == 0:
-        return 0
+    values, floors = _signed_with_floor(main_pair(consts, params), grid)
+    signs = np.sign(values[np.abs(values) > floors])
     return int(np.count_nonzero(signs[:-1] != signs[1:]))
 
 

@@ -3,9 +3,10 @@
 Every distribution the accounting schemes compare is a univariate Gaussian
 mixture whose components share one standard deviation. This module gives
 that family a canonical value type, builds the binomially weighted mixtures
-produced by Poisson subsampling, evaluates hockey-stick divergences by
-adaptive quadrature, and checks the advanced-joint-convexity identity that
-links a mixture divergence to its conditional parts.
+produced by Poisson subsampling, gives a mixture pair its densities, exact
+tails and hockey-stick divergence (by adaptive quadrature), and checks the
+advanced-joint-convexity identity linking a mixture divergence to its
+conditional parts.
 
 Divergence quadrature runs at 1e-13 absolute tolerance, several orders
 below the delta magnitudes the accountant certifies.
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 
-from .numerics import DomainError, integrate_adaptive
+from .numerics import DomainError, find_root_bracketed, integrate_adaptive
 
 if TYPE_CHECKING:
     from .accountant import SamplingParams
@@ -58,11 +59,11 @@ class GaussianMixture1D:
             raise DomainError("means and weights must be 1-d arrays of equal length")
         if means.size == 0:
             raise DomainError("mixture needs at least one component")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(weights))):
+        if not (np.isfinite(means).all() and np.isfinite(weights).all()):
             raise DomainError("mixture components must be finite")
-        if np.any(weights < 0.0):
+        if (weights < 0.0).any():
             raise DomainError("mixture weights must be nonnegative")
-        if not np.all(np.diff(means) > 0.0):
+        if not (np.diff(means) > 0.0).all():
             raise DomainError("component means must be strictly increasing")
         sigma = float(self.sigma)
         if not math.isfinite(sigma) or sigma <= 0.0:
@@ -174,6 +175,33 @@ class HockeyStickQuery:
                 f"denominator mass {den_mass} outside (0, alpha={alpha}]"
             )
 
+    def terms(self, z):
+        """(num(z), alpha * den(z)), one density pass per mixture.
+
+        Their difference is the signed integrand; their sum is the local
+        magnitude that cancellation noise in the difference scales with.
+        """
+        return self.numerator.pdf(z), self.alpha * self.denominator.pdf(z)
+
+    def signed(self, z):
+        """num(z) - alpha * den(z), before the positive-part clamp."""
+        a, b = self.terms(z)
+        return a - b
+
+    def tail(self, z: float) -> float:
+        """Exact integral of num - alpha * den over [z, inf).
+
+        One compensated sum over the components' Gaussian survival terms;
+        ndtr's erfc backend keeps each term accurate deep in the tail.
+        """
+        num, den = self.numerator, self.denominator
+        return math.fsum(
+            np.concatenate([
+                num.weights * ndtr((num.means - z) / num.sigma),
+                -self.alpha * den.weights * ndtr((den.means - z) / den.sigma),
+            ])
+        )
+
 
 def single_gaussian(mean: float, sigma: float) -> GaussianMixture1D:
     return GaussianMixture1D(np.array([float(mean)]), np.array([1.0]), sigma)
@@ -260,50 +288,27 @@ def _check_count(d) -> int:
     return int(d)
 
 
-def _positivity_boundaries(
-    f, grid: np.ndarray, values: np.ndarray, refine_steps: int = 80
-) -> list[float]:
-    """Locate boundaries of {f > 0} between scan points by bisection."""
-    positive = values > 0.0
-    flips = np.nonzero(positive[:-1] != positive[1:])[0]
-    boundaries = []
-    for i in flips:
-        left, right = float(grid[i]), float(grid[i + 1])
-        left_positive = bool(positive[i])
-        for _ in range(refine_steps):
-            middle = 0.5 * (left + right)
-            if middle in (left, right):
-                break
-            if (float(f(np.array([middle]))[0]) > 0.0) == left_positive:
-                left = middle
-            else:
-                right = middle
-        boundaries.append(0.5 * (left + right))
-    return boundaries
-
-
 def hockey_stick(query: HockeyStickQuery) -> float:
     """D_alpha(num || den) = integral of [num(z) - alpha * den(z)]_+ dz.
 
-    The signed difference is scanned for sign changes, each boundary is
-    refined by bisection, and the clamped integrand is integrated piecewise
-    so the quadrature only ever sees smooth pieces. Clamped to [0, 1].
+    The signed difference is scanned for sign changes over the mixtures'
+    12-sigma support, find_root_bracketed refines each boundary, and the
+    clamped integrand is integrated piecewise so the quadrature only ever
+    sees smooth pieces. Clamped to [0, 1].
     """
-    num, den, alpha = query.numerator, query.denominator, query.alpha
-
-    def signed(z: np.ndarray) -> np.ndarray:
-        return weighted_normal_pdf(
-            z, num.means, num.weights, num.sigma
-        ) - alpha * weighted_normal_pdf(z, den.means, den.weights, den.sigma)
-
-    num_lo, num_hi = num.support()
-    den_lo, den_hi = den.support()
+    num_lo, num_hi = query.numerator.support()
+    den_lo, den_hi = query.denominator.support()
     lo, hi = min(num_lo, den_lo), max(num_hi, den_hi)
     grid = np.linspace(lo, hi, HOCKEY_STICK_SCAN_POINTS)
-    boundaries = _positivity_boundaries(signed, grid, signed(grid))
+    positive = query.signed(grid) > 0.0
+    flips = np.nonzero(positive[:-1] != positive[1:])[0]
+    boundaries = [
+        find_root_bracketed(query.signed, float(grid[i]), float(grid[i + 1])).root
+        for i in flips
+    ]
 
     def clamped(z: np.ndarray) -> np.ndarray:
-        return np.maximum(signed(z), 0.0)
+        return np.maximum(query.signed(z), 0.0)
 
     result = integrate_adaptive(
         clamped, lo, hi, abs_tol=DEFAULT_ABS_TOL, break_points=boundaries

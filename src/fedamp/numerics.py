@@ -1,23 +1,29 @@
 """Numerical primitives for the privacy accounting stack.
 
-The Gaussian mechanism delta, a bracketed root finder, and an adaptive
-Gauss-Kronrod integrator. Everything is pure and reentrant; no global
-mutable state.
+The Gaussian mechanism delta, a bracketed root finder (Brent's method, as
+in scipy's brentq), and an adaptive Gauss-Kronrod integrator. Everything
+is pure and reentrant; no global mutable state.
 
 Accuracy targets are inherited from the accountant, which checks closed-form
 delta values against quadrature at the 1e-10 level. The primitives therefore
-aim roughly two orders tighter: quadrature abs_tol defaults to 1e-14 and the
-root residual tolerance to 1e-12.
+aim roughly two orders tighter: quadrature abs_tol defaults to 1e-14, and
+roots are located to 2e-12 absolute plus four machine epsilons relative.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
+
+# scipy.optimize.brentq's defaults: xtol, rtol (four machine epsilons), maxiter
+ROOT_XTOL = 2e-12
+ROOT_RTOL = 4.0 * sys.float_info.epsilon
+ROOT_MAX_STEPS = 100
 
 
 class DomainError(ValueError):
@@ -26,10 +32,6 @@ class DomainError(ValueError):
 
 class BracketError(RuntimeError):
     """A root bracket does not actually bracket a sign change."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its iteration budget."""
 
 
 class AccuracyError(RuntimeError):
@@ -91,74 +93,68 @@ def gaussian_mechanism_delta(eps: float, sigma: float, sensitivity: float) -> fl
 
 
 def find_root_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    f: Callable[[float], float], lo: float, hi: float
 ) -> RootResult:
     """Locate a root of f in [lo, hi] given a sign change.
 
-    Secant steps with a bisection fallback: whenever the secant proposal
-    falls outside the current bracket, or the bracket has failed to halve
-    for two consecutive steps, the midpoint is used instead. Terminates
-    when |f| <= tol or the bracket width drops below tol * max(1, |root|).
-    Deterministic for a deterministic f.
+    Brent's method, step for step as scipy.optimize.brentq runs it at its
+    default tolerances, so both return the same root. scipy.optimize itself
+    is not imported: with scipy 1.17 on x86-64 Linux, loading it takes about
+    0.3 s and 24 MB of resident memory. The search stops when the bracket
+    half-width drops below (ROOT_XTOL + ROOT_RTOL |x|) / 2 or f is exactly
+    0, never on a small |f|. The result carries the final bracket.
     """
     lo = _require_finite("lo", lo)
     hi = _require_finite("hi", hi)
-    tol = _require_finite("tol", tol)
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-
-    fa = _require_finite("f(lo)", f(lo))
-    fb = _require_finite("f(hi)", f(hi))
-    if fa == 0.0:
+    prev, f_prev = lo, _require_finite("f(lo)", f(lo))
+    best, f_best = hi, _require_finite("f(hi)", f(hi))
+    if f_prev == 0.0:
         return RootResult(lo, 0.0, (lo, lo))
-    if fb == 0.0:
+    if f_best == 0.0:
         return RootResult(hi, 0.0, (hi, hi))
-    if (fa > 0.0) == (fb > 0.0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={fa}, f(hi)={fb}")
-
-    a, b = lo, hi
-    x_prev, f_prev = a, fa
-    x_curr, f_curr = b, fb
-    ref_width = b - a
-    stalled = 0
-    for _ in range(max_iter):
-        cand = None
-        if stalled < 2:
-            denom = f_curr - f_prev
-            if denom != 0.0:
-                step = x_curr - f_curr * (x_curr - x_prev) / denom
-                if a < step < b:
-                    cand = step
-        if cand is None:
-            cand = 0.5 * (a + b)
-        fc = _require_finite("f(candidate)", f(cand))
-        x_prev, f_prev = x_curr, f_curr
-        x_curr, f_curr = cand, fc
-        if fc == 0.0:
-            return RootResult(cand, 0.0, (a, b))
-        if (fc > 0.0) == (fa > 0.0):
-            a, fa = cand, fc
+    if (f_prev < 0.0) == (f_best < 0.0):
+        raise BracketError(
+            f"no sign change on [{lo}, {hi}]: f(lo)={f_prev}, f(hi)={f_best}"
+        )
+    for _ in range(ROOT_MAX_STEPS):
+        if (f_prev < 0.0) != (f_best < 0.0):
+            far, f_far = prev, f_prev
+            step = last_step = best - prev
+        if abs(f_far) < abs(f_best):
+            prev, best, far = best, far, best
+            f_prev, f_best, f_far = f_best, f_far, f_best
+        tol = 0.5 * (ROOT_XTOL + ROOT_RTOL * abs(best))
+        half = 0.5 * (far - best)
+        if f_best == 0.0 or abs(half) < tol:
+            return RootResult(best, f_best, (min(best, far), max(best, far)))
+        # interpolate while that shrinks the steps fast enough, else bisect
+        interpolate = abs(last_step) > tol and abs(f_best) < abs(f_prev)
+        if interpolate:
+            try:
+                if prev == far:  # secant
+                    trial = -f_best * (best - prev) / (f_best - f_prev)
+                else:  # inverse quadratic
+                    d_prev = (f_prev - f_best) / (prev - best)
+                    d_far = (f_far - f_best) / (far - best)
+                    trial = -f_best * (f_far * d_far - f_prev * d_prev) / (
+                        d_far * d_prev * (f_far - f_prev)
+                    )
+                bound = min(abs(last_step), 3.0 * abs(half) - tol)
+                interpolate = 2.0 * abs(trial) < bound
+            except ZeroDivisionError:
+                # underflowed slopes; IEEE division gives inf or nan there,
+                # which fails the step test just the same
+                interpolate = False
+        if interpolate:
+            last_step, step = step, trial
         else:
-            b, fb = cand, fc
-        if abs(fc) <= tol:
-            return RootResult(cand, fc, (a, b))
-        if b - a <= 0.5 * ref_width:
-            ref_width = b - a
-            stalled = 0
-        else:
-            stalled += 1
-        if b - a <= tol * max(1.0, abs(cand)):
-            root, res = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-            return RootResult(root, res, (a, b))
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations; bracket [{a}, {b}]"
-    )
+            last_step = step = half
+        prev, f_prev = best, f_best
+        best += step if abs(step) > tol else math.copysign(tol, half)
+        f_best = _require_finite(f"f({best})", f(best))
+    raise RuntimeError(f"no root within {ROOT_MAX_STEPS} steps on [{lo}, {hi}]")
 
 
 # Gauss-Kronrod 15-point pair on [-1, 1]. Nodes at odd indices are the

@@ -6,6 +6,7 @@ explicitly constructed mixture pair, and against analytic reductions at
 boundary parameter values.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from fedamp.accountant import (
     SamplingParams,
     Scheme,
     SweepVariable,
+    _scan_window,
     calibrate_sigma,
     count_integrand_sign_changes,
     delta_for_scheme,
@@ -33,8 +35,14 @@ from fedamp.accountant import (
     derive_constants,
     eps_for_delta,
     find_z_star,
-    main_integrand,
+    main_pair,
     sweep,
+)
+from fedamp.cli import (
+    VERIFY_GRID_EPS,
+    VERIFY_GRID_P,
+    VERIFY_GRID_Q,
+    VERIFY_GRID_SIGMA,
 )
 from fedamp.divergence import HockeyStickQuery, hockey_stick, worst_case_pair
 from fedamp.numerics import DomainError, gaussian_mechanism_delta
@@ -50,6 +58,12 @@ SIGMA_OLS_B = 1.1035372958479206
 
 def params(p=0.1, q=0.1, d=1, C=1.0, sigma=1.0) -> SamplingParams:
     return SamplingParams(p=p, q=q, d=d, C=C, sigma=sigma)
+
+
+def main_z_star(pr: SamplingParams, eps: float):
+    """find_z_star on the Main pair over the window delta_main scans."""
+    consts = derive_constants(eps, pr)
+    return find_z_star(main_pair(consts, pr), *_scan_window(consts, pr))
 
 
 class TestSamplingParams:
@@ -130,13 +144,13 @@ class TestMainIntegrand:
     def test_negligible_far_left(self):
         pr = params(p=0.1, q=0.1, d=5, sigma=1.0)
         consts = derive_constants(0.1, pr)
-        assert abs(main_integrand(-12.0, consts, pr)) < 1e-30
+        assert abs(main_pair(consts, pr).signed(-12.0)) < 1e-30
 
     def test_vectorized(self):
         pr = params(d=3)
         consts = derive_constants(0.2, pr)
         z = np.linspace(-2.0, 6.0, 17)
-        values = main_integrand(z, consts, pr)
+        values = main_pair(consts, pr).signed(z)
         assert np.shape(values) == z.shape
 
     def test_single_sign_change_spot_checks(self):
@@ -160,36 +174,34 @@ class TestFindZStar:
             pr = params(p=p, q=q, d=0, C=C, sigma=sigma)
             consts = derive_constants(eps, pr)
             expected = C / 2.0 + sigma**2 * consts.eps_prime / C
-            root = find_z_star(consts, pr)
-            # refinement stops on |f| <= tol, so z precision tracks the
-            # local integrand scale; 1e-7 holds even for the tiny-scale case
-            assert root.root == pytest.approx(expected, rel=1e-7)
+            assert main_z_star(pr, eps).root == pytest.approx(expected, rel=1e-12)
 
     def test_brute_force_scan_oracle(self):
         pr = params(p=0.1, q=0.1, d=30, C=1.0, sigma=1.0)
         consts = derive_constants(0.1, pr)
+        pair = main_pair(consts, pr)
 
         grid = np.linspace(-12.0, 46.0, 2_000_001)
-        values = main_integrand(grid, consts, pr)
+        values = pair.signed(grid)
         first_positive = int(np.argmax(values > 0.0))
         assert first_positive > 0
         lo, hi = grid[first_positive - 1], grid[first_positive]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if main_integrand(mid, consts, pr) > 0.0:
+            if pair.signed(mid) > 0.0:
                 hi = mid
             else:
                 lo = mid
         z_oracle = 0.5 * (lo + hi)
 
-        root = find_z_star(consts, pr)
+        root = main_z_star(pr, 0.1)
         assert root.root == pytest.approx(z_oracle, abs=1e-9)
         assert root.bracket[0] <= root.root <= root.bracket[1]
 
     def test_degenerate_regime_raises(self):
         pr = params(p=0.01, q=0.01, d=1, sigma=5.0)
         with pytest.raises(DegenerateIntegrandError) as info:
-            find_z_star(derive_constants(5.0, pr), pr)
+            main_z_star(pr, 5.0)
         # nothing above the sign-information floor was ever seen
         assert info.value.max_value < 1e-300
 
@@ -203,6 +215,17 @@ class TestDeltaMain:
                 assert delta_main(pr, eps).delta == pytest.approx(
                     gaussian_mechanism_delta(eps, sigma, 1.0), rel=1e-12
                 )
+
+    def test_d_zero_is_lower_bound(self):
+        # with no other elements the pair is N(C, s^2) against N(0, s^2) at
+        # alpha', so main is the subsampled Gaussian bound at rate pq
+        for p, q, sigma, eps in itertools.product(
+            VERIFY_GRID_P, VERIFY_GRID_Q, VERIFY_GRID_SIGMA, VERIFY_GRID_EPS
+        ):
+            pr = params(p, q, 0, 1.0, sigma)
+            assert delta_main(pr, eps).delta == pytest.approx(
+                delta_lower_bound(pr, eps).delta, rel=1e-9, abs=1e-300
+            )
 
     def test_degenerate_regime_is_zero(self):
         assert delta_main(params(p=0.01, q=0.01, d=1, sigma=5.0), 5.0).delta == 0.0
@@ -492,8 +515,7 @@ class TestSweep:
             for row in rows[:2]:
                 pr = params(row.p, row.q, row.d, row.C, row.sigma)
                 # on delta-target rows z* is taken at the computed eps
-                expected = find_z_star(derive_constants(row.eps, pr), pr).root
-                assert row.z_star == expected
+                assert row.z_star == main_z_star(pr, row.eps).root
             assert [row.z_star for row in rows[2:]] == [None, None]
 
     def test_error_rows_do_not_abort(self):

@@ -156,6 +156,16 @@ class TestHockeyStick:
         )
         assert value == pytest.approx(DELTA_HALF_EPS, abs=1e-10)
 
+    def test_tail_at_crossing_is_gaussian_mechanism_delta(self):
+        # N(1, 1) and e^0.5 N(0, 1) cross at z = 1/2 + 0.5
+        query = HockeyStickQuery(
+            math.exp(0.5), single_gaussian(1.0, 1.0), single_gaussian(0.0, 1.0)
+        )
+        a, b = query.terms(1.0)
+        assert a == pytest.approx(b, rel=1e-15)
+        assert query.signed(1.0) == a - b
+        assert query.tail(1.0) == pytest.approx(DELTA_HALF_EPS, rel=1e-13)
+
     def test_monotone_in_alpha(self):
         num = single_gaussian(1.0, 1.0)
         den = single_gaussian(0.0, 1.0)

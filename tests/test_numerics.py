@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from fedamp.numerics import (
@@ -88,10 +89,27 @@ class TestFindRootBracketed:
         assert result.root == pytest.approx(0.0, abs=1e-10)
 
     def test_bracket_contains_root(self):
-        result = find_root_bracketed(lambda x: x**3 - 2.0, 0.0, 4.0, tol=1e-13)
+        result = find_root_bracketed(lambda x: x**3 - 2.0, 0.0, 4.0)
         lo, hi = result.bracket
         assert lo <= result.root <= hi
         assert result.root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+
+    def test_same_root_as_scipy_brentq(self):
+        # same steps and tolerances; at the 1e-200 scale the interpolation
+        # slopes underflow and both fall back to bisection
+        for f, lo, hi in [
+            (lambda x: math.tanh(3.0 * (x - 0.7)), -4.0, 4.5),
+            (lambda x: x**3 - 2.0, 0.0, 4.0),
+            (lambda x: 1e-200 * (math.exp(x - 0.3) - 1.0), -4.0, 4.5),
+        ]:
+            assert find_root_bracketed(f, lo, hi).root == brentq(f, lo, hi)
+
+    def test_tiny_scale_does_not_stop_early(self):
+        # |f| <= 1e-20 on the whole bracket: only the bracket width may stop
+        result = find_root_bracketed(
+            lambda x: 1e-20 * math.tanh(5.0 * (x - 0.3)), -4.0, 4.5
+        )
+        assert result.root == pytest.approx(0.3, abs=2e-12)
 
     def test_endpoint_root_short_circuits(self):
         result = find_root_bracketed(lambda x: x, 0.0, 1.0)
