@@ -7,7 +7,8 @@ only if its client participates (probability p) and then samples it
 * Main: the amplified bound. The final eps fixes an inner level eps' via
   eps = log(1 + pq (e^{eps'} - 1)); delta is pq times a hockey-stick
   divergence between binomially weighted Gaussian mixtures, evaluated in
-  closed form at the integrand's crossing point z*.
+  closed form above the integrand's single crossing z*, the root of the
+  pair's log likelihood ratio less log alpha'.
 * OnlyLocal (ols): amplification by the local sampling alone (probability
   q); a subsampled Gaussian mechanism bound.
 * UpperBound (ub): a closed-form relaxation of Main; same shape as ols at
@@ -37,6 +38,7 @@ from .divergence import (
     weighted_normal_pdf,  # noqa: F401  (only perfbench's tracer uses it here)
 )
 from .numerics import (
+    BracketError,
     DomainError,
     RootResult,
     find_root_bracketed,
@@ -50,7 +52,6 @@ SIGMA_BRACKET = (1e-3, 1e4)
 SIGMA_REL_TOL = 1e-6
 EPS_BRACKET = (0.0, 64.0)
 EPS_ABS_TOL = 1e-7
-Z_SCAN_POINTS = 4096
 SIGN_SCAN_POINTS = 10_000
 
 
@@ -59,12 +60,7 @@ class CalibrationError(RuntimeError):
 
 
 class DegenerateIntegrandError(RuntimeError):
-    """The bound integrand never becomes positive inside the scan window."""
-
-    def __init__(self, message: str, window: tuple[float, float], max_value: float):
-        super().__init__(message)
-        self.window = window
-        self.max_value = max_value
+    """The bound integrand has no sign change on find_z_star's window."""
 
 
 class Scheme(Enum):
@@ -227,63 +223,29 @@ def _scan_window(consts: AmplificationConstants, params: SamplingParams):
     return lo, hi
 
 
-def _signed_with_floor(pair: HockeyStickQuery, grid: np.ndarray):
-    """The Main integrand on a grid, with the level below which its sign
-    carries no information. Cancellation noise lives at the local magnitude
-    of the two terms being subtracted, so the floor scales with their sum;
-    the absolute 1e-300 keeps denormal dust out where that sum underflows."""
-    a, b = pair.terms(grid)
-    return a - b, np.maximum(1e-13 * (a + b), 1e-300)
-
-
 def find_z_star(pair: HockeyStickQuery, lo: float, hi: float) -> RootResult:
     """Crossing point z* above which num - alpha * den of pair is positive.
 
-    Scans [lo, hi] (for Main, main_pair over _scan_window's
-    [-12s, (d+1)C + 12s + s^2 eps'/C]) for the transition from
-    clearly-negative to clearly-positive values, then refines that bracket
-    with find_root_bracketed (Brent's method). The window is doubled and the
-    grid densified on a failed scan before the degenerate regime is reported.
+    z* is the root of pair.log_ratio, the log likelihood ratio less
+    log alpha, found by find_root_bracketed (Brent's method) on [lo, hi].
+    For Main (main_pair over _scan_window) that window always brackets it.
+    Below: at every z <= 0 each numerator component N((i+1)C, s^2) lies
+    below the denominator's N(iC, s^2), and N(0, s^2) above all of them.
+    Above: at hi = (d+1)C + 12s + s^2 eps'/C every component ratio
+    N((i+1)C)/N(iC) is at least exp(C^2/(2s^2) + 12C/s + eps'), and
+    N(0) <= N(iC) there, so log_ratio(hi) >= 12C/s > 0. Raises
+    DegenerateIntegrandError if log_ratio has no sign change on [lo, hi].
     """
-    width = hi - lo
-    points = Z_SCAN_POINTS
-    max_seen = 0.0
-    for attempt in range(3):
-        grid = np.linspace(lo, hi, points)
-        values, floors = _signed_with_floor(pair, grid)
-        negatives = np.nonzero(values < -floors)[0]
-        positives = np.nonzero(values > floors)[0]
-        max_seen = max(max_seen, float(values.max(initial=-math.inf)))
-        if positives.size:
-            if negatives.size == 0:
-                # Positive already at the window edge: the negative side
-                # underflowed; treat the first positive point as the start.
-                first = int(positives[0])
-                z0 = float(grid[max(first - 1, 0)])
-                return RootResult(z0, float(values[max(first - 1, 0)]), (z0, z0))
-            last_neg = int(negatives[-1])
-            after = positives[positives > last_neg]
-            if after.size:
-                a = float(grid[last_neg])
-                b = float(grid[int(after[0])])
-                return find_root_bracketed(pair.signed, a, b)
-        hi = hi + width * (2.0**attempt)
-        points *= 4
-    raise DegenerateIntegrandError(
-        f"no crossing inside [{lo}, {hi}]: integrand max {max_seen:.3e}",
-        window=(lo, hi),
-        max_value=max_seen,
-    )
+    try:
+        return find_root_bracketed(pair.log_ratio, lo, hi)
+    except BracketError as exc:
+        raise DegenerateIntegrandError(str(exc)) from exc
 
 
 def _delta_main_at(consts: AmplificationConstants, params: SamplingParams):
     """(delta, z_star) for the Main scheme at fully derived constants."""
     pair = main_pair(consts, params)
-    try:
-        z_star = find_z_star(pair, *_scan_window(consts, params)).root
-    except DegenerateIntegrandError as exc:
-        logger.debug("main bound degenerate: %s", exc)
-        return 0.0, None
+    z_star = find_z_star(pair, *_scan_window(consts, params)).root
     delta = params.p * params.q * pair.tail(z_star)
     if delta < 0.0:
         logger.debug("clamping raw main delta %.3e to 0", delta)
@@ -295,8 +257,9 @@ def delta_main(params: SamplingParams, eps: float) -> PrivacyPoint:
     """Amplified bound: delta at the target eps for the full protocol.
 
     pq times the tail of main_pair above z* from find_z_star, summed in
-    closed form over the components' survival terms. The degenerate regime
-    (integrand never positive) yields 0.
+    closed form over the components' survival terms. z* always exists, so
+    there is no regime that certifies 0 by fiat; a delta below the double
+    range reads 0.
     """
     consts = derive_constants(eps, params)
     delta, _ = _delta_main_at(consts, params)
@@ -318,14 +281,19 @@ def delta_main_quadrature(params: SamplingParams, eps: float) -> float:
 def count_integrand_sign_changes(params: SamplingParams, eps: float) -> int:
     """Sign changes of the Main integrand on a dense scan of its window.
 
-    Values within find_z_star's noise floor of zero (cancellation dust,
-    underflowed tails) carry no sign information and are skipped.
+    An independent check of the single crossing that find_z_star assumes,
+    in linear space. Values within a noise floor of zero carry no sign
+    information and are skipped: cancellation noise lives at the local
+    magnitude of the two terms being subtracted, so the floor scales with
+    their sum, and the absolute 1e-300 keeps denormal dust out where that
+    sum underflows.
     """
     consts = derive_constants(eps, params)
     lo, hi = _scan_window(consts, params)
     grid = np.linspace(lo, hi, SIGN_SCAN_POINTS)
-    values, floors = _signed_with_floor(main_pair(consts, params), grid)
-    signs = np.sign(values[np.abs(values) > floors])
+    a, b = main_pair(consts, params).terms(grid)
+    values = a - b
+    signs = np.sign(values[np.abs(values) > np.maximum(1e-13 * (a + b), 1e-300)])
     return int(np.count_nonzero(signs[:-1] != signs[1:]))
 
 

@@ -3,10 +3,10 @@
 Every distribution the accounting schemes compare is a univariate Gaussian
 mixture whose components share one standard deviation. This module gives
 that family a canonical value type, builds the binomially weighted mixtures
-produced by Poisson subsampling, gives a mixture pair its densities, exact
-tails and hockey-stick divergence (by adaptive quadrature), and checks the
-advanced-joint-convexity identity linking a mixture divergence to its
-conditional parts.
+produced by Poisson subsampling, gives a mixture pair its densities, log
+likelihood ratio, exact tails and hockey-stick divergence (by adaptive
+quadrature), and checks the advanced-joint-convexity identity linking a
+mixture divergence to its conditional parts.
 
 Divergence quadrature runs at 1e-13 absolute tolerance, several orders
 below the delta magnitudes the accountant certifies.
@@ -127,6 +127,16 @@ class GaussianMixture1D:
             return float(out[0])
         return out
 
+    def log_pdf(self, z: float) -> float:
+        """Log mixture density at a scalar z, as a max-shifted log-sum-exp,
+        so it stays finite where the density itself underflows."""
+        t = (z - self.means) / self.sigma
+        with np.errstate(divide="ignore"):
+            exponents = np.log(self.weights) - 0.5 * t * t
+        top = exponents.max()
+        log_sum = top + np.log(np.exp(exponents - top).sum())
+        return float(log_sum) - math.log(self.sigma * SQRT_2PI)
+
 
 def weighted_normal_pdf(
     z: np.ndarray, means: np.ndarray, weights: np.ndarray, sigma: float
@@ -187,6 +197,15 @@ class HockeyStickQuery:
         """num(z) - alpha * den(z), before the positive-part clamp."""
         a, b = self.terms(z)
         return a - b
+
+    def log_ratio(self, z: float) -> float:
+        """log num(z) - log den(z) - log alpha at a scalar z: the signed
+        integrand's sign, without underflow far from the mixtures' means."""
+        return (
+            self.numerator.log_pdf(z)
+            - self.denominator.log_pdf(z)
+            - math.log(self.alpha)
+        )
 
     def tail(self, z: float) -> float:
         """Exact integral of num - alpha * den over [z, inf).

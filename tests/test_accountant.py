@@ -44,7 +44,12 @@ from fedamp.cli import (
     VERIFY_GRID_Q,
     VERIFY_GRID_SIGMA,
 )
-from fedamp.divergence import HockeyStickQuery, hockey_stick, worst_case_pair
+from fedamp.divergence import (
+    HockeyStickQuery,
+    hockey_stick,
+    single_gaussian,
+    worst_case_pair,
+)
 from fedamp.numerics import DomainError, gaussian_mechanism_delta
 
 EPS_PRIME_REF = 5.024739665867514  # eps'(0.015) at pq = 1e-4
@@ -170,6 +175,7 @@ class TestFindZStar:
             (1.0, 0.5, 1.0, 1.0, 0.1),
             (0.3, 0.2, 2.0, 1.0, 0.5),
             (0.9, 0.9, 0.5, 3.0, 1.0),
+            (0.01, 0.01, 5.0, 1.0, 5.0),
         ]:
             pr = params(p=p, q=q, d=0, C=C, sigma=sigma)
             consts = derive_constants(eps, pr)
@@ -198,12 +204,11 @@ class TestFindZStar:
         assert root.root == pytest.approx(z_oracle, abs=1e-9)
         assert root.bracket[0] <= root.root <= root.bracket[1]
 
-    def test_degenerate_regime_raises(self):
-        pr = params(p=0.01, q=0.01, d=1, sigma=5.0)
-        with pytest.raises(DegenerateIntegrandError) as info:
-            main_z_star(pr, 5.0)
-        # nothing above the sign-information floor was ever seen
-        assert info.value.max_value < 1e-300
+    def test_never_positive_fails_closed(self):
+        # equal mixtures at alpha = 2: the log ratio is -log 2 everywhere
+        g = single_gaussian(0.0, 1.0)
+        with pytest.raises(DegenerateIntegrandError):
+            find_z_star(HockeyStickQuery(2.0, g, g), -12.0, 12.0)
 
 
 class TestDeltaMain:
@@ -224,10 +229,11 @@ class TestDeltaMain:
         ):
             pr = params(p, q, 0, 1.0, sigma)
             assert delta_main(pr, eps).delta == pytest.approx(
-                delta_lower_bound(pr, eps).delta, rel=1e-9, abs=1e-300
+                delta_lower_bound(pr, eps).delta, rel=1e-9
             )
 
     def test_degenerate_regime_is_zero(self):
+        # z* exists here, but the tail above it is below the double range
         assert delta_main(params(p=0.01, q=0.01, d=1, sigma=5.0), 5.0).delta == 0.0
 
     def test_matches_quadrature(self):

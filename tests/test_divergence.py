@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,21 @@ class TestGaussianMixture1D:
             for mu, w in [(0.0, 0.4), (2.0, 0.6)]
         )
         np.testing.assert_allclose(m.pdf(z), manual, rtol=1e-13)
+
+    def test_log_pdf_matches_pdf_and_survives_underflow(self):
+        # a zero-weight component contributes nothing and raises no warning
+        m = GaussianMixture1D(np.array([0.0, 2.0, 5.0]), np.array([0.4, 0.6, 0.0]), 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (-1.0, 0.5, 3.0):
+                assert m.log_pdf(z) == pytest.approx(math.log(m.pdf(z)), rel=1e-13)
+            # pdf underflows at z=100; the mean-2 component dominates by e^88
+            assert m.pdf(100.0) == 0.0
+            expected = (
+                math.log(0.6) - 0.5 * (98.0 / 1.5) ** 2
+                - math.log(1.5 * math.sqrt(2 * math.pi))
+            )
+            assert m.log_pdf(100.0) == pytest.approx(expected, rel=1e-14)
 
     def test_pdf_scalar_returns_float(self):
         m = single_gaussian(0.0, 1.0)
@@ -164,6 +180,7 @@ class TestHockeyStick:
         a, b = query.terms(1.0)
         assert a == pytest.approx(b, rel=1e-15)
         assert query.signed(1.0) == a - b
+        assert query.log_ratio(1.0) == pytest.approx(0.0, abs=1e-15)
         assert query.tail(1.0) == pytest.approx(DELTA_HALF_EPS, rel=1e-13)
 
     def test_monotone_in_alpha(self):
