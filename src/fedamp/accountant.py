@@ -21,7 +21,6 @@ All routines are pure.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,11 +29,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .divergence import (
-    GaussianMixture1D,
     HockeyStickQuery,
     binomial_log_weights,  # noqa: F401  (only perfbench's tracer uses it here)
-    binomial_mixture,
     hockey_stick,
+    round_mixtures,
     weighted_normal_pdf,  # noqa: F401  (only perfbench's tracer uses it here)
 )
 from .numerics import (
@@ -45,8 +43,6 @@ from .numerics import (
     gaussian_mechanism_delta,
     integrate_adaptive,  # noqa: F401  (only perfbench's tracer uses it here)
 )
-
-logger = logging.getLogger(__name__)
 
 SIGMA_BRACKET = (1e-3, 1e4)
 SIGMA_REL_TOL = 1e-6
@@ -60,7 +56,8 @@ class CalibrationError(RuntimeError):
 
 
 class DegenerateIntegrandError(RuntimeError):
-    """The bound integrand has no sign change on find_z_star's window."""
+    """The bound integrand has no sign change on find_z_star's window, or
+    its tail above the crossing is negative beyond rounding."""
 
 
 class Scheme(Enum):
@@ -144,37 +141,6 @@ class PrivacyPoint:
             raise DomainError(f"delta must lie in [0, 1], got {self.delta}")
 
 
-def _constants_from(eps: float, eps_prime: float, params: SamplingParams):
-    pq = params.p * params.q
-    alpha = math.exp(eps)
-    alpha_prime = math.exp(eps_prime)
-    if not math.isfinite(alpha_prime):
-        raise DomainError(
-            f"alpha' overflows for eps={eps} at pq={pq}; target out of range"
-        )
-    if pq == 1.0:
-        beta, c1, c2 = 1.0, 0.0, 1.0
-    else:
-        beta = math.exp(eps - eps_prime)
-        c1 = (1.0 - params.p) / (1.0 - pq)
-        c2 = params.p * (1.0 - params.q) / (1.0 - pq)
-    c1_bar = (1.0 - beta) * c1
-    c2_bar = (1.0 - beta) * c2 + beta
-    eps_double_prime = eps_prime + math.log(c2_bar)
-    return AmplificationConstants(
-        eps=eps,
-        eps_prime=eps_prime,
-        eps_double_prime=eps_double_prime,
-        alpha=alpha,
-        alpha_prime=alpha_prime,
-        beta=beta,
-        c1=c1,
-        c2=c2,
-        c1_bar=c1_bar,
-        c2_bar=c2_bar,
-    )
-
-
 def derive_constants(eps: float, params: SamplingParams) -> AmplificationConstants:
     """Constants for a target final eps; eps = 0 is the no-privacy-loss limit."""
     eps = float(eps)
@@ -182,10 +148,31 @@ def derive_constants(eps: float, params: SamplingParams) -> AmplificationConstan
         raise DomainError(f"eps must be finite and >= 0, got {eps}")
     pq = params.p * params.q
     if pq == 1.0:
-        eps_prime = eps
+        eps_prime, beta, c1, c2 = eps, 1.0, 0.0, 1.0
     else:
         eps_prime = math.log1p(math.expm1(eps) / pq)
-    return _constants_from(eps, eps_prime, params)
+        beta = math.exp(eps - eps_prime)
+        c1 = (1.0 - params.p) / (1.0 - pq)
+        c2 = params.p * (1.0 - params.q) / (1.0 - pq)
+    alpha_prime = math.exp(eps_prime)
+    if not math.isfinite(alpha_prime):
+        raise DomainError(
+            f"alpha' overflows for eps={eps} at pq={pq}; target out of range"
+        )
+    c1_bar = (1.0 - beta) * c1
+    c2_bar = (1.0 - beta) * c2 + beta
+    return AmplificationConstants(
+        eps=eps,
+        eps_prime=eps_prime,
+        eps_double_prime=eps_prime + math.log(c2_bar),
+        alpha=math.exp(eps),
+        alpha_prime=alpha_prime,
+        beta=beta,
+        c1=c1,
+        c2=c2,
+        c1_bar=c1_bar,
+        c2_bar=c2_bar,
+    )
 
 
 def main_pair(
@@ -197,19 +184,9 @@ def main_pair(
     den = c2_bar sum_i w_i N(iC, s^2) + c1_bar N(0, s^2) at alpha', with w_i
     the Binom(d, q) weights; den has mass c1_bar + c2_bar = 1.
     """
-    sigma = params.sigma
-    unsampled = binomial_mixture(params.d, params.q, params.C, sigma)
-    numerator = GaussianMixture1D(unsampled.means + params.C, unsampled.weights, sigma)
-    means, weights = unsampled.means, consts.c2_bar * unsampled.weights
-    # the absent branch c1_bar N(0, s^2) shares component i = 0's mean
-    # unless the binomial's lower tail was dropped
-    if consts.c1_bar != 0.0:
-        if means[0] == 0.0:
-            weights[0] += consts.c1_bar
-        else:
-            means = np.concatenate([[0.0], means])
-            weights = np.concatenate([[consts.c1_bar], weights])
-    denominator = GaussianMixture1D(means, weights, sigma)
+    numerator, denominator = round_mixtures(
+        params, (0.0, 0.0, 1.0), (consts.c1_bar, consts.c2_bar, 0.0)
+    )
     return HockeyStickQuery(consts.alpha_prime, numerator, denominator)
 
 
@@ -243,14 +220,19 @@ def find_z_star(pair: HockeyStickQuery, lo: float, hi: float) -> RootResult:
 
 
 def _delta_main_at(consts: AmplificationConstants, params: SamplingParams):
-    """(delta, z_star) for the Main scheme at fully derived constants."""
+    """(delta, z_star) for the Main scheme at fully derived constants.
+
+    A tail below -1e-15 is not rounding noise and raises
+    DegenerateIntegrandError; a smaller negative tail reads 0.
+    """
     pair = main_pair(consts, params)
     z_star = find_z_star(pair, *_scan_window(consts, params)).root
-    delta = params.p * params.q * pair.tail(z_star)
-    if delta < 0.0:
-        logger.debug("clamping raw main delta %.3e to 0", delta)
-        delta = 0.0
-    return min(delta, 1.0), z_star
+    tail = pair.tail(z_star)
+    if tail < -1e-15:
+        raise DegenerateIntegrandError(
+            f"Main tail {tail:.3e} above z*={z_star} is negative beyond rounding"
+        )
+    return min(params.p * params.q * max(tail, 0.0), 1.0), z_star
 
 
 def delta_main(params: SamplingParams, eps: float) -> PrivacyPoint:

@@ -2,11 +2,11 @@
 
 Every distribution the accounting schemes compare is a univariate Gaussian
 mixture whose components share one standard deviation. This module gives
-that family a canonical value type, builds the binomially weighted mixtures
-produced by Poisson subsampling, gives a mixture pair its densities, log
-likelihood ratio, exact tails and hockey-stick divergence (by adaptive
-quadrature), and checks the advanced-joint-convexity identity linking a
-mixture divergence to its conditional parts.
+that family a canonical value type, builds one round's output mixtures on
+the lattice kC that Poisson subsampling produces, gives a mixture pair its
+densities, log likelihood ratio, exact tails and hockey-stick divergence
+(by adaptive quadrature), and checks the advanced-joint-convexity identity
+linking a mixture divergence to its conditional parts.
 
 Divergence quadrature runs at 1e-13 absolute tolerance, several orders
 below the delta magnitudes the accountant certifies.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.special import gammaln, ndtr
@@ -26,7 +26,6 @@ from .numerics import DomainError, find_root_bracketed, integrate_adaptive
 if TYPE_CHECKING:
     from .accountant import SamplingParams
 
-MEAN_MERGE_TOL = 1e-12
 WEIGHT_DROP_THRESHOLD = 1e-300
 DEFAULT_ABS_TOL = 1e-13
 HOCKEY_STICK_SCAN_POINTS = 2048
@@ -39,9 +38,8 @@ _MAX_CHUNK_ELEMENTS = 1 << 22
 class GaussianMixture1D:
     """Mixture of Gaussians N(mean_i, sigma^2) with a shared sigma.
 
-    Means are strictly increasing and weights nonnegative; construct through
-    from_components to get canonical ordering and duplicate merging. Total
-    mass is usually 1 but sub-probability mixtures are allowed, because the
+    Means are strictly increasing and weights nonnegative. Total mass is
+    usually 1 but sub-probability mixtures are allowed, because the
     accounting bounds compare against denominators of mass below one.
     dropped_mass records weight discarded during construction (binomial
     tails below the representable range).
@@ -79,36 +77,6 @@ class GaussianMixture1D:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "dropped_mass", float(self.dropped_mass))
-
-    @classmethod
-    def from_components(
-        cls,
-        components: Iterable[tuple[float, float]],
-        sigma: float,
-        dropped_mass: float = 0.0,
-    ) -> "GaussianMixture1D":
-        """Build a canonical mixture from (mean, weight) pairs.
-
-        Components are sorted by mean; means that coincide within
-        MEAN_MERGE_TOL are merged by weight addition (the merged mean is the
-        weight-averaged location). Zero-weight components are removed.
-        """
-        pairs = [(float(m), float(w)) for m, w in components]
-        pairs = [(m, w) for m, w in pairs if w != 0.0]
-        if not pairs:
-            raise DomainError("mixture needs at least one nonzero component")
-        pairs.sort(key=lambda mw: mw[0])
-        means: list[float] = []
-        weights: list[float] = []
-        for mean, weight in pairs:
-            if means and mean - means[-1] <= MEAN_MERGE_TOL:
-                merged = weights[-1] + weight
-                means[-1] = (means[-1] * weights[-1] + mean * weight) / merged
-                weights[-1] = merged
-            else:
-                means.append(mean)
-                weights.append(weight)
-        return cls(np.array(means), np.array(weights), sigma, dropped_mass)
 
     @property
     def total_mass(self) -> float:
@@ -222,17 +190,16 @@ class HockeyStickQuery:
         )
 
 
-def single_gaussian(mean: float, sigma: float) -> GaussianMixture1D:
-    return GaussianMixture1D(np.array([float(mean)]), np.array([1.0]), sigma)
-
-
 def mix(parts: Sequence[tuple[float, GaussianMixture1D]]) -> GaussianMixture1D:
-    """Convex (or conic) combination of mixtures sharing one sigma."""
+    """Convex (or conic) combination of mixtures sharing one sigma.
+
+    Components at exactly equal means merge by weight addition, in the
+    order the parts are given; zero-weight components are removed.
+    """
     if not parts:
         raise DomainError("mix needs at least one part")
     sigma = parts[0][1].sigma
-    components: list[tuple[float, float]] = []
-    dropped = 0.0
+    used = []
     for coeff, mixture in parts:
         coeff = float(coeff)
         if coeff < 0.0:
@@ -241,10 +208,18 @@ def mix(parts: Sequence[tuple[float, GaussianMixture1D]]) -> GaussianMixture1D:
             continue
         if abs(mixture.sigma - sigma) > 1e-12 * max(1.0, sigma):
             raise DomainError("mixtures in a mix must share sigma")
-        dropped += coeff * mixture.dropped_mass
-        for mean, weight in zip(mixture.means, mixture.weights):
-            components.append((float(mean), coeff * float(weight)))
-    return GaussianMixture1D.from_components(components, sigma, dropped_mass=dropped)
+        used.append((coeff, mixture))
+    if not used:
+        raise DomainError("mixture needs at least one nonzero component")
+    means, slot = np.unique(
+        np.concatenate([mixture.means for _, mixture in used]), return_inverse=True
+    )
+    weights = np.bincount(
+        slot, np.concatenate([coeff * mixture.weights for coeff, mixture in used])
+    )
+    keep = weights != 0.0
+    dropped = sum(coeff * mixture.dropped_mass for coeff, mixture in used)
+    return GaussianMixture1D(means[keep], weights[keep], sigma, dropped_mass=dropped)
 
 
 def binomial_log_weights(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -274,37 +249,37 @@ def binomial_log_weights(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     return i[keep], logw[keep]
 
 
-def binomial_mixture(
-    d: int, q: float, C: float, sigma: float, mean_offset: float = 0.0
-) -> GaussianMixture1D:
-    """Binomially weighted Gaussian mixture at means i*C + mean_offset.
+def round_mixtures(
+    params: "SamplingParams", *branch_weights: tuple[float, float, float]
+) -> tuple[GaussianMixture1D, ...]:
+    """One round's output distributions, one per branch weight triple.
 
-    Component i carries weight Binom(d, q, i); weights below 1e-300 are
-    dropped, the removed mass is recorded on the result, and the remainder
-    is renormalized to total mass 1.
+    The triple (absent, unsampled, sampled) weighs the three outcomes for
+    the client holding the target element: it stays out of the round
+    (N(0, s^2)); it takes part without sampling the element
+    (sum_i w_i N(iC, s^2)); or it samples it (sum_i w_i N((i+1)C, s^2)).
+    w_i is the Binom(d, q) probability that i of its d other elements are
+    sampled. Weights below 1e-300 are dropped and the rest renormalized;
+    each mixture records the binomial mass it dropped. Every branch sits on
+    the lattice kC, so equal means coincide exactly; zero-weight lattice
+    points are removed.
     """
-    d = _check_count(d)
-    C = float(C)
-    sigma = float(sigma)
-    mean_offset = float(mean_offset)
-    if not math.isfinite(C) or C <= 0.0:
-        raise DomainError(f"C must be positive, got {C}")
-    if not math.isfinite(mean_offset):
-        raise DomainError("mean_offset must be finite")
-    idx, logw = binomial_log_weights(d, q)
-    weights = np.exp(logw)
-    kept = float(weights.sum())
-    weights = weights / kept
-    means = idx.astype(float) * C + mean_offset
-    return GaussianMixture1D(
-        means, weights, sigma, dropped_mass=max(0.0, 1.0 - kept)
-    )
-
-
-def _check_count(d) -> int:
-    if isinstance(d, bool) or int(d) != d:
-        raise DomainError(f"d must be an integer, got {d!r}")
-    return int(d)
+    idx, logw = binomial_log_weights(params.d, params.q)
+    w = np.exp(logw)
+    kept = float(w.sum())
+    w = w / kept
+    dropped = max(0.0, 1.0 - kept)
+    means = np.arange(idx[-1] + 2) * params.C
+    mixtures = []
+    for absent, unsampled, sampled in branch_weights:
+        weights = np.zeros(means.size)
+        weights[0] = absent
+        weights[idx] += unsampled * w
+        weights[idx + 1] += sampled * w
+        keep = weights != 0.0
+        lost = (unsampled + sampled) * dropped
+        mixtures.append(GaussianMixture1D(means[keep], weights[keep], params.sigma, lost))
+    return tuple(mixtures)
 
 
 def hockey_stick(query: HockeyStickQuery) -> float:
@@ -380,21 +355,17 @@ def ajc_decompose(
 def worst_case_pair(
     params: "SamplingParams",
 ) -> tuple[GaussianMixture1D, GaussianMixture1D]:
-    """The dominating pair for one round of the sampled Gaussian protocol.
+    """The aligned pair for one round of the sampled Gaussian protocol.
 
-    xi mixes the three participation outcomes for the client holding the
-    differing element (not participating; participating without the element;
+    Every one of the client's d other elements has gradient +C. xi mixes the
+    three participation outcomes for the client holding the differing
+    element (not participating; participating without the element;
     participating with it); xi_prime is the same client without the element.
-    Their hockey-stick divergence at e^eps is what the accounting schemes
-    bound.
+    Main is their exact hockey-stick divergence at e^eps. The pair is one
+    valid neighbouring pair, not the worst case over all of them.
     """
-    p, q, d, C, sigma = params.p, params.q, params.d, params.C, params.sigma
-    base = binomial_mixture(d, q, C, sigma, mean_offset=0.0)
-    shifted = binomial_mixture(d, q, C, sigma, mean_offset=C)
-    stay_out = single_gaussian(0.0, sigma)
-    xi = mix([(1.0 - p, stay_out), (p * (1.0 - q), base), (p * q, shifted)])
-    xi_prime = mix([(1.0 - p, stay_out), (p, base)])
-    return xi, xi_prime
+    p, q = params.p, params.q
+    return round_mixtures(params, (1.0 - p, p * (1.0 - q), p * q), (1.0 - p, p, 0.0))
 
 
 def seeded_ajc_triples(count: int, seed: int = 7):

@@ -45,9 +45,9 @@ from fedamp.cli import (
     VERIFY_GRID_SIGMA,
 )
 from fedamp.divergence import (
+    GaussianMixture1D,
     HockeyStickQuery,
     hockey_stick,
-    single_gaussian,
     worst_case_pair,
 )
 from fedamp.numerics import DomainError, gaussian_mechanism_delta
@@ -206,7 +206,7 @@ class TestFindZStar:
 
     def test_never_positive_fails_closed(self):
         # equal mixtures at alpha = 2: the log ratio is -log 2 everywhere
-        g = single_gaussian(0.0, 1.0)
+        g = GaussianMixture1D(np.array([0.0]), np.array([1.0]), 1.0)
         with pytest.raises(DegenerateIntegrandError):
             find_z_star(HockeyStickQuery(2.0, g, g), -12.0, 12.0)
 
@@ -249,15 +249,31 @@ class TestDeltaMain:
             assert abs(closed - quad) <= 1e-10
 
     def test_matches_constructed_pair_divergence(self):
-        for p, q, d, sigma, eps in [
-            (0.1, 0.1, 1, 1.0, 0.1),
-            (0.5, 0.2, 5, 1.0, 0.5),
-            (0.9, 0.9, 3, 0.8, 0.2),
+        for p, q, d, C, sigma, eps in [
+            (0.1, 0.1, 1, 1.0, 1.0, 0.1),
+            (0.5, 0.2, 5, 1.0, 1.0, 0.5),
+            (0.9, 0.9, 3, 1.0, 0.8, 0.2),
+            # off the unit lattice, where i*C + C and (i+1)*C round apart
+            (0.1, 0.1, 1, 0.3, 0.3, 0.1),
+            (0.5, 0.2, 5, 1.7, 1.5, 0.5),
         ]:
-            pr = params(p, q, d, 1.0, sigma)
+            pr = params(p, q, d, C, sigma)
             xi, xi_prime = worst_case_pair(pr)
             oracle = hockey_stick(HockeyStickQuery(math.exp(eps), xi, xi_prime))
             assert delta_main(pr, eps).delta == pytest.approx(oracle, abs=2e-13)
+
+    def test_negative_tail_fails_closed(self, monkeypatch):
+        # a tail below -1e-15 is an error, not a certified 0; rounding
+        # noise closer to 0 reads 0
+        monkeypatch.setattr(HockeyStickQuery, "tail", lambda self, z: -1e-12)
+        with pytest.raises(DegenerateIntegrandError):
+            delta_main(params(), 0.5)
+        rows = sweep(
+            [Scheme.MAIN], SweepVariable.EPS, [0.5], p=0.1, q=0.1, d=1, C=1.0, sigma=1.0
+        )
+        assert rows[0].delta is None and "negative" in rows[0].error
+        monkeypatch.setattr(HockeyStickQuery, "tail", lambda self, z: -1e-20)
+        assert delta_main(params(), 0.5).delta == 0.0
 
     def test_monotone_in_sigma_and_eps(self):
         pr = params(p=0.2, q=0.2, d=10)

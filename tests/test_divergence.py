@@ -10,17 +10,26 @@ from fedamp.divergence import (
     GaussianMixture1D,
     HockeyStickQuery,
     ajc_decompose,
-    binomial_mixture,
     hockey_stick,
     mix,
+    round_mixtures,
     seeded_ajc_triples,
-    single_gaussian,
     worst_case_pair,
 )
 from fedamp.numerics import DomainError, gaussian_mechanism_delta
 
 TV_UNIT_SHIFT = 0.3829249225480262
 DELTA_HALF_EPS = 0.23842170813487663
+
+
+def single_gaussian(mean: float, sigma: float) -> GaussianMixture1D:
+    return GaussianMixture1D(np.array([float(mean)]), np.array([1.0]), sigma)
+
+
+def binomial_branch(d, q, C=1.0, shift=False) -> GaussianMixture1D:
+    """The unsampled (iC) or sampled ((i+1)C) binomial branch alone."""
+    params = SamplingParams(p=1.0, q=q, d=d, C=C, sigma=1.0)
+    return round_mixtures(params, (0.0, 0.0, 1.0) if shift else (0.0, 1.0, 0.0))[0]
 
 
 class TestGaussianMixture1D:
@@ -52,17 +61,36 @@ class TestGaussianMixture1D:
             GaussianMixture1D(np.array([0.0, 1.0]), np.array([1.0]), 1.0)
 
     def test_from_components_sorts_and_merges(self):
-        m = GaussianMixture1D.from_components(
-            [(1.0, 0.3), (0.0, 0.2), (1.0 + 1e-13, 0.5)], 1.0
-        )
-        assert m.means.size == 2
-        assert m.means[0] == 0.0
-        assert m.means[1] == pytest.approx(1.0, abs=1e-12)
-        assert m.weights[1] == pytest.approx(0.8)
+        # mix sorts the parts' components and merges exactly equal means;
+        # means that differ at all, even by 1e-13, stay separate
+        m = mix([
+            (0.5, GaussianMixture1D(np.array([1.0, 2.0]), np.array([0.6, 0.4]), 1.0)),
+            (0.5, GaussianMixture1D(np.array([0.0, 1.0]), np.array([0.4, 0.6]), 1.0)),
+        ])
+        assert m.means.tolist() == [0.0, 1.0, 2.0]
+        np.testing.assert_allclose(m.weights, [0.2, 0.6, 0.2], rtol=1e-15)
+        near = mix([
+            (0.5, single_gaussian(1.0, 1.0)),
+            (0.5, single_gaussian(1.0 + 1e-13, 1.0)),
+        ])
+        assert near.means.tolist() == [1.0, 1.0 + 1e-13]
+        # a plain loop summing each mean's weights in part order is the
+        # reference, exactly; mu0 enters twice so its means merge
+        for mu0, mu1, mu1p, gamma, _ in seeded_ajc_triples(10):
+            parts = [(1.0 - gamma, mu0), (gamma, mu1), (0.3, mu0), (gamma / 2, mu1p)]
+            sums = {}
+            for coeff, part in parts:
+                for mean, weight in zip(part.means.tolist(), part.weights.tolist()):
+                    sums[mean] = sums.get(mean, 0.0) + coeff * weight
+            m = mix(parts)
+            assert m.means.tolist() == sorted(sums)
+            assert m.weights.tolist() == [sums[mean] for mean in sorted(sums)]
 
     def test_from_components_drops_zero_weights(self):
-        m = GaussianMixture1D.from_components([(0.0, 1.0), (5.0, 0.0)], 1.0)
-        assert m.means.size == 1
+        parts = GaussianMixture1D(np.array([0.0, 5.0]), np.array([1.0, 0.0]), 1.0)
+        m = mix([(1.0, parts)])
+        assert m.means.tolist() == [0.0]
+        assert m.weights.tolist() == [1.0]
 
     def test_pdf_matches_manual_sum(self):
         m = GaussianMixture1D(np.array([0.0, 2.0]), np.array([0.4, 0.6]), 1.5)
@@ -106,28 +134,28 @@ class TestGaussianMixture1D:
 
 class TestBinomialMixture:
     def test_d_zero_single_component(self):
-        m = binomial_mixture(0, 0.3, 1.0, 1.0, mean_offset=0.7)
+        m = binomial_branch(0, 0.3, C=0.7, shift=True)
         assert m.means.tolist() == [0.7]
         assert m.weights.tolist() == [1.0]
 
     def test_small_exact_case(self):
-        m = binomial_mixture(2, 0.5, 1.0, 1.0)
+        m = binomial_branch(2, 0.5)
         np.testing.assert_allclose(m.means, [0.0, 1.0, 2.0])
         np.testing.assert_allclose(m.weights, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_q_one_concentrates(self):
-        m = binomial_mixture(3, 1.0, 2.0, 1.0, mean_offset=1.0)
-        assert m.means.tolist() == [7.0]
+        m = binomial_branch(3, 1.0, C=2.0, shift=True)
+        assert m.means.tolist() == [8.0]
         assert m.weights.tolist() == [1.0]
 
     def test_moderate_case_mass_and_mode(self):
-        m = binomial_mixture(100, 0.1, 1.0, 1.0)
+        m = binomial_branch(100, 0.1)
         assert m.means.size == 101
         assert m.total_mass == pytest.approx(1.0, abs=1e-12)
         assert m.means[int(np.argmax(m.weights))] == 10.0
 
     def test_huge_d_stays_in_log_space(self):
-        m = binomial_mixture(10**6, 1e-4, 1.0, 1.0)
+        m = binomial_branch(10**6, 1e-4)
         # mass concentrates near k=100; far tail entries fall below the
         # representable weight floor and get dropped. At this scale the
         # log-weight evaluation itself carries ~1e-9 rounding (differences
@@ -137,9 +165,18 @@ class TestBinomialMixture:
         assert 0.0 <= m.dropped_mass < 1e-8
         assert abs(m.means[int(np.argmax(m.weights))] - 100.0) <= 1.0
 
-    def test_non_integer_d_rejected(self):
-        with pytest.raises(DomainError):
-            binomial_mixture(2.5, 0.5, 1.0, 1.0)
+    def test_round_mixtures_branches_and_dropped_mass(self):
+        # one call, several triples, all over the same Binom(d, q) weights
+        pr = SamplingParams(p=0.5, q=0.5, d=2, C=1.5, sigma=1.0)
+        absent, both = round_mixtures(pr, (1.0, 0.0, 0.0), (0.2, 0.4, 0.4))
+        assert absent.means.tolist() == [0.0]
+        assert absent.dropped_mass == 0.0
+        np.testing.assert_array_equal(both.means, np.arange(4) * 1.5)
+        np.testing.assert_allclose(both.weights, [0.3, 0.3, 0.3, 0.1], rtol=1e-15)
+        huge = SamplingParams(p=1.0, q=1e-4, d=10**6, C=1.0, sigma=1.0)
+        (m,) = round_mixtures(huge, (0.0, 0.25, 0.5))
+        single = binomial_branch(10**6, 1e-4)
+        assert m.dropped_mass == pytest.approx(0.75 * single.dropped_mass)
 
 
 class TestHockeyStick:
@@ -288,3 +325,11 @@ class TestWorstCasePair:
         assert xi_prime.total_mass == pytest.approx(1.0, abs=1e-12)
         assert xi.means[-1] == pytest.approx(31.0)
         assert xi_prime.means[-1] == pytest.approx(30.0)
+
+    @pytest.mark.parametrize("C", [0.1, 0.3, 1.7])
+    def test_means_lie_exactly_on_lattice(self, C):
+        # i*C + C and (i+1)*C round differently at these C; every branch
+        # must land on the same lattice point k*C
+        xi, xi_prime = worst_case_pair(SamplingParams(p=0.1, q=0.1, d=30, C=C, sigma=1.0))
+        np.testing.assert_array_equal(xi.means, np.arange(32) * C)
+        np.testing.assert_array_equal(xi_prime.means, np.arange(31) * C)
