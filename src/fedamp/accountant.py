@@ -113,12 +113,10 @@ class AmplificationConstants:
     beta = e^{eps - eps'}; c1 and c2 split the denominator mass between the
     not-participating and participating-without-the-element branches, and
     c1_bar, c2_bar are their beta-tilted versions (c1_bar + c2_bar = 1).
-    eps_double_prime = eps' + log(c2_bar) is the UpperBound level.
     """
 
     eps: float
     eps_prime: float
-    eps_double_prime: float
     alpha: float
     alpha_prime: float
     beta: float
@@ -164,7 +162,6 @@ def derive_constants(eps: float, params: SamplingParams) -> AmplificationConstan
     return AmplificationConstants(
         eps=eps,
         eps_prime=eps_prime,
-        eps_double_prime=eps_prime + math.log(c2_bar),
         alpha=math.exp(eps),
         alpha_prime=alpha_prime,
         beta=beta,
@@ -296,18 +293,17 @@ def delta_only_local(q: float, sigma: float, C: float, eps: float) -> PrivacyPoi
 
 
 def delta_upper_bound(params: SamplingParams, eps: float) -> PrivacyPoint:
-    """Closed-form relaxation of the Main bound.
+    """Closed-form relaxation of the Main bound: p times OnlyLocal.
 
-    delta = pq * delta_G(eps'', sigma, C) at the tilted level
-    eps'' = eps' + log(c2_bar).
+    The bound is pq * delta_G(eps'', sigma, C) at the tilted level
+    eps'' = eps' + log(c2_bar), and that level is OnlyLocal's:
+      e^{eps'} c2_bar = (e^{eps'} - e^eps) c2 + e^eps
+                      = (e^eps - 1)(1 - q)/q + e^eps = 1 + (e^eps - 1)/q.
     """
-    consts = derive_constants(eps, params)
-    delta = (
-        params.p
-        * params.q
-        * gaussian_mechanism_delta(consts.eps_double_prime, params.sigma, params.C)
+    local = delta_only_local(params.q, params.sigma, params.C, eps)
+    return PrivacyPoint(
+        eps=local.eps, delta=params.p * local.delta, scheme=Scheme.UPPER_BOUND
     )
-    return PrivacyPoint(eps=float(eps), delta=min(delta, 1.0), scheme=Scheme.UPPER_BOUND)
 
 
 def delta_lower_bound(params: SamplingParams, eps: float) -> PrivacyPoint:

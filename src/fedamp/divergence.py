@@ -15,7 +15,7 @@ below the delta magnitudes the accountant certifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -41,14 +41,11 @@ class GaussianMixture1D:
     Means are strictly increasing and weights nonnegative. Total mass is
     usually 1 but sub-probability mixtures are allowed, because the
     accounting bounds compare against denominators of mass below one.
-    dropped_mass records weight discarded during construction (binomial
-    tails below the representable range).
     """
 
     means: np.ndarray
     weights: np.ndarray
     sigma: float
-    dropped_mass: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
         means = np.atleast_1d(np.asarray(self.means, dtype=float))
@@ -76,7 +73,6 @@ class GaussianMixture1D:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "dropped_mass", float(self.dropped_mass))
 
     @property
     def total_mass(self) -> float:
@@ -218,8 +214,7 @@ def mix(parts: Sequence[tuple[float, GaussianMixture1D]]) -> GaussianMixture1D:
         slot, np.concatenate([coeff * mixture.weights for coeff, mixture in used])
     )
     keep = weights != 0.0
-    dropped = sum(coeff * mixture.dropped_mass for coeff, mixture in used)
-    return GaussianMixture1D(means[keep], weights[keep], sigma, dropped_mass=dropped)
+    return GaussianMixture1D(means[keep], weights[keep], sigma)
 
 
 def binomial_log_weights(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -259,16 +254,13 @@ def round_mixtures(
     (N(0, s^2)); it takes part without sampling the element
     (sum_i w_i N(iC, s^2)); or it samples it (sum_i w_i N((i+1)C, s^2)).
     w_i is the Binom(d, q) probability that i of its d other elements are
-    sampled. Weights below 1e-300 are dropped and the rest renormalized;
-    each mixture records the binomial mass it dropped. Every branch sits on
-    the lattice kC, so equal means coincide exactly; zero-weight lattice
-    points are removed.
+    sampled. Weights below 1e-300 are dropped and the rest renormalized.
+    Every branch sits on the lattice kC, so equal means coincide exactly;
+    zero-weight lattice points are removed.
     """
     idx, logw = binomial_log_weights(params.d, params.q)
     w = np.exp(logw)
-    kept = float(w.sum())
-    w = w / kept
-    dropped = max(0.0, 1.0 - kept)
+    w = w / w.sum()
     means = np.arange(idx[-1] + 2) * params.C
     mixtures = []
     for absent, unsampled, sampled in branch_weights:
@@ -277,8 +269,7 @@ def round_mixtures(
         weights[idx] += unsampled * w
         weights[idx + 1] += sampled * w
         keep = weights != 0.0
-        lost = (unsampled + sampled) * dropped
-        mixtures.append(GaussianMixture1D(means[keep], weights[keep], params.sigma, lost))
+        mixtures.append(GaussianMixture1D(means[keep], weights[keep], params.sigma))
     return tuple(mixtures)
 
 

@@ -1,10 +1,10 @@
 """Round-based simulation of private distributed SGD.
 
-Each round: every available client joins with probability p, each
-participant samples each of its local elements with probability q,
-per-sample gradients are clipped to norm C and summed, the coordinator
-adds centered Gaussian noise (std sigma per coordinate) and scales by
-1/(p N_t q d) for unbiasedness, then takes a gradient step.
+Each round: every client joins with probability p, each participant
+samples each of its local elements with probability q, the sampled
+per-sample gradients of all participants are clipped to norm C and summed,
+the coordinator adds centered Gaussian noise (std sigma per coordinate) and
+scales by 1/(p N q d) for unbiasedness, then takes a gradient step.
 
 Synthetic linear and logistic regression stand in for real workloads;
 everything is driven by seeded generator streams so that runs are
@@ -45,7 +45,6 @@ class SimConfig:
     """Protocol and task parameters for one training run.
 
     sigma None means "calibrate from the per-round privacy target".
-    availability < 1 makes the number of reachable clients N_t random.
     """
 
     N: int
@@ -58,14 +57,13 @@ class SimConfig:
     eta: float
     m: int
     seed: int
-    availability: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("N", "d", "T", "m"):
             value = getattr(self, name)
             if isinstance(value, bool) or int(value) != value or value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
-        for name in ("p", "q", "availability"):
+        for name in ("p", "q"):
             value = float(getattr(self, name))
             if not math.isfinite(value) or not 0.0 < value <= 1.0:
                 raise DomainError(f"{name} must lie in (0, 1], got {value}")
@@ -98,10 +96,9 @@ class ClientDataset:
 class RoundOutcome:
     participants: tuple[int, ...]
     sampled_elements: dict[int, tuple[int, ...]]
-    available_count: int
-    noisy_estimate: np.ndarray | None
-    raw_sum: np.ndarray | None = None
-    max_clipped_norm: float | None = None
+    noisy_estimate: np.ndarray
+    raw_sum: np.ndarray
+    max_clipped_norm: float
 
 
 @dataclass(frozen=True)
@@ -120,9 +117,11 @@ class ModelState:
 class Streams:
     """Independent generator streams split from one master seed.
 
-    The noise stream never sees sampling decisions; each client owns a
-    generator for its element masks, so one client's dataset growing by
-    an element leaves every other client's draws untouched.
+    The noise stream never sees sampling decisions. Participation draws
+    one coin per client per round and does not depend on the data. Each
+    client owns a generator for its element masks, drawn from only in the
+    rounds it takes part in, so one client's dataset growing by an element
+    leaves every other client's draws untouched in every round.
     """
 
     data: np.random.Generator
@@ -171,22 +170,6 @@ def make_synthetic_datasets(
     return datasets, w_star
 
 
-def with_extra_element(
-    datasets: Sequence[ClientDataset],
-    client: int,
-    feature: np.ndarray,
-    label: float,
-) -> list[ClientDataset]:
-    """Copy of the dataset list with one element appended to one client."""
-    out = list(datasets)
-    grown = ClientDataset(
-        features=np.vstack([out[client].features, np.asarray(feature, float)]),
-        labels=np.append(out[client].labels, float(label)),
-    )
-    out[client] = grown
-    return out
-
-
 def task_loss(task: Task, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     # Overflow to inf is legitimate here; run_training turns it into a
     # divergence error rather than a warning.
@@ -214,71 +197,46 @@ def run_round(
     datasets: Sequence[ClientDataset],
     streams: Streams,
     task: Task,
-    instrumented: bool = False,
 ) -> tuple[ModelState, RoundOutcome]:
-    """One protocol round; always consumes the same stream layout.
+    """One protocol round at the config's sigma, which must be set.
 
-    Availability, participation, per-client element masks, and the noise
-    vector are drawn every round regardless of who participates, so a
-    round's draws stay aligned under counterfactual changes elsewhere.
-    N_t = 0 skips the update but still counts the iteration.
+    Every round draws one participation coin per client and the noise
+    vector. Only participants draw element masks, each from its own
+    stream, so a client's stream advances only in rounds it takes part in.
+    The sampled rows of all participants are clipped and summed together.
     """
-    n = config.N
-    avail_u = streams.participation.uniform(size=n)
-    part_u = streams.participation.uniform(size=n)
-    masks = [
-        streams.elements[i].uniform(size=len(datasets[i])) < config.q
-        for i in range(n)
-    ]
+    part_u = streams.participation.uniform(size=config.N)
     noise = streams.noise.standard_normal(config.m)
+    participants = tuple(np.flatnonzero(part_u < config.p).tolist())
 
-    available = avail_u < config.availability
-    n_t = int(np.count_nonzero(available))
-    participating = available & (part_u < config.p)
-    participants = tuple(int(i) for i in np.nonzero(participating)[0])
-
-    if n_t == 0:
-        return (
-            ModelState(weights=state.weights, iteration=state.iteration + 1),
-            RoundOutcome(
-                participants=(),
-                sampled_elements={},
-                available_count=0,
-                noisy_estimate=None,
-            ),
-        )
-
-    total = np.zeros(config.m)
     sampled: dict[int, tuple[int, ...]] = {}
-    max_norm = 0.0
+    # the empty leading blocks keep a round without participants well defined
+    features = [np.empty((0, config.m))]
+    labels = [np.empty(0)]
     for i in participants:
-        mask = masks[i]
-        sampled[i] = tuple(int(j) for j in np.nonzero(mask)[0])
-        if not sampled[i]:
-            continue
         ds = datasets[i]
-        grads = task_sample_grads(
-            task, state.weights, ds.features[mask], ds.labels[mask]
-        )
-        clipped = _clip_rows(grads, config.C)
-        if instrumented:
-            max_norm = max(max_norm, float(np.linalg.norm(clipped, axis=1).max()))
-        total += clipped.sum(axis=0)
+        mask = streams.elements[i].uniform(size=len(ds)) < config.q
+        sampled[i] = tuple(np.flatnonzero(mask).tolist())
+        features.append(ds.features[mask])
+        labels.append(ds.labels[mask])
+    grads = task_sample_grads(
+        task, state.weights, np.concatenate(features), np.concatenate(labels)
+    )
+    clipped = _clip_rows(grads, config.C)
+    total = clipped.sum(axis=0)
 
-    sigma = config.sigma if config.sigma is not None else 0.0
-    scale = config.p * n_t * config.q * config.d
+    scale = config.p * config.N * config.q * config.d
     # overflow here is legitimate; ModelState turns it into a divergence error
     with np.errstate(over="ignore"):
-        estimate = (total + sigma * noise) / scale
+        estimate = (total + config.sigma * noise) / scale
         new_weights = state.weights - config.eta * estimate
     new_state = ModelState(weights=new_weights, iteration=state.iteration + 1)
     outcome = RoundOutcome(
         participants=participants,
         sampled_elements=sampled,
-        available_count=n_t,
         noisy_estimate=estimate,
-        raw_sum=total.copy() if instrumented else None,
-        max_clipped_norm=max_norm if instrumented else None,
+        raw_sum=total,
+        max_clipped_norm=float(np.linalg.norm(clipped, axis=1).max(initial=0.0)),
     )
     return new_state, outcome
 
@@ -355,16 +313,11 @@ def run_training(
         loss = task_loss(task, state.weights, all_X, all_y)
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"loss diverged at iteration {t}", t)
-        grad_norm = (
-            float(np.linalg.norm(outcome.noisy_estimate))
-            if outcome.noisy_estimate is not None
-            else float("nan")
-        )
         rows.append(
             MetricsRow(
                 iteration=t,
                 loss=loss,
-                grad_norm=grad_norm,
+                grad_norm=float(np.linalg.norm(outcome.noisy_estimate)),
                 participants=len(outcome.participants),
                 sampled_elements=sum(len(s) for s in outcome.sampled_elements.values()),
                 sigma=sigma,

@@ -198,7 +198,7 @@ def test_criterion_10_simulator_statistics():
     clip_ok = True
     for t in range(rounds):
         _, outcome = run_round(
-            state, cfg, datasets, streams, Task.LINEAR_REGRESSION, instrumented=True
+            state, cfg, datasets, streams, Task.LINEAR_REGRESSION
         )
         participants[t] = len(outcome.participants)
         elements[t] = sum(len(s) for s in outcome.sampled_elements.values())

@@ -119,16 +119,12 @@ class TestDeriveConstants:
             consts = derive_constants(eps, params(p=p, q=q))
             assert consts.c1_bar + consts.c2_bar == pytest.approx(1.0, abs=1e-12)
             assert consts.c1_bar >= 0.0
-            assert consts.eps_double_prime == pytest.approx(
-                consts.eps_prime + math.log(consts.c2_bar), rel=1e-12
-            )
 
     def test_no_amplification_at_full_sampling(self):
         consts = derive_constants(0.7, params(p=1.0, q=1.0))
         assert consts.eps_prime == 0.7
         assert consts.beta == 1.0
         assert consts.c1 == 0.0 and consts.c2 == 1.0
-        assert consts.eps_double_prime == pytest.approx(0.7)
 
     def test_eps_zero(self):
         consts = derive_constants(0.0, params())

@@ -157,12 +157,9 @@ class TestBinomialMixture:
     def test_huge_d_stays_in_log_space(self):
         m = binomial_branch(10**6, 1e-4)
         # mass concentrates near k=100; far tail entries fall below the
-        # representable weight floor and get dropped. At this scale the
-        # log-weight evaluation itself carries ~1e-9 rounding (differences
-        # of gammaln terms of magnitude 1e7), which lands in dropped_mass.
+        # representable weight floor and get dropped.
         assert m.means.size < 2000
         assert m.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= m.dropped_mass < 1e-8
         assert abs(m.means[int(np.argmax(m.weights))] - 100.0) <= 1.0
 
     def test_round_mixtures_branches_and_dropped_mass(self):
@@ -170,13 +167,8 @@ class TestBinomialMixture:
         pr = SamplingParams(p=0.5, q=0.5, d=2, C=1.5, sigma=1.0)
         absent, both = round_mixtures(pr, (1.0, 0.0, 0.0), (0.2, 0.4, 0.4))
         assert absent.means.tolist() == [0.0]
-        assert absent.dropped_mass == 0.0
         np.testing.assert_array_equal(both.means, np.arange(4) * 1.5)
         np.testing.assert_allclose(both.weights, [0.3, 0.3, 0.3, 0.1], rtol=1e-15)
-        huge = SamplingParams(p=1.0, q=1e-4, d=10**6, C=1.0, sigma=1.0)
-        (m,) = round_mixtures(huge, (0.0, 0.25, 0.5))
-        single = binomial_branch(10**6, 1e-4)
-        assert m.dropped_mass == pytest.approx(0.75 * single.dropped_mass)
 
 
 class TestHockeyStick:
