@@ -9,13 +9,14 @@ densities, log likelihood ratio, exact tails and hockey-stick divergence
 linking a mixture divergence to its conditional parts.
 
 Divergence quadrature runs at 1e-13 absolute tolerance, several orders
-below the delta magnitudes the accountant certifies.
+below the delta magnitudes the accountant certifies. A pair's two
+densities come from one blocked kernel pass over the union of its means.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -31,7 +32,10 @@ DEFAULT_ABS_TOL = 1e-13
 HOCKEY_STICK_SCAN_POINTS = 2048
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-_MAX_CHUNK_ELEMENTS = 1 << 22
+# Kernel block size in (z x component) terms: 256 KB of doubles per temporary.
+_BLOCK_ELEMENTS = 1 << 15
+# exp(-t * t / 2) underflows to exactly 0.0 once |t| exceeds 38.6.
+_BAND_SIGMAS = 39.0
 
 
 @dataclass(frozen=True)
@@ -78,19 +82,6 @@ class GaussianMixture1D:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def support(self, pad_sigmas: float = 12.0) -> tuple[float, float]:
-        """Interval outside which the mixture carries negligible mass."""
-        pad = pad_sigmas * self.sigma
-        return float(self.means[0]) - pad, float(self.means[-1]) + pad
-
-    def pdf(self, z) -> np.ndarray:
-        """Mixture density, vectorized over z; large grids are chunked."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        out = weighted_normal_pdf(z_arr, self.means, self.weights, self.sigma)
-        if np.ndim(z) == 0:
-            return float(out[0])
-        return out
-
     def log_pdf(self, z: float) -> float:
         """Log mixture density at a scalar z, as a max-shifted log-sum-exp,
         so it stays finite where the density itself underflows."""
@@ -105,18 +96,24 @@ class GaussianMixture1D:
 def weighted_normal_pdf(
     z: np.ndarray, means: np.ndarray, weights: np.ndarray, sigma: float
 ) -> np.ndarray:
-    """sum_i weights[i] * N(z; means[i], sigma^2), chunked over z."""
-    n = z.shape[0]
-    k = means.shape[0]
-    if n * k <= _MAX_CHUNK_ELEMENTS:
-        t = (z[:, None] - means[None, :]) / sigma
-        return np.exp(-0.5 * t * t) @ weights / (sigma * SQRT_2PI)
-    chunk = max(1, _MAX_CHUNK_ELEMENTS // k)
-    out = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        t = (z[start:stop, None] - means[None, :]) / sigma
-        out[start:stop] = np.exp(-0.5 * t * t) @ weights / (sigma * SQRT_2PI)
+    """sum_i weights[i] * N(z; means[i], sigma^2) at every z.
+
+    means must increase; weights of shape (k,) or (k, m) give a result of
+    shape (n,) or (n, m), one exp pass for m mixtures on shared means. z, in
+    any order, goes in blocks of at most _BLOCK_ELEMENTS terms, each summing
+    only the components within 39 sigma of its z range; the terms left out
+    are exactly 0, so only the summation order changes."""
+    out = np.zeros((len(z),) + weights.shape[1:])
+    rows = max(1, _BLOCK_ELEMENTS // len(means))
+    band = _BAND_SIGMAS * sigma
+    for start in range(0, len(z), rows):
+        block = z[start : start + rows]
+        lo, hi = np.searchsorted(means, [block.min() - band, block.max() + band])
+        t = block[:, None] - means[None, lo:hi]
+        t /= sigma
+        t *= -0.5 * t
+        out[start : start + rows] = np.exp(t, out=t) @ weights[lo:hi]
+    out /= sigma * SQRT_2PI
     return out
 
 
@@ -127,35 +124,50 @@ class HockeyStickQuery:
     The numerator must be a probability mixture. The denominator may be
     sub-probability (mass in (0, alpha]): the bound derivations compare
     against composite denominators whose mass is below one, and
-    renormalizing would change the divergence.
+    renormalizing would change the divergence. Both share sigma; weights
+    holds num and alpha * den weights at means, the union of their means.
     """
 
     alpha: float
     numerator: GaussianMixture1D
     denominator: GaussianMixture1D
+    means: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = float(self.alpha)
         if not math.isfinite(alpha) or alpha < 1.0:
             raise DomainError(f"alpha must be >= 1, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
-        if abs(self.numerator.total_mass - 1.0) > 1e-12:
+        num, den = self.numerator, self.denominator
+        if abs(num.total_mass - 1.0) > 1e-12:
+            raise DomainError(f"numerator mass {num.total_mass} is not 1 within 1e-12")
+        if not 0.0 < den.total_mass <= alpha + 1e-12:
             raise DomainError(
-                f"numerator mass {self.numerator.total_mass} is not 1 within 1e-12"
+                f"denominator mass {den.total_mass} outside (0, alpha={alpha}]"
             )
-        den_mass = self.denominator.total_mass
-        if not 0.0 < den_mass <= alpha + 1e-12:
-            raise DomainError(
-                f"denominator mass {den_mass} outside (0, alpha={alpha}]"
-            )
+        if abs(den.sigma - num.sigma) > 1e-12 * max(1.0, num.sigma):
+            raise DomainError("numerator and denominator must share sigma")
+        means, slot = np.unique(
+            np.concatenate([num.means, den.means]), return_inverse=True
+        )
+        weights = np.zeros((means.size, 2))
+        weights[slot[: num.means.size], 0] = num.weights
+        weights[slot[num.means.size :], 1] = alpha * den.weights
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "weights", weights)
 
     def terms(self, z):
-        """(num(z), alpha * den(z)), one density pass per mixture.
+        """(num(z), alpha * den(z)), from one density pass over both.
 
         Their difference is the signed integrand; their sum is the local
         magnitude that cancellation noise in the difference scales with.
         """
-        return self.numerator.pdf(z), self.alpha * self.denominator.pdf(z)
+        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+        out = weighted_normal_pdf(z_arr, self.means, self.weights, self.numerator.sigma)
+        if np.ndim(z) == 0:
+            return float(out[0, 0]), float(out[0, 1])
+        return out[:, 0], out[:, 1]
 
     def signed(self, z):
         """num(z) - alpha * den(z), before the positive-part clamp."""
@@ -279,11 +291,13 @@ def hockey_stick(query: HockeyStickQuery) -> float:
     The signed difference is scanned for sign changes over the mixtures'
     12-sigma support, find_root_bracketed refines each boundary, and the
     clamped integrand is integrated piecewise so the quadrature only ever
-    sees smooth pieces. Clamped to [0, 1].
+    sees smooth pieces. Every component mean is a break point too, so no
+    GK15 node set falls between narrow bumps (sigma far below their
+    spacing); all break points come from the pair, none from find_z_star.
+    Clamped to [0, 1].
     """
-    num_lo, num_hi = query.numerator.support()
-    den_lo, den_hi = query.denominator.support()
-    lo, hi = min(num_lo, den_lo), max(num_hi, den_hi)
+    pad = 12.0 * query.numerator.sigma
+    lo, hi = float(query.means[0]) - pad, float(query.means[-1]) + pad
     grid = np.linspace(lo, hi, HOCKEY_STICK_SCAN_POINTS)
     positive = query.signed(grid) > 0.0
     flips = np.nonzero(positive[:-1] != positive[1:])[0]
@@ -295,9 +309,8 @@ def hockey_stick(query: HockeyStickQuery) -> float:
     def clamped(z: np.ndarray) -> np.ndarray:
         return np.maximum(query.signed(z), 0.0)
 
-    result = integrate_adaptive(
-        clamped, lo, hi, abs_tol=DEFAULT_ABS_TOL, break_points=boundaries
-    )
+    breaks = boundaries + query.means.tolist()
+    result = integrate_adaptive(clamped, lo, hi, abs_tol=DEFAULT_ABS_TOL, break_points=breaks)
     return min(1.0, max(0.0, result.value))
 
 

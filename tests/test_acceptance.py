@@ -202,8 +202,8 @@ def test_criterion_10_simulator_statistics():
         )
         participants[t] = len(outcome.participants)
         elements[t] = sum(len(s) for s in outcome.sampled_elements.values())
-        if outcome.max_clipped_norm is not None:
-            clip_ok = clip_ok and outcome.max_clipped_norm <= cfg.C + 1e-12
+        assert outcome.max_clipped_norm is not None
+        clip_ok = clip_ok and outcome.max_clipped_norm <= cfg.C + 1e-12
 
     se_part = math.sqrt(cfg.N * cfg.p * (1 - cfg.p) / rounds)
     part_dev = abs(participants.mean() - cfg.N * cfg.p)

@@ -244,6 +244,30 @@ class TestDeltaMain:
             quad = delta_main_quadrature(pr, eps)
             assert abs(closed - quad) <= 1e-10
 
+    def test_quadrature_sees_narrow_components(self):
+        # sigma far below C: the numerator is a row of narrow bumps, and
+        # without a break point at each mean GK15 read 1.5e-19 here
+        pr = params(p=0.02592, q=0.01713, d=20, sigma=0.0142)
+        closed = delta_main(pr, 0.02835).delta
+        quad = delta_main_quadrature(pr, 0.02835)
+        assert closed == pytest.approx(9.650086933666891e-05, rel=1e-12)
+        assert abs(closed - quad) <= 1e-10
+        assert abs(closed - quad) <= 1e-6 * closed
+
+    def test_quadrature_agrees_on_random_draws(self):
+        # absolute agreement only: the oracle's error is bounded by its
+        # 1e-13 absolute tolerance, which can exceed 1e-6 of a tiny delta
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            sigma = math.exp(rng.uniform(math.log(0.01), math.log(0.5)))
+            p, q = rng.uniform(1e-3, 1.0, size=2)
+            d = int(rng.integers(1, 101))
+            eps = rng.uniform(1e-3, 1.0)
+            pr = params(float(p), float(q), d, 1.0, sigma)
+            closed = delta_main(pr, eps).delta
+            quad = delta_main_quadrature(pr, eps)
+            assert abs(closed - quad) <= 1e-10, (pr, eps, closed, quad)
+
     def test_matches_constructed_pair_divergence(self):
         for p, q, d, C, sigma, eps in [
             (0.1, 0.1, 1, 1.0, 1.0, 0.1),

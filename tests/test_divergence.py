@@ -6,6 +6,7 @@ import pytest
 
 from fedamp.accountant import SamplingParams
 from fedamp.divergence import (
+    _BLOCK_ELEMENTS,
     DEFAULT_ABS_TOL,
     GaussianMixture1D,
     HockeyStickQuery,
@@ -14,6 +15,7 @@ from fedamp.divergence import (
     mix,
     round_mixtures,
     seeded_ajc_triples,
+    weighted_normal_pdf,
     worst_case_pair,
 )
 from fedamp.numerics import DomainError, gaussian_mechanism_delta
@@ -99,17 +101,23 @@ class TestGaussianMixture1D:
             w * np.exp(-0.5 * ((z - mu) / 1.5) ** 2) / (1.5 * math.sqrt(2 * math.pi))
             for mu, w in [(0.0, 0.4), (2.0, 0.6)]
         )
-        np.testing.assert_allclose(m.pdf(z), manual, rtol=1e-13)
+        np.testing.assert_allclose(
+            weighted_normal_pdf(z, m.means, m.weights, m.sigma), manual, rtol=1e-13
+        )
 
     def test_log_pdf_matches_pdf_and_survives_underflow(self):
         # a zero-weight component contributes nothing and raises no warning
         m = GaussianMixture1D(np.array([0.0, 2.0, 5.0]), np.array([0.4, 0.6, 0.0]), 1.5)
+
+        def pdf(z):
+            return weighted_normal_pdf(np.array([z]), m.means, m.weights, m.sigma)[0]
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for z in (-1.0, 0.5, 3.0):
-                assert m.log_pdf(z) == pytest.approx(math.log(m.pdf(z)), rel=1e-13)
+                assert m.log_pdf(z) == pytest.approx(math.log(pdf(z)), rel=1e-13)
             # pdf underflows at z=100; the mean-2 component dominates by e^88
-            assert m.pdf(100.0) == 0.0
+            assert pdf(100.0) == 0.0
             expected = (
                 math.log(0.6) - 0.5 * (98.0 / 1.5) ** 2
                 - math.log(1.5 * math.sqrt(2 * math.pi))
@@ -118,9 +126,10 @@ class TestGaussianMixture1D:
 
     def test_pdf_scalar_returns_float(self):
         m = single_gaussian(0.0, 1.0)
-        value = m.pdf(0.0)
-        assert isinstance(value, float)
-        assert value == pytest.approx(0.3989422804014327, rel=1e-14)
+        a, b = HockeyStickQuery(2.0, m, m).terms(0.0)
+        assert isinstance(a, float) and isinstance(b, float)
+        assert a == pytest.approx(0.3989422804014327, rel=1e-14)
+        assert b == pytest.approx(2.0 * 0.3989422804014327, rel=1e-14)
 
     def test_mix_requires_shared_sigma(self):
         with pytest.raises(DomainError):
@@ -162,7 +171,7 @@ class TestBinomialMixture:
         assert m.total_mass == pytest.approx(1.0, abs=1e-12)
         assert abs(m.means[int(np.argmax(m.weights))] - 100.0) <= 1.0
 
-    def test_round_mixtures_branches_and_dropped_mass(self):
+    def test_round_mixtures_branches(self):
         # one call, several triples, all over the same Binom(d, q) weights
         pr = SamplingParams(p=0.5, q=0.5, d=2, C=1.5, sigma=1.0)
         absent, both = round_mixtures(pr, (1.0, 0.0, 0.0), (0.2, 0.4, 0.4))
@@ -181,6 +190,10 @@ class TestHockeyStick:
             HockeyStickQuery(1.0, half, num)  # numerator must be probability
         with pytest.raises(DomainError):
             HockeyStickQuery(1.0, num, GaussianMixture1D(np.array([0.0]), np.array([1.5]), 1.0))
+
+    def test_sigma_mismatch_rejected(self):
+        with pytest.raises(DomainError):
+            HockeyStickQuery(1.0, single_gaussian(0.0, 1.0), single_gaussian(0.0, 1.1))
 
     def test_identical_pair_is_zero(self):
         num = single_gaussian(0.0, 1.0)
@@ -232,6 +245,72 @@ class TestHockeyStick:
         num = single_gaussian(50.0, 0.1)
         den = single_gaussian(0.0, 0.1)
         assert hockey_stick(HockeyStickQuery(1.0, num, den)) == 1.0
+
+
+def reference_terms(query: HockeyStickQuery, z: float) -> tuple[float, float]:
+    """num(z) and alpha * den(z) as plain loops over math.exp."""
+
+    def density(m: GaussianMixture1D) -> float:
+        total = 0.0
+        for mean, weight in zip(m.means.tolist(), m.weights.tolist()):
+            t = (z - mean) / m.sigma
+            total += weight * math.exp(-0.5 * t * t)
+        return total / (m.sigma * math.sqrt(2.0 * math.pi))
+
+    return density(query.numerator), query.alpha * density(query.denominator)
+
+
+class TestDensityKernel:
+    """HockeyStickQuery.terms against a plain-loop reference.
+
+    The kernel sums blocks of z over a band of components; terms it leaves
+    out are exactly 0, so it must agree with the full sum to rounding.
+    """
+
+    @staticmethod
+    def assert_matches_reference(query, z):
+        a, b = query.terms(z)
+        want = np.array([reference_terms(query, zi) for zi in z.tolist()])
+        got = np.column_stack([a, b])
+        above = want > 1e-300
+        assert above.any()
+        np.testing.assert_allclose(got[above], want[above], rtol=1e-14, atol=0.0)
+
+    @staticmethod
+    def lattice_query(d, q, sigma, eps=0.5):
+        pr = SamplingParams(p=0.3, q=q, d=d, C=1.0, sigma=sigma)
+        return HockeyStickQuery(math.exp(eps), *worst_case_pair(pr))
+
+    def test_z_spanning_several_blocks(self):
+        query = self.lattice_query(100, 0.3, 1.0)
+        z = np.linspace(-15.0, 115.0, 2001)
+        assert z.size * query.means.size > 4 * _BLOCK_ELEMENTS
+        self.assert_matches_reference(query, z)
+
+    def test_band_drops_far_components(self):
+        query = self.lattice_query(20, 0.5, 0.1)
+        assert query.means[-1] - query.means[0] > 80 * 0.1
+        self.assert_matches_reference(query, np.linspace(-2.0, 23.0, 3001))
+
+    def test_unsorted_z(self):
+        query = self.lattice_query(60, 0.2, 0.3)
+        z = np.random.default_rng(3).permutation(np.linspace(-4.0, 65.0, 4001))
+        assert z.size * query.means.size > 4 * _BLOCK_ELEMENTS
+        self.assert_matches_reference(query, z)
+
+    def test_scalar_z(self):
+        query = self.lattice_query(5, 0.4, 0.7)
+        for z in (-3.0, 0.0, 2.5, 9.0):
+            a, b = query.terms(z)
+            want_a, want_b = reference_terms(query, z)
+            assert a == pytest.approx(want_a, rel=1e-14)
+            assert b == pytest.approx(want_b, rel=1e-14)
+
+    def test_subprobability_denominator(self):
+        num = GaussianMixture1D(np.array([0.0, 1.0, 4.0]), np.array([0.2, 0.5, 0.3]), 0.4)
+        den = GaussianMixture1D(np.array([-1.0, 1.0]), np.array([0.1, 0.4]), 0.4)
+        query = HockeyStickQuery(1.5, num, den)
+        self.assert_matches_reference(query, np.linspace(-6.0, 9.0, 301))
 
 
 class TestAjcIdentity:

@@ -227,7 +227,7 @@ class TestRunRound:
                 assert outcome.max_clipped_norm == 0.0
         assert 0 < empty_rounds < 20
 
-    def test_clipping_invariant_instrumented(self):
+    def test_clipping_invariant(self):
         cfg = config(C=0.3, T=1)
         streams, datasets, _ = fresh_world(cfg)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
