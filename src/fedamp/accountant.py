@@ -11,8 +11,7 @@ only if its client participates (probability p) and then samples it
   pair's log likelihood ratio less log alpha'.
 * OnlyLocal (ols): amplification by the local sampling alone (probability
   q); a subsampled Gaussian mechanism bound.
-* UpperBound (ub): a closed-form relaxation of Main; same shape as ols at
-  a shifted level eps''.
+* UpperBound (ub): p times OnlyLocal, a closed-form relaxation of Main.
 * LowerBound (lb): the subsampled Gaussian bound at probability pq; no
   scheme consistent with the protocol can certify less.
 
@@ -27,8 +26,10 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .divergence import (
+    SQRT_2PI,
     HockeyStickQuery,
     binomial_log_weights,  # noqa: F401  (only perfbench's tracer uses it here)
     hockey_stick,
@@ -257,20 +258,49 @@ def delta_main_quadrature(params: SamplingParams, eps: float) -> float:
     return params.p * params.q * hockey_stick(main_pair(consts, params))
 
 
+def _lattice_terms(pair: HockeyStickQuery, C: float, lo: float, hi: float):
+    """(z, num(z), alpha * den(z)) on count_integrand_sign_changes' grid; the
+    table is contracted polyphase, in blocks that skip its rows of zeros."""
+    sigma = pair.numerator.sigma
+    r = math.ceil(C * (SIGN_SCAN_POINTS - 1) / (hi - lo))
+    h = C / r
+    j0 = math.floor(lo / h)
+    n = math.ceil(hi / h) - j0 + 1
+    k = np.rint(pair.means / C).astype(int)
+    taps = np.zeros((k[-1] + 1, 2))
+    taps[k[-1] - k] = pair.weights
+    out_rows = -(-n // r)
+    t = np.abs(np.arange(j0 - r * k[-1], j0 + r * (k[-1] + out_rows))) * (h / sigma)
+    live = t < 37.64  # where exp(-t^2/2) is a normal double, >= 2.28e-308
+    phi = np.exp(-0.5 * t**2, out=np.zeros(t.size), where=live)
+    head = int(live.argmax())
+    first, last = head // r, (head + np.count_nonzero(live) - 1) // r
+    windows = sliding_window_view(phi.reshape(-1, r), len(taps), axis=0)
+    out = np.empty((out_rows, r, 2))
+    for a0 in range(0, out_rows, last - first + 1):
+        a1 = min(a0 + last - first + 1, out_rows)
+        k_lo, k_hi = max(first - a1 + 1, 0), max(last - a0 + 1, 0)
+        out[a0:a1] = windows[a0:a1, :, k_lo:k_hi] @ taps[k_lo:k_hi]
+    a, b = out.reshape(-1, 2)[:n].T / (sigma * SQRT_2PI)
+    return (j0 + np.arange(n)) * h, a, b
+
+
 def count_integrand_sign_changes(params: SamplingParams, eps: float) -> int:
     """Sign changes of the Main integrand on a dense scan of its window.
 
-    An independent check of the single crossing that find_z_star assumes,
-    in linear space. Values within a noise floor of zero carry no sign
-    information and are skipped: cancellation noise lives at the local
-    magnitude of the two terms being subtracted, so the floor scales with
-    their sum, and the absolute 1e-300 keeps denormal dust out where that
-    sum underflows.
+    An independent check, in linear space, of the single crossing that
+    find_z_star assumes, on the grid z = jh with h = C/r no coarser than a
+    SIGN_SCAN_POINTS linspace of _scan_window. main_pair's means lie on kC,
+    so each term is phi_{j-rk} of one table phi_i = exp(-(ih/s)^2/2): about
+    2 * SIGN_SCAN_POINTS entries, as the window exceeds (d+1)C, in place of
+    SIGN_SCAN_POINTS * (d+2) terms. Entries below the smallest normal
+    double, slow in exp, are 0. Values within a noise floor of zero carry
+    no sign: it scales with the sum of the two terms subtracted, and its
+    absolute 1e-300 holds where that sum underflows.
     """
     consts = derive_constants(eps, params)
     lo, hi = _scan_window(consts, params)
-    grid = np.linspace(lo, hi, SIGN_SCAN_POINTS)
-    a, b = main_pair(consts, params).terms(grid)
+    _, a, b = _lattice_terms(main_pair(consts, params), params.C, lo, hi)
     values = a - b
     signs = np.sign(values[np.abs(values) > np.maximum(1e-13 * (a + b), 1e-300)])
     return int(np.count_nonzero(signs[:-1] != signs[1:]))

@@ -13,16 +13,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fedamp import accountant
 from fedamp.accountant import (
     EPS_ABS_TOL,
     EPS_BRACKET,
     SIGMA_BRACKET,
     SIGMA_REL_TOL,
+    SIGN_SCAN_POINTS,
     CalibrationError,
     DegenerateIntegrandError,
     SamplingParams,
     Scheme,
     SweepVariable,
+    _lattice_terms,
     _scan_window,
     calibrate_sigma,
     count_integrand_sign_changes,
@@ -161,6 +164,97 @@ class TestMainIntegrand:
             (0.01, 0.5, 100, 0.5, 1.0),
         ]:
             assert count_integrand_sign_changes(params(p, q, d, 1.0, sigma), eps) == 1
+
+    def test_single_sign_change_edge_spot_checks(self):
+        for p, q, d, C, sigma, eps in [
+            (0.1, 0.1, 0, 1.0, 1.0, 0.5),  # no other elements
+            (0.1, 1.0, 10, 1.0, 1.0, 0.5),  # every element sampled
+            (0.1, 0.1, 10, 0.3, 1.0, 0.5),  # lattice finer than sigma
+            (0.1, 0.1, 10, 7.0, 1.0, 0.5),  # lattice coarser than sigma
+            (0.02592, 0.01713, 20, 1.0, 0.0142, 0.02835),  # narrow components
+            (0.1, 0.5, 100, 10.0, 0.01, 0.5),  # widest table relative to sigma
+        ]:
+            pr = params(p, q, d, C, sigma)
+            assert count_integrand_sign_changes(pr, eps) == 1, pr
+
+    def test_sign_count_matches_linspace_scan(self):
+        # the direct scan the lattice-aligned count replaced: both mixture
+        # densities on a SIGN_SCAN_POINTS linspace of the window
+        def linspace_count(pr, eps):
+            consts = derive_constants(eps, pr)
+            grid = np.linspace(*_scan_window(consts, pr), SIGN_SCAN_POINTS)
+            a, b = main_pair(consts, pr).terms(grid)
+            values = a - b
+            signs = np.sign(values[np.abs(values) > np.maximum(1e-13 * (a + b), 1e-300)])
+            return int(np.count_nonzero(signs[:-1] != signs[1:]))
+
+        rng = np.random.default_rng(11)
+        counts = []
+        for _ in range(150):
+            sigma = math.exp(rng.uniform(math.log(0.01), math.log(10.0)))
+            C = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+            d = int(rng.integers(0, 101))
+            p, q, eps = (float(x) for x in rng.uniform(1e-3, 1.0, size=3))
+            pr = params(p, q, d, C, sigma)
+            count = count_integrand_sign_changes(pr, eps)
+            assert count == linspace_count(pr, eps), (pr, eps)
+            counts.append(count)
+        assert counts.count(1) >= 140
+
+    def test_lattice_terms_match_direct_kernel(self):
+        # the table and polyphase contraction give the pair's own densities
+        # on a grid at least as fine as the linspace, covering the window
+        gapped = HockeyStickQuery(
+            1.0,
+            GaussianMixture1D(np.array([5.0]) * 0.3, np.array([1.0]), 0.1),
+            GaussianMixture1D(np.array([0.0, 2.0]) * 0.3, np.array([0.5, 0.5]), 0.1),
+        )
+        cases = [(gapped, 0.3, -1.2, 3.0)]
+        for p, q, d, C, sigma, eps in [
+            (0.1, 0.1, 0, 1.0, 1.0, 0.5),
+            (0.5, 0.5, 30, 1.0, 2.0, 0.5),
+            (0.01, 0.01, 10, 0.3, 5.0, 1.0),
+            (0.02592, 0.01713, 20, 1.0, 0.0142, 0.02835),
+            (0.1, 0.5, 100, 10.0, 0.01, 0.5),
+            (0.1, 0.1, 1000, 1.0, 2.0, 0.5),
+            (0.1, 0.5, 20_000, 1.0, 1.0, 0.5),
+        ]:
+            pr = params(p, q, d, C, sigma)
+            consts = derive_constants(eps, pr)
+            cases.append((main_pair(consts, pr), C, *_scan_window(consts, pr)))
+        for pair, C, lo, hi in cases:
+            z, a, b = _lattice_terms(pair, C, lo, hi)
+            assert z[0] <= lo and z[-1] >= hi and z.size >= SIGN_SCAN_POINTS
+            assert np.diff(z).max() <= (hi - lo) / (SIGN_SCAN_POINTS - 1) * (1 + 1e-12)
+            direct_a, direct_b = pair.terms(z)
+            np.testing.assert_allclose(a, direct_a, rtol=1e-8, atol=1e-300)
+            np.testing.assert_allclose(b, direct_b, rtol=1e-8, atol=1e-300)
+
+    @pytest.mark.parametrize(
+        "num, den, expected",
+        [
+            ([(1, 0.5), (3, 0.5)], [(2, 1.0)], 2),
+            ([(0, 0.5), (2, 0.5)], [(1, 0.5), (3, 0.5)], 3),
+            ([(5, 1.0)], [(0, 0.5), (2, 0.5)], 1),  # gaps at 1, 3 and 4
+        ],
+    )
+    @pytest.mark.parametrize("C", [0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("sigma_over_C", [0.3, 0.02])
+    def test_planted_sign_structure(
+        self, monkeypatch, num, den, expected, C, sigma_over_C
+    ):
+        # lattice pairs at alpha = 1 whose sign pattern is known; d = 10
+        # puts all of them inside the scan window
+        sigma = sigma_over_C * C
+
+        def mixture(parts):
+            ks, ws = zip(*parts)
+            return GaussianMixture1D(np.array(ks) * C, np.array(ws), sigma)
+
+        pair = HockeyStickQuery(1.0, mixture(num), mixture(den))
+        monkeypatch.setattr(accountant, "main_pair", lambda consts, pr: pair)
+        pr = params(0.5, 0.5, 10, C, sigma)
+        assert count_integrand_sign_changes(pr, 0.5) == expected
 
 
 class TestFindZStar:
