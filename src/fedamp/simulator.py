@@ -4,7 +4,8 @@ Each round: every client joins with probability p, each participant
 samples each of its local elements with probability q, the sampled
 per-sample gradients of all participants are clipped to norm C and summed,
 the coordinator adds centered Gaussian noise (std sigma per coordinate) and
-scales by 1/(p N q d) for unbiasedness, then takes a gradient step.
+scales by 1/(p N q d) for unbiasedness, then takes a gradient step. Only
+the masks are drawn per participant; one flat mask gathers all sampled rows.
 
 Synthetic linear and logistic regression stand in for real workloads;
 everything is driven by seeded generator streams so that runs are
@@ -18,6 +19,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -61,7 +63,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         for name in ("N", "d", "T", "m"):
             value = getattr(self, name)
-            if isinstance(value, bool) or int(value) != value or value < 1:
+            if isinstance(value, bool) or not 1 <= value < math.inf or int(value) != value:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
         for name in ("p", "q"):
             value = float(getattr(self, name))
@@ -95,10 +97,16 @@ class ClientDataset:
 @dataclass(frozen=True)
 class RoundOutcome:
     participants: tuple[int, ...]
-    sampled_elements: dict[int, tuple[int, ...]]
+    element_mask: np.ndarray
+    client_sizes: tuple[int, ...]
     noisy_estimate: np.ndarray
     raw_sum: np.ndarray
     max_clipped_norm: float
+
+    @cached_property
+    def sampled_elements(self) -> dict[int, tuple[int, ...]]:
+        blocks = np.split(self.element_mask, np.cumsum(self.client_sizes)[:-1])
+        return {i: tuple(np.flatnonzero(b).tolist()) for i, b in zip(self.participants, blocks)}
 
 
 @dataclass(frozen=True)
@@ -145,8 +153,13 @@ def make_streams(seed: int, n_clients: int) -> Streams:
     )
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # np.linalg.norm's own formula for axis=1, without its wrapper's cost
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
 def _clip_rows(rows: np.ndarray, C: float) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1)
+    norms = _row_norms(rows)
     scale = np.maximum(1.0, norms / C)
     return rows / scale[:, None]
 
@@ -178,7 +191,9 @@ def task_loss(task: Task, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
         if task is Task.LINEAR_REGRESSION:
             r = margins - y
             return float(0.5 * np.mean(r * r))
-        return float(np.mean(np.logaddexp(0.0, -y * margins)))
+        # npy_logaddexp's log(1 + e^z), on vector exp and log1p, not its scalar loop
+        z = -y * margins
+        return float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
 
 
 def task_sample_grads(
@@ -203,25 +218,20 @@ def run_round(
     Every round draws one participation coin per client and the noise
     vector. Only participants draw element masks, each from its own
     stream, so a client's stream advances only in rounds it takes part in.
-    The sampled rows of all participants are clipped and summed together.
+    The masks are joined into one flat mask that gathers the sampled rows
+    of all participants at once; those rows are clipped and summed together.
     """
     part_u = streams.participation.uniform(size=config.N)
     noise = streams.noise.standard_normal(config.m)
     participants = tuple(np.flatnonzero(part_u < config.p).tolist())
-
-    sampled: dict[int, tuple[int, ...]] = {}
+    joined = [datasets[i] for i in participants]
+    sizes = tuple(len(ds) for ds in joined)
+    draws = [streams.elements[i].random(n) for i, n in zip(participants, sizes)]
     # the empty leading blocks keep a round without participants well defined
-    features = [np.empty((0, config.m))]
-    labels = [np.empty(0)]
-    for i in participants:
-        ds = datasets[i]
-        mask = streams.elements[i].uniform(size=len(ds)) < config.q
-        sampled[i] = tuple(np.flatnonzero(mask).tolist())
-        features.append(ds.features[mask])
-        labels.append(ds.labels[mask])
-    grads = task_sample_grads(
-        task, state.weights, np.concatenate(features), np.concatenate(labels)
-    )
+    mask = np.concatenate([np.empty(0), *draws]) < config.q
+    features = np.concatenate([np.empty((0, config.m)), *(ds.features for ds in joined)])
+    labels = np.concatenate([np.empty(0), *(ds.labels for ds in joined)])
+    grads = task_sample_grads(task, state.weights, features[mask], labels[mask])
     clipped = _clip_rows(grads, config.C)
     total = clipped.sum(axis=0)
 
@@ -233,10 +243,11 @@ def run_round(
     new_state = ModelState(weights=new_weights, iteration=state.iteration + 1)
     outcome = RoundOutcome(
         participants=participants,
-        sampled_elements=sampled,
+        element_mask=mask,
+        client_sizes=sizes,
         noisy_estimate=estimate,
         raw_sum=total,
-        max_clipped_norm=float(np.linalg.norm(clipped, axis=1).max(initial=0.0)),
+        max_clipped_norm=float(_row_norms(clipped).max(initial=0.0)),
     )
     return new_state, outcome
 
@@ -277,24 +288,19 @@ def run_training(
     sigma comes from the config when set; otherwise both per-round
     targets must be given and the noise is calibrated with the requested
     scheme. The certified (eps, delta) appear in every row only when the
-    targets are known.
+    noise was calibrated to them; a set sigma with targets is rejected.
     """
-    if config.sigma is None:
-        if eps_per_round is None or delta_per_round is None:
-            raise DomainError(
-                "config.sigma is None: eps_per_round and delta_per_round required"
-            )
-        sigma = calibrate_sigma(
-            calibration_scheme,
-            p=config.p,
-            q=config.q,
-            d=config.d,
-            C=config.C,
-            eps_target=eps_per_round,
-            delta_target=delta_per_round,
-        )
-    else:
+    if config.sigma is not None:
+        if eps_per_round is not None or delta_per_round is not None:
+            raise DomainError("config.sigma conflicts with eps/delta calibration targets")
         sigma = config.sigma
+    elif eps_per_round is None or delta_per_round is None:
+        raise DomainError("config.sigma is None: eps_per_round and delta_per_round required")
+    else:
+        sigma = calibrate_sigma(
+            calibration_scheme, p=config.p, q=config.q, d=config.d, C=config.C,
+            eps_target=eps_per_round, delta_target=delta_per_round,
+        )
     effective = replace(config, sigma=sigma)
     streams = make_streams(config.seed, config.N)
     datasets, _ = make_synthetic_datasets(effective, task, streams.data)
@@ -319,7 +325,7 @@ def run_training(
                 loss=loss,
                 grad_norm=float(np.linalg.norm(outcome.noisy_estimate)),
                 participants=len(outcome.participants),
-                sampled_elements=sum(len(s) for s in outcome.sampled_elements.values()),
+                sampled_elements=int(np.count_nonzero(outcome.element_mask)),
                 sigma=sigma,
                 eps_round=eps_per_round,
                 delta_round=delta_per_round,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fedamp import simulator
 from fedamp.accountant import Scheme, calibrate_sigma
 from fedamp.numerics import DomainError
 from fedamp.simulator import (
@@ -54,6 +55,37 @@ def with_extra_element(
     return out
 
 
+def reference_round(state, config, datasets, streams, task):
+    """The per-participant round loop that `run_round` replaced, kept as an
+    independent reference: one uniform draw, one index tuple and one boolean
+    row selection per participant, and norms through `np.linalg.norm`."""
+    part_u = streams.participation.uniform(size=config.N)
+    noise = streams.noise.standard_normal(config.m)
+    participants = tuple(np.flatnonzero(part_u < config.p).tolist())
+
+    sampled = {}
+    features = [np.empty((0, config.m))]
+    labels = [np.empty(0)]
+    for i in participants:
+        ds = datasets[i]
+        mask = streams.elements[i].uniform(size=len(ds)) < config.q
+        sampled[i] = tuple(np.flatnonzero(mask).tolist())
+        features.append(ds.features[mask])
+        labels.append(ds.labels[mask])
+    grads = task_sample_grads(
+        task, state.weights, np.concatenate(features), np.concatenate(labels)
+    )
+    norms = np.linalg.norm(grads, axis=1)
+    clipped = grads / np.maximum(1.0, norms / config.C)[:, None]
+    total = clipped.sum(axis=0)
+
+    scale = config.p * config.N * config.q * config.d
+    estimate = (total + config.sigma * noise) / scale
+    new_weights = state.weights - config.eta * estimate
+    max_norm = float(np.linalg.norm(clipped, axis=1).max(initial=0.0))
+    return new_weights, participants, sampled, estimate, total, max_norm
+
+
 class TestClipGradient:
     """Per-sample gradient clipping, one gradient per row of `_clip_rows`."""
 
@@ -94,6 +126,12 @@ class TestSimConfig:
 
     def test_sigma_none_means_calibrate_later(self):
         assert config(sigma=None).sigma is None
+
+    @pytest.mark.parametrize("name", ["N", "d", "T", "m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sizes_rejected(self, name, value):
+        with pytest.raises(DomainError):
+            config(**{name: value})
 
 
 class TestSyntheticData:
@@ -165,6 +203,24 @@ class TestTaskFunctions:
                 - task_loss(Task.LOGISTIC_REGRESSION, w, X, y)
             ) / h
             assert mean_grad[k] == pytest.approx(numeric, abs=1e-5)
+
+    def test_logistic_loss_matches_logaddexp(self):
+        # one element per call, so the mean is the element's own loss;
+        # with X = [[1]] and y = [-1] the loss is log(1 + e^z) at margin z
+        def loss_at(z):
+            return task_loss(
+                Task.LOGISTIC_REGRESSION,
+                np.array([z]), np.ones((1, 1)), np.array([-1.0]),
+            )
+
+        rng = np.random.default_rng(21)
+        margins = rng.standard_normal(2000) * 10.0 ** rng.uniform(-4.0, 3.0, 2000)
+        for z in margins:
+            expected = float(np.logaddexp(0.0, z))
+            assert abs(loss_at(z) - expected) <= 4 * math.ulp(expected), z
+        for z in (0.0, 745.0, -745.0, 1e4, -1e4, math.inf, -math.inf):
+            assert loss_at(z) == float(np.logaddexp(0.0, z)), z
+        assert math.isnan(loss_at(math.nan))
 
     def test_linear_loss(self):
         w = np.zeros(2)
@@ -252,6 +308,54 @@ class TestRunRound:
             for i in out_a.participants:
                 if i != 0:
                     assert out_a.sampled_elements[i] == out_b.sampled_elements[i]
+
+
+class TestRoundReference:
+    @pytest.mark.parametrize("task", list(Task))
+    def test_matches_per_participant_loop(self, task):
+        # ragged clients: three of them hold one or two extra elements
+        cfg = config(N=12, d=6, p=0.5, q=0.4, C=0.5, sigma=0.7, eta=0.3, m=4, seed=5)
+        streams, datasets, _ = fresh_world(cfg, task)
+        ref_streams = make_streams(cfg.seed, cfg.N)
+        make_synthetic_datasets(cfg, task, ref_streams.data)
+        rng = np.random.default_rng(8)
+        for client in (0, 4, 4, 9):
+            datasets = with_extra_element(
+                datasets, client, rng.standard_normal(cfg.m), rng.choice([-1.0, 1.0])
+            )
+        state = ModelState(weights=np.zeros(cfg.m), iteration=0)
+        ref_weights = state.weights
+        for _ in range(60):
+            ref_state = ModelState(weights=ref_weights, iteration=state.iteration)
+            ref = reference_round(ref_state, cfg, datasets, ref_streams, task)
+            state, outcome = run_round(state, cfg, datasets, streams, task)
+            ref_weights, participants, sampled, estimate, total, max_norm = ref
+            assert outcome.participants == participants
+            assert outcome.sampled_elements == sampled
+            assert outcome.raw_sum.tobytes() == total.tobytes()
+            assert outcome.noisy_estimate.tobytes() == estimate.tobytes()
+            assert outcome.max_clipped_norm.hex() == max_norm.hex()
+            assert state.weights.tobytes() == ref_weights.tobytes()
+            for g, ref_g in zip(streams.elements, ref_streams.elements):
+                assert g.bit_generator.state == ref_g.bit_generator.state
+        assert {len(ds) for ds in datasets} == {6, 7, 8}
+
+    def test_metrics_count_matches_sampled_elements(self, monkeypatch):
+        outcomes = []
+
+        def recording_round(*args):
+            new_state, outcome = run_round(*args)
+            outcomes.append(outcome)
+            return new_state, outcome
+
+        monkeypatch.setattr(simulator, "run_round", recording_round)
+        rows = run_training(config(T=30), Task.LOGISTIC_REGRESSION)
+        assert len(outcomes) == 30
+        for row, outcome in zip(rows, outcomes):
+            assert row.sampled_elements == sum(
+                len(s) for s in outcome.sampled_elements.values()
+            )
+            assert row.participants == len(outcome.sampled_elements)
 
 
 class TestRoundStatistics:
@@ -353,6 +457,20 @@ class TestRunTraining:
         )
         assert all(r.sigma == expected for r in rows)
         assert all(r.eps_round == 0.5 and r.delta_round == 1e-5 for r in rows)
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            dict(eps_per_round=0.5, delta_per_round=1e-9),
+            dict(eps_per_round=0.5),
+            dict(delta_per_round=1e-9),
+        ],
+    )
+    def test_sigma_with_targets_rejected(self, targets):
+        # a set sigma was not calibrated to the targets, so they must not
+        # appear in the rows as if certified
+        with pytest.raises(DomainError):
+            run_training(config(sigma=0.01), Task.LINEAR_REGRESSION, **targets)
 
     def test_sigma_none_without_targets_rejected(self):
         with pytest.raises(DomainError):
