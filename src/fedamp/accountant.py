@@ -26,10 +26,8 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .divergence import (
-    SQRT_2PI,
     HockeyStickQuery,
     binomial_log_weights,  # noqa: F401  (only perfbench's tracer uses it here)
     hockey_stick,
@@ -49,7 +47,6 @@ SIGMA_BRACKET = (1e-3, 1e4)
 SIGMA_REL_TOL = 1e-6
 EPS_BRACKET = (0.0, 64.0)
 EPS_ABS_TOL = 1e-7
-SIGN_SCAN_POINTS = 10_000
 
 
 class CalibrationError(RuntimeError):
@@ -258,52 +255,31 @@ def delta_main_quadrature(params: SamplingParams, eps: float) -> float:
     return params.p * params.q * hockey_stick(main_pair(consts, params))
 
 
-def _lattice_terms(pair: HockeyStickQuery, C: float, lo: float, hi: float):
-    """(z, num(z), alpha * den(z)) on count_integrand_sign_changes' grid; the
-    table is contracted polyphase, in blocks that skip its rows of zeros."""
-    sigma = pair.numerator.sigma
-    r = math.ceil(C * (SIGN_SCAN_POINTS - 1) / (hi - lo))
-    h = C / r
-    j0 = math.floor(lo / h)
-    n = math.ceil(hi / h) - j0 + 1
-    k = np.rint(pair.means / C).astype(int)
-    taps = np.zeros((k[-1] + 1, 2))
-    taps[k[-1] - k] = pair.weights
-    out_rows = -(-n // r)
-    t = np.abs(np.arange(j0 - r * k[-1], j0 + r * (k[-1] + out_rows))) * (h / sigma)
-    live = t < 37.64  # where exp(-t^2/2) is a normal double, >= 2.28e-308
-    phi = np.exp(-0.5 * t**2, out=np.zeros(t.size), where=live)
-    head = int(live.argmax())
-    first, last = head // r, (head + np.count_nonzero(live) - 1) // r
-    windows = sliding_window_view(phi.reshape(-1, r), len(taps), axis=0)
-    out = np.empty((out_rows, r, 2))
-    for a0 in range(0, out_rows, last - first + 1):
-        a1 = min(a0 + last - first + 1, out_rows)
-        k_lo, k_hi = max(first - a1 + 1, 0), max(last - a0 + 1, 0)
-        out[a0:a1] = windows[a0:a1, :, k_lo:k_hi] @ taps[k_lo:k_hi]
-    a, b = out.reshape(-1, 2)[:n].T / (sigma * SQRT_2PI)
-    return (j0 + np.arange(n)) * h, a, b
-
-
 def count_integrand_sign_changes(params: SamplingParams, eps: float) -> int:
-    """Sign changes of the Main integrand on a dense scan of its window.
+    """Sign changes of main_pair's coefficients: Main's crossings, exactly.
 
-    An independent check, in linear space, of the single crossing that
-    find_z_star assumes, on the grid z = jh with h = C/r no coarser than a
-    SIGN_SCAN_POINTS linspace of _scan_window. main_pair's means lie on kC,
-    so each term is phi_{j-rk} of one table phi_i = exp(-(ih/s)^2/2): about
-    2 * SIGN_SCAN_POINTS entries, as the window exceeds (d+1)C, in place of
-    SIGN_SCAN_POINTS * (d+2) terms. Entries below the smallest normal
-    double, slow in exp, are 0. Values within a noise floor of zero carry
-    no sign: it scales with the sum of the two terms subtracted, and its
-    absolute 1e-300 holds where that sum underflows.
+    For a pair sharing sigma = s, num - alpha' den is
+    e^{-z^2/2s^2} sum_k c_k e^{-m_k^2/2s^2} e^{m_k z/s^2} over the union of
+    means m_k, with c_k = weights[:, 0] - weights[:, 1]. By Laguerre's rule
+    of signs (Laguerre 1883; Jameson, Math. Gazette 2006) such a sum has no
+    more real zeros than sign changes in c_k (exact zeros skipped), and
+    their parity is the same, so a count of 1 is exactly one crossing, at
+    z*. For Main it is always 1: c_0 = -alpha'(c1_bar + c2_bar w_0) < 0
+    and c_{d+1} = w_d > 0; for 1 <= k <= d, c_k has the sign of
+    w_{k-1}/w_k - alpha' c2_bar, and w_{k-1}/w_k = k(1-q)/((d-k+1)q)
+    increases in k, so the signs run - ... - + ... +. Dropped binomial
+    weights only shorten both runs. The count reads no density, no z* and
+    no log_ratio, so it stays independent of find_z_star and of the
+    quadrature oracle. Raises DegenerateIntegrandError if the single
+    crossing runs from + to -, where the tail above z* is negative.
     """
-    consts = derive_constants(eps, params)
-    lo, hi = _scan_window(consts, params)
-    _, a, b = _lattice_terms(main_pair(consts, params), params.C, lo, hi)
-    values = a - b
-    signs = np.sign(values[np.abs(values) > np.maximum(1e-13 * (a + b), 1e-300)])
-    return int(np.count_nonzero(signs[:-1] != signs[1:]))
+    pair = main_pair(derive_constants(eps, params), params)
+    c = pair.weights[:, 0] - pair.weights[:, 1]
+    signs = np.sign(c[c != 0.0])
+    changes = int(np.count_nonzero(signs[:-1] != signs[1:]))
+    if changes == 1 and not signs[0] < 0.0 < signs[-1]:
+        raise DegenerateIntegrandError("integrand is positive below its crossing")
+    return changes
 
 
 def delta_only_local(q: float, sigma: float, C: float, eps: float) -> PrivacyPoint:

@@ -45,11 +45,13 @@ class GaussianMixture1D:
     Means are strictly increasing and weights nonnegative. Total mass is
     usually 1 but sub-probability mixtures are allowed, because the
     accounting bounds compare against denominators of mass below one.
+    log_weights is log(weights), -inf at zero weights, computed once.
     """
 
     means: np.ndarray
     weights: np.ndarray
     sigma: float
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         means = np.atleast_1d(np.asarray(self.means, dtype=float))
@@ -72,10 +74,13 @@ class GaussianMixture1D:
             raise DomainError("mixture must carry positive total mass")
         means = means.copy()
         weights = weights.copy()
-        means.setflags(write=False)
-        weights.setflags(write=False)
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(weights)
+        for array in (means, weights, log_weights):
+            array.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "log_weights", log_weights)
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -86,8 +91,7 @@ class GaussianMixture1D:
         """Log mixture density at a scalar z, as a max-shifted log-sum-exp,
         so it stays finite where the density itself underflows."""
         t = (z - self.means) / self.sigma
-        with np.errstate(divide="ignore"):
-            exponents = np.log(self.weights) - 0.5 * t * t
+        exponents = self.log_weights - 0.5 * t * t
         top = exponents.max()
         log_sum = top + np.log(np.exp(exponents - top).sum())
         return float(log_sum) - math.log(self.sigma * SQRT_2PI)
@@ -111,7 +115,8 @@ def weighted_normal_pdf(
         lo, hi = np.searchsorted(means, [block.min() - band, block.max() + band])
         t = block[:, None] - means[None, lo:hi]
         t /= sigma
-        t *= -0.5 * t
+        t *= t
+        t *= -0.5
         out[start : start + rows] = np.exp(t, out=t) @ weights[lo:hi]
     out /= sigma * SQRT_2PI
     return out

@@ -170,8 +170,8 @@ def test_criterion_08_single_crossing():
         if count_integrand_sign_changes(params, eps) != 1:
             bad += 1
     ok = bad == 0
-    report(8, ok, f"{bad} of 576 points have sign-change count != 1 on a "
-                  f"10^4-point scan")
+    report(8, ok, f"{bad} of 576 points have coefficient sign-change count "
+                  f"!= 1")
 
 
 def test_criterion_09_ajc_identity():

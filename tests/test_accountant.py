@@ -19,13 +19,11 @@ from fedamp.accountant import (
     EPS_BRACKET,
     SIGMA_BRACKET,
     SIGMA_REL_TOL,
-    SIGN_SCAN_POINTS,
     CalibrationError,
     DegenerateIntegrandError,
     SamplingParams,
     Scheme,
     SweepVariable,
-    _lattice_terms,
     _scan_window,
     calibrate_sigma,
     count_integrand_sign_changes,
@@ -178,57 +176,79 @@ class TestMainIntegrand:
             assert count_integrand_sign_changes(pr, eps) == 1, pr
 
     def test_sign_count_matches_linspace_scan(self):
-        # the direct scan the lattice-aligned count replaced: both mixture
-        # densities on a SIGN_SCAN_POINTS linspace of the window
+        # the linspace scan the coefficient count replaced, kept as a
+        # reference: both mixture densities on LINSPACE_POINTS of the window
+        LINSPACE_POINTS = 10_000
+
         def linspace_count(pr, eps):
             consts = derive_constants(eps, pr)
-            grid = np.linspace(*_scan_window(consts, pr), SIGN_SCAN_POINTS)
+            grid = np.linspace(*_scan_window(consts, pr), LINSPACE_POINTS)
             a, b = main_pair(consts, pr).terms(grid)
             values = a - b
             signs = np.sign(values[np.abs(values) > np.maximum(1e-13 * (a + b), 1e-300)])
             return int(np.count_nonzero(signs[:-1] != signs[1:]))
 
         rng = np.random.default_rng(11)
-        counts = []
+        cases = []
         for _ in range(150):
             sigma = math.exp(rng.uniform(math.log(0.01), math.log(10.0)))
             C = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
             d = int(rng.integers(0, 101))
             p, q, eps = (float(x) for x in rng.uniform(1e-3, 1.0, size=3))
-            pr = params(p, q, d, C, sigma)
-            count = count_integrand_sign_changes(pr, eps)
-            assert count == linspace_count(pr, eps), (pr, eps)
-            counts.append(count)
-        assert counts.count(1) >= 140
+            cases.append((params(p, q, d, C, sigma), eps))
+        # two later draws of the same distribution, rounded, where the scan
+        # is blind past z*: both densities, or their difference, lie below
+        # its 1e-300 floor there
+        blind = [
+            (params(0.248, 0.0222, 75, 0.354, 3.05), 0.811),
+            (params(0.803, 0.00627, 13, 0.332, 3.30), 0.220),
+        ]
+        scan_zero = []
+        for i, (pr, eps) in enumerate(cases + blind):
+            assert count_integrand_sign_changes(pr, eps) == 1, (i, pr, eps)
+            scan = linspace_count(pr, eps)
+            if scan == 0:
+                scan_zero.append(i)
+            else:
+                assert scan == 1, (i, pr, eps)
+        # the scan's underflow blind spots: draws 66, 76 and 100, and both
+        # explicit cases
+        assert scan_zero == [66, 76, 100, 150, 151], scan_zero
 
-    def test_lattice_terms_match_direct_kernel(self):
-        # the table and polyphase contraction give the pair's own densities
-        # on a grid at least as fine as the linspace, covering the window
-        gapped = HockeyStickQuery(
-            1.0,
-            GaussianMixture1D(np.array([5.0]) * 0.3, np.array([1.0]), 0.1),
-            GaussianMixture1D(np.array([0.0, 2.0]) * 0.3, np.array([0.5, 0.5]), 0.1),
-        )
-        cases = [(gapped, 0.3, -1.2, 3.0)]
-        for p, q, d, C, sigma, eps in [
-            (0.1, 0.1, 0, 1.0, 1.0, 0.5),
-            (0.5, 0.5, 30, 1.0, 2.0, 0.5),
-            (0.01, 0.01, 10, 0.3, 5.0, 1.0),
-            (0.02592, 0.01713, 20, 1.0, 0.0142, 0.02835),
-            (0.1, 0.5, 100, 10.0, 0.01, 0.5),
-            (0.1, 0.1, 1000, 1.0, 2.0, 0.5),
-            (0.1, 0.5, 20_000, 1.0, 1.0, 0.5),
-        ]:
-            pr = params(p, q, d, C, sigma)
-            consts = derive_constants(eps, pr)
-            cases.append((main_pair(consts, pr), C, *_scan_window(consts, pr)))
-        for pair, C, lo, hi in cases:
-            z, a, b = _lattice_terms(pair, C, lo, hi)
-            assert z[0] <= lo and z[-1] >= hi and z.size >= SIGN_SCAN_POINTS
-            assert np.diff(z).max() <= (hi - lo) / (SIGN_SCAN_POINTS - 1) * (1 + 1e-12)
-            direct_a, direct_b = pair.terms(z)
-            np.testing.assert_allclose(a, direct_a, rtol=1e-8, atol=1e-300)
-            np.testing.assert_allclose(b, direct_b, rtol=1e-8, atol=1e-300)
+    def test_coefficient_count_bounds_dense_scan(self, monkeypatch):
+        # Laguerre's rule of signs on random lattice pairs at alpha >= 1:
+        # the integrand's sign changes on a dense scan never exceed the
+        # coefficient count, and have the same parity
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for _ in range(80):
+            C = float(rng.choice([0.3, 1.0, 7.0]))
+            sigma = float(rng.choice([1.0, 0.3, 0.02])) * C
+
+            def mixture():
+                ks = np.sort(rng.choice(9, size=int(rng.integers(1, 5)), replace=False))
+                ws = rng.uniform(0.2, 1.0, size=ks.size)
+                return GaussianMixture1D(ks * C, ws / ws.sum(), sigma)
+
+            alpha = math.exp(rng.uniform(0.0, 1.0))
+            pair = HockeyStickQuery(alpha, mixture(), mixture())
+            monkeypatch.setattr(accountant, "main_pair", lambda consts, pr: pair)
+            grid = np.linspace(-20.0 * sigma, 8.0 * C + 20.0 * sigma, 20_001)
+            a, b = pair.terms(grid)
+            values = a - b
+            signs = np.sign(values[np.abs(values) > np.maximum(1e-13 * (a + b), 1e-300)])
+            scan = int(np.count_nonzero(signs[:-1] != signs[1:]))
+            try:
+                count = count_integrand_sign_changes(params(0.5, 0.5, 10, C, sigma), 0.5)
+            except DegenerateIntegrandError:
+                # one coefficient sign change, from + to -
+                assert scan == 1 and signs[0] > 0.0, pair
+                outcomes.add("reversed")
+                continue
+            assert scan <= count and (count - scan) % 2 == 0, (scan, count, pair)
+            outcomes.add("exact" if scan == count else "below")
+            outcomes.add(f"count {min(count, 3)}")
+        assert outcomes >= {"reversed", "exact", "below", "count 2", "count 3"}
 
     @pytest.mark.parametrize(
         "num, den, expected",
