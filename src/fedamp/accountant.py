@@ -44,8 +44,11 @@ from .numerics import (
 )
 
 SIGMA_BRACKET = (1e-3, 1e4)
-SIGMA_REL_TOL = 1e-6
 EPS_BRACKET = (0.0, 64.0)
+# The resolution each inversion answer meets: delta exceeds its target at
+# sigma / (1 + SIGMA_REL_TOL) below a calibrated sigma, and at eps - EPS_ABS_TOL
+# below an inverted eps (unless the answer is the bracket floor).
+SIGMA_REL_TOL = 1e-6
 EPS_ABS_TOL = 1e-7
 
 
@@ -64,6 +67,13 @@ class Scheme(Enum):
     UPPER_BOUND = "ub"
     LOWER_BOUND = "lb"
     GAUSSIAN_MECHANISM = "gm"
+
+
+# Schemes whose delta bounds the worst case over neighbouring datasets.
+# main and lb each evaluate one pair and fall below that worst case.
+CERTIFIED_SCHEMES = frozenset(
+    {Scheme.UPPER_BOUND, Scheme.ONLY_LOCAL, Scheme.GAUSSIAN_MECHANISM}
+)
 
 
 @dataclass(frozen=True)
@@ -342,20 +352,22 @@ def delta_for_scheme(
     raise DomainError(f"unknown scheme {scheme!r}")
 
 
-def _bisect_monotone(
+def _invert_monotone(
     delta_at: Callable[[float], float],
     name: str,
     bracket: tuple[float, float],
     delta_target: float,
     to_coord: Callable[[float], float],
     from_coord: Callable[[float], float],
-    too_wide: Callable[[float, float], bool],
 ) -> float:
     """Smallest x in the bracket with delta_at(x) <= delta_target, for delta
-    nonincreasing in x. The endpoints are evaluated at the raw bracket values
-    (from_coord(to_coord(x)) need not equal x); the bisection runs on
-    to_coord(x) while too_wide holds. Raises CalibrationError if the
-    endpoints are not ordered or the target is unreachable at the top."""
+    nonincreasing in x. The endpoints are checked at the raw bracket values;
+    between them, Brent's method solves delta_at(from_coord(u)) = delta_target
+    in u = to_coord(x). The answer is the upper end of Brent's final bracket,
+    the side where delta <= target, or the root itself when its residual is
+    exactly 0: an exact hit stops Brent before the other end closes in.
+    Raises CalibrationError if the endpoints are not ordered or the target
+    is unreachable at the top."""
     lo, hi = bracket
     delta_lo = delta_at(lo)
     delta_hi = delta_at(hi)
@@ -371,14 +383,12 @@ def _bisect_monotone(
         )
     if delta_lo <= delta_target:
         return lo
-    coord_lo, coord_hi = to_coord(lo), to_coord(hi)
-    while too_wide(coord_lo, coord_hi):
-        mid = 0.5 * (coord_lo + coord_hi)
-        if delta_at(from_coord(mid)) <= delta_target:
-            coord_hi = mid
-        else:
-            coord_lo = mid
-    return from_coord(coord_hi)
+    result = find_root_bracketed(
+        lambda u: delta_at(from_coord(u)) - delta_target, to_coord(lo), to_coord(hi)
+    )
+    if result.residual == 0.0:
+        return from_coord(result.root)
+    return from_coord(result.bracket[1])
 
 
 def calibrate_sigma(
@@ -394,9 +404,11 @@ def calibrate_sigma(
 ) -> float:
     """Smallest sigma in the bracket certifying (eps_target, delta_target).
 
-    Bisects in log space on the empirically verified monotone nonincrease
-    of delta in sigma. Raises CalibrationError if the target is unreachable
-    at the top of the bracket or the endpoints are not ordered.
+    Solves delta(sigma) = delta_target in log sigma with Brent's method,
+    on the empirically verified monotone nonincrease of delta in sigma; one
+    step below the answer, sigma / (1 + SIGMA_REL_TOL), misses the target.
+    Raises CalibrationError if the target is unreachable at the top of the
+    bracket or the endpoints are not ordered.
     """
     if not (math.isfinite(eps_target) and eps_target > 0.0):
         raise DomainError(f"eps_target must be positive, got {eps_target}")
@@ -407,26 +419,26 @@ def calibrate_sigma(
         params = SamplingParams(p=p, q=q, d=d, C=C, sigma=sigma)
         return delta_for_scheme(scheme, params, eps_target).delta
 
-    return _bisect_monotone(
-        delta_at, "sigma", sigma_bracket, delta_target, math.log, math.exp,
-        lambda lo, hi: math.exp(hi - lo) > 1.0 + SIGMA_REL_TOL,
+    return _invert_monotone(
+        delta_at, "sigma", sigma_bracket, delta_target, math.log, math.exp
     )
 
 
 def eps_for_delta(
     scheme: Scheme, params: SamplingParams, delta_target: float
 ) -> float:
-    """Smallest eps in EPS_BRACKET with scheme-delta(eps) <= delta_target."""
+    """Smallest eps in EPS_BRACKET with scheme-delta(eps) <= delta_target.
+
+    Solves delta(eps) = delta_target with Brent's method; one step below
+    the answer, eps - EPS_ABS_TOL, misses the target.
+    """
     if not (math.isfinite(delta_target) and 0.0 < delta_target < 1.0):
         raise DomainError(f"delta_target must lie in (0, 1), got {delta_target}")
 
     def delta_at(eps: float) -> float:
         return delta_for_scheme(scheme, params, eps).delta
 
-    return _bisect_monotone(
-        delta_at, "eps", EPS_BRACKET, delta_target, float, float,
-        lambda lo, hi: hi - lo > EPS_ABS_TOL,
-    )
+    return _invert_monotone(delta_at, "eps", EPS_BRACKET, delta_target, float, float)
 
 
 class SweepVariable(Enum):
@@ -435,6 +447,11 @@ class SweepVariable(Enum):
     DELTA = "delta"
     Q_FIXED_PQ = "q-fixed-pq"
     D = "d"
+
+    @property
+    def parameter(self) -> str:
+        """The fixed parameter that the grid value replaces."""
+        return "q" if self is SweepVariable.Q_FIXED_PQ else self.value
 
 
 @dataclass(frozen=True)
@@ -468,47 +485,17 @@ def _sweep_point(
     variable: SweepVariable,
     fixed: dict,
 ) -> SweepRow:
-    p = fixed.get("p")
-    q = fixed.get("q")
-    d = fixed.get("d")
-    C = fixed.get("C")
-    sigma = fixed.get("sigma")
-    eps = fixed.get("eps")
-    delta = fixed.get("delta")
-    if variable is SweepVariable.SIGMA:
-        sigma = value
-    elif variable is SweepVariable.EPS:
-        eps = value
-    elif variable is SweepVariable.DELTA:
-        delta = value
-    elif variable is SweepVariable.D:
-        d = value
-    elif variable is SweepVariable.Q_FIXED_PQ:
-        q = value
-        pq = fixed["pq_product"]
-        p = pq / q if q > 0 else math.inf
-
-    def fail(message: str) -> SweepRow:
-        return SweepRow(
-            scheme=scheme,
-            p=p,
-            q=q,
-            d=None if d is None else int(d) if float(d).is_integer() else d,
-            C=C,
-            sigma=sigma,
-            eps=eps,
-            delta=delta,
-            error=message,
-        )
+    point = {**fixed, variable.parameter: value}
+    if variable is SweepVariable.Q_FIXED_PQ:
+        point["p"] = fixed["pq_product"] / value if value > 0 else math.inf
+    p, q, d, C, sigma, eps, delta = (
+        point.get(key) for key in ("p", "q", "d", "C", "sigma", "eps", "delta")
+    )
 
     try:
         if variable is SweepVariable.D and (d is None or float(d) != int(d)):
             raise DomainError(f"d grid values must be integers, got {d!r}")
         params = SamplingParams(p=p, q=q, d=int(d), C=C, sigma=sigma)
-    except _ROW_ERRORS as exc:
-        return fail(str(exc))
-
-    try:
         z_star = None
         if delta is not None and eps is None:
             eps = eps_for_delta(scheme, params, delta)
@@ -531,7 +518,17 @@ def _sweep_point(
             z_star=z_star,
         )
     except _ROW_ERRORS as exc:
-        return fail(str(exc))
+        return SweepRow(
+            scheme=scheme,
+            p=p,
+            q=q,
+            d=None if d is None else int(d) if float(d).is_integer() else d,
+            C=C,
+            sigma=sigma,
+            eps=eps,
+            delta=delta,
+            error=str(exc),
+        )
 
 
 def sweep(
@@ -542,7 +539,7 @@ def sweep(
 ) -> list[SweepRow]:
     """Evaluate each scheme over a grid of one swept variable.
 
-    The swept variable replaces the corresponding fixed parameter. For eps
+    The grid value replaces the fixed parameter variable.parameter. For eps
     and delta sweeps the grid value is the target and the other quantity is
     computed; for sigma, d and q-fixed-pq sweeps exactly one of eps/delta
     must be fixed (the fixed one is the target, the other is computed).

@@ -13,6 +13,7 @@ import click
 import numpy as np
 
 from .accountant import (
+    CERTIFIED_SCHEMES,
     SIGMA_BRACKET,
     CalibrationError,
     SamplingParams,
@@ -38,9 +39,12 @@ from .simulator import (
 )
 
 CURVE_HEADER = (
-    "scheme", "p", "q", "d", "C", "sigma", "eps", "delta", "z_star", "error",
+    "scheme", "p", "q", "d", "C", "sigma", "eps", "delta", "z_star",
+    "certified", "error",
 )
-CALIBRATE_HEADER = ("scheme", "p", "q", "d", "C", "eps", "delta", "sigma")
+CALIBRATE_HEADER = (
+    "scheme", "p", "q", "d", "C", "eps", "delta", "sigma", "certified",
+)
 VERIFY_HEADER = (
     "p", "q", "d", "C", "sigma", "eps",
     "delta_closed_form", "delta_quadrature", "abs_diff",
@@ -186,9 +190,7 @@ def _collect_sweep_spec(opts: _Options):
         raise click.UsageError("--points must be at least 1")
 
     fixed: dict = {"C": opts.require("C", float)}
-    swept_key = {"sigma": "sigma", "eps": "eps", "delta": "delta", "d": "d",
-                 "q-fixed-pq": "q"}[sweep_name]
-    opts.forbid_flag(swept_key, f"--sweep {sweep_name}")
+    opts.forbid_flag(variable.parameter, f"--sweep {sweep_name}")
 
     if variable in (SweepVariable.EPS, SweepVariable.DELTA):
         opts.forbid_flag("eps" if variable is SweepVariable.DELTA else "delta",
@@ -251,7 +253,9 @@ def curve(scheme_names, sweep_name, start, stop, points, p, q, d, cap, sigma,
             writer.writerow([
                 row.scheme.value, _fmt(row.p), _fmt(row.q), _fmt(row.d),
                 _fmt(row.C), _fmt(row.sigma), _fmt(row.eps), _fmt(row.delta),
-                _fmt(row.z_star), row.error or "",
+                _fmt(row.z_star),
+                "" if row.error else _fmt(row.scheme in CERTIFIED_SCHEMES),
+                row.error or "",
             ])
     if failures:
         click.echo(f"warning: {failures} of {len(rows)} grid points failed", err=True)
@@ -300,6 +304,7 @@ def calibrate(scheme_name, p, q, d, cap, eps, delta, sigma_cap, config_path, out
         writer.writerow([
             scheme.value, _fmt(p_v), _fmt(q_v), _fmt(d_v), _fmt(c_v),
             _fmt(eps_v), _fmt(delta_v), _fmt(sigma_v),
+            _fmt(scheme in CERTIFIED_SCHEMES),
         ])
 
 
@@ -418,7 +423,8 @@ def verify(sweep_name, start, stop, points, p, q, d, cap, sigma, eps, delta,
 @click.option("--sigma", type=float, default=None)
 @click.option("--eps", type=float, default=None)
 @click.option("--delta", type=float, default=None)
-@click.option("--scheme", "scheme_name", type=click.Choice(sorted(_SCHEMES)), default=None)
+@click.option("--scheme", "scheme_name", type=click.Choice(sorted(_SCHEMES)), default=None,
+              help="scheme that calibrates sigma from --eps/--delta (default: ub)")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def simulate(task_name, n_clients, d, p, q, cap, iterations, eta, m, seed,
@@ -438,7 +444,7 @@ def simulate(task_name, n_clients, d, p, q, cap, iterations, eta, m, seed,
         raise click.UsageError("either --sigma or both --eps and --delta are required")
     if sigma_v is not None and (eps_v is not None or delta_v is not None):
         raise click.UsageError("--sigma conflicts with --eps/--delta calibration")
-    scheme = _to_schemes([opts.get("scheme", str, "main")])[0]
+    scheme = _to_schemes([opts.get("scheme", str, "ub")])[0]
     config = SimConfig(
         N=opts.require("N", int),
         d=opts.require("d", int),

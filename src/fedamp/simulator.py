@@ -25,7 +25,7 @@ from typing import Sequence, TextIO
 import numpy as np
 from scipy.special import expit
 
-from .accountant import Scheme, calibrate_sigma
+from .accountant import CERTIFIED_SCHEMES, Scheme, calibrate_sigma
 from .numerics import DomainError
 
 
@@ -262,17 +262,12 @@ class MetricsRow:
     sigma: float
     eps_round: float | None
     delta_round: float | None
+    certified: bool | None
 
 
 METRICS_HEADER = (
-    "iteration",
-    "loss",
-    "grad_norm",
-    "participants",
-    "sampled_elements",
-    "sigma",
-    "eps_round",
-    "delta_round",
+    "iteration", "loss", "grad_norm", "participants", "sampled_elements",
+    "sigma", "eps_round", "delta_round", "certified",
 )
 
 
@@ -281,19 +276,20 @@ def run_training(
     task: Task,
     eps_per_round: float | None = None,
     delta_per_round: float | None = None,
-    calibration_scheme: Scheme = Scheme.MAIN,
+    calibration_scheme: Scheme = Scheme.UPPER_BOUND,
 ) -> list[MetricsRow]:
     """Full training run returning one metrics row per iteration.
 
     sigma comes from the config when set; otherwise both per-round
     targets must be given and the noise is calibrated with the requested
-    scheme. The certified (eps, delta) appear in every row only when the
-    noise was calibrated to them; a set sigma with targets is rejected.
+    scheme. The (eps, delta) targets appear in every row only when the
+    noise was calibrated to them, and so does whether that scheme certifies
+    them (CERTIFIED_SCHEMES); a set sigma with targets is rejected.
     """
     if config.sigma is not None:
         if eps_per_round is not None or delta_per_round is not None:
             raise DomainError("config.sigma conflicts with eps/delta calibration targets")
-        sigma = config.sigma
+        sigma, certified = config.sigma, None
     elif eps_per_round is None or delta_per_round is None:
         raise DomainError("config.sigma is None: eps_per_round and delta_per_round required")
     else:
@@ -301,6 +297,7 @@ def run_training(
             calibration_scheme, p=config.p, q=config.q, d=config.d, C=config.C,
             eps_target=eps_per_round, delta_target=delta_per_round,
         )
+        certified = calibration_scheme in CERTIFIED_SCHEMES
     effective = replace(config, sigma=sigma)
     streams = make_streams(config.seed, config.N)
     datasets, _ = make_synthetic_datasets(effective, task, streams.data)
@@ -329,6 +326,7 @@ def run_training(
                 sigma=sigma,
                 eps_round=eps_per_round,
                 delta_round=delta_per_round,
+                certified=certified,
             )
         )
     return rows
@@ -349,15 +347,8 @@ def write_metrics_csv(rows: Sequence[MetricsRow], stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(METRICS_HEADER)
     for row in rows:
-        writer.writerow(
-            [
-                row.iteration,
-                _fmt(row.loss),
-                _fmt(row.grad_norm),
-                row.participants,
-                row.sampled_elements,
-                _fmt(row.sigma),
-                _fmt(row.eps_round),
-                _fmt(row.delta_round),
-            ]
-        )
+        writer.writerow([
+            row.iteration, _fmt(row.loss), _fmt(row.grad_norm), row.participants,
+            row.sampled_elements, _fmt(row.sigma), _fmt(row.eps_round),
+            _fmt(row.delta_round), _fmt(row.certified),
+        ])

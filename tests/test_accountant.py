@@ -554,6 +554,20 @@ class TestCalibrateSigma:
         ).delta
         assert at <= 1e-6 < below
 
+    @pytest.mark.parametrize(
+        "scheme", [Scheme.MAIN, Scheme.UPPER_BOUND, Scheme.ONLY_LOCAL]
+    )
+    def test_resolution_in_scenario_a(self, scheme):
+        def delta_at(sigma):
+            pr = params(p=0.001, q=0.1, d=30, sigma=sigma)
+            return delta_for_scheme(scheme, pr, 0.015).delta
+
+        sigma = calibrate_sigma(
+            scheme, p=0.001, q=0.1, d=30, C=1.0,
+            eps_target=0.015, delta_target=1e-6,
+        )
+        assert delta_at(sigma) <= 1e-6 < delta_at(sigma / (1.0 + SIGMA_REL_TOL))
+
     def test_bracket_floor_when_target_is_loose(self):
         # delta_OLS <= q everywhere, so a loose target is met at the floor
         sigma = calibrate_sigma(
@@ -623,6 +637,24 @@ class TestEpsForDelta:
         assert all(a < b for a, b in zip(eps_main_path, eps_main_path[1:]))
         assert ratios[0] == max(ratios)
         assert eps_main_path[-1] / eps_main_path[0] > 1e3
+
+    @pytest.mark.parametrize(
+        "scheme, p, q, d, sigma, delta",
+        [
+            (Scheme.ONLY_LOCAL, 0.34779846438808965, 0.21106188222026984, 3,
+             0.5707481211342424, 1.6296681760548764e-08),
+            (Scheme.UPPER_BOUND, 0.5515718902400736, 0.01567393192662551, 5,
+             0.8136464354095634, 9.063831862910903e-06),
+        ],
+        ids=["ols", "ub"],
+    )
+    def test_exact_hit_meets_resolution(self, scheme, p, q, d, sigma, delta):
+        # the root finder lands exactly on the target at these points, while
+        # the other end of its bracket is still far above the answer
+        pr = params(p=p, q=q, d=d, sigma=sigma)
+        eps = eps_for_delta(scheme, pr, delta)
+        assert delta_for_scheme(scheme, pr, eps).delta <= delta
+        assert delta_for_scheme(scheme, pr, eps - EPS_ABS_TOL).delta > delta
 
     def test_bracket_floor_when_target_is_loose(self):
         pr = params(p=0.1, q=0.01, d=5, sigma=100.0)

@@ -134,6 +134,20 @@ class TestCurve:
         assert float(rows_of(overridden.stdout)[0]["eps"]) == 0.1
 
 
+    def test_certified_column(self):
+        result = runner.invoke(main, [
+            "curve", "--scheme", "main", "--scheme", "ub", "--scheme", "ols",
+            "--scheme", "lb", "--sweep", "sigma", "--from", "-1", "--to", "1",
+            "--points", "2", "--p", "0.1", "--q", "0.1", "--d", "1", "--C", "1",
+            "--eps", "0.1",
+        ])
+        # the sigma=-1 rows failed and certify nothing
+        assert [(r["scheme"], r["certified"]) for r in rows_of(result.stdout)] == [
+            ("main", ""), ("main", "false"), ("ub", ""), ("ub", "true"),
+            ("ols", ""), ("ols", "true"), ("lb", ""), ("lb", "false"),
+        ]
+
+
 class TestCalibrate:
     def test_reference_point(self):
         result = runner.invoke(main, [
@@ -144,7 +158,7 @@ class TestCalibrate:
         assert header_of(result.stdout) == CALIBRATE_HEADER
         row = rows_of(result.stdout)[0]
         assert row["scheme"] == "ub"
-        assert float(row["sigma"]) == pytest.approx(0.8738671427359291, rel=1e-9)
+        assert float(row["sigma"]) == pytest.approx(0.8738670372456214, rel=1e-9)
 
     def test_matches_library_call(self):
         result = runner.invoke(main, [
@@ -156,6 +170,14 @@ class TestCalibrate:
             eps_target=0.5, delta_target=1e-5,
         )
         assert float(rows_of(result.stdout)[0]["sigma"]) == expected
+
+    @pytest.mark.parametrize("scheme, certified", [("main", "false"), ("ols", "true")])
+    def test_certified_column(self, scheme, certified):
+        result = runner.invoke(main, [
+            "calibrate", "--scheme", scheme, "--p", "0.5", "--q", "0.5",
+            "--d", "8", "--C", "1", "--eps", "0.5", "--delta", "1e-5",
+        ])
+        assert rows_of(result.stdout)[0]["certified"] == certified
 
     def test_missing_parameter(self):
         result = runner.invoke(main, [
@@ -251,6 +273,15 @@ class TestSimulate:
         assert float(rows[0]["sigma"]) == expected
         assert rows[0]["eps_round"] == "0.5"
         assert rows[0]["delta_round"] == "1.0000000000000001e-05"
+
+    def test_default_scheme_is_ub(self):
+        targets = ["--eps", "0.5", "--delta", "1e-5"]
+        default = rows_of(runner.invoke(main, self.BASE + targets).stdout)
+        named = rows_of(runner.invoke(main, self.BASE + targets + ["--scheme", "ub"]).stdout)
+        fixed = rows_of(runner.invoke(main, self.BASE + ["--sigma", "1.0"]).stdout)
+        assert default == named
+        assert {r["certified"] for r in default} == {"true"}
+        assert {r["certified"] for r in fixed} == {""}
 
     def test_sigma_conflicts_with_targets(self):
         result = runner.invoke(main, self.BASE + ["--sigma", "1", "--eps", "0.5"])

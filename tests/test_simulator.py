@@ -458,6 +458,24 @@ class TestRunTraining:
         assert all(r.sigma == expected for r in rows)
         assert all(r.eps_round == 0.5 and r.delta_round == 1e-5 for r in rows)
 
+    def test_default_scheme_is_certified(self):
+        # with no scheme named, calibration uses ub, which is a certificate;
+        # main calibrates less noise and is marked uncertified
+        cfg = config(T=2, sigma=None, p=0.5, q=0.5, d=8)
+        targets = dict(eps_per_round=0.5, delta_per_round=1e-5)
+        default = run_training(cfg, Task.LINEAR_REGRESSION, **targets)
+        main = run_training(
+            cfg, Task.LINEAR_REGRESSION, **targets, calibration_scheme=Scheme.MAIN
+        )
+        expected = calibrate_sigma(
+            Scheme.UPPER_BOUND, p=0.5, q=0.5, d=8, C=1.0,
+            eps_target=0.5, delta_target=1e-5,
+        )
+        assert all(r.sigma == expected and r.certified is True for r in default)
+        assert all(r.certified is False for r in main)
+        fixed = run_training(config(T=2, sigma=0.8), Task.LINEAR_REGRESSION)
+        assert all(r.certified is None for r in fixed)
+
     @pytest.mark.parametrize(
         "targets",
         [
