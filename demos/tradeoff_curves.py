@@ -3,8 +3,9 @@
 Holds the product p*q at 1e-4 and slides between the two extremes:
 every client participating with a tiny local rate (q small, p = 1)
 versus rare participation with full local batches (q = 1). The total
-expected work per round is the same at every point; the certified eps
-at a fixed delta is not.
+expected work per round is the same at every point; the eps each scheme
+reports at a fixed delta is not. The certified column marks the schemes
+whose eps bounds the worst case over neighbouring datasets (ub and ols).
 
 Writes a CSV to the path given as the first argument, stdout otherwise.
 """
@@ -15,12 +16,13 @@ import sys
 import numpy as np
 
 from fedamp import Scheme, SweepVariable, sweep
+from fedamp.accountant import CERTIFIED_SCHEMES
 
 PQ = 1e-4
 qs = np.geomspace(PQ, 1.0, 9)
 
 rows = sweep(
-    [Scheme.MAIN, Scheme.ONLY_LOCAL],
+    [Scheme.MAIN, Scheme.UPPER_BOUND, Scheme.ONLY_LOCAL],
     SweepVariable.Q_FIXED_PQ,
     qs,
     pq_product=PQ,
@@ -32,12 +34,15 @@ rows = sweep(
 
 out = open(sys.argv[1], "w", newline="") if len(sys.argv) > 1 else sys.stdout
 writer = csv.writer(out, lineterminator="\n")
-writer.writerow(["scheme", "p", "q", "eps"])
+writer.writerow(["scheme", "p", "q", "eps", "certified"])
 for row in rows:
     if row.error is not None:
         print(f"skipped q={row.q}: {row.error}", file=sys.stderr)
         continue
-    writer.writerow([row.scheme.value, f"{row.p:.6g}", f"{row.q:.6g}", f"{row.eps:.6g}"])
+    certified = str(row.scheme in CERTIFIED_SCHEMES).lower()
+    writer.writerow(
+        [row.scheme.value, f"{row.p:.6g}", f"{row.q:.6g}", f"{row.eps:.6g}", certified]
+    )
 if out is not sys.stdout:
     out.close()
 
@@ -48,5 +53,5 @@ if out is not sys.stdout:
             by_scheme.setdefault(row.scheme.value, []).append(row.eps)
     for name, eps in by_scheme.items():
         print(f"{name}: eps ranges {min(eps):.4g} .. {max(eps):.4g} over the path")
-    print("Both curves favor the p = 1 end: spreading the same sampling")
+    print("Every curve favors the p = 1 end: spreading the same sampling")
     print("budget across everyone beats concentrating it in few clients.")

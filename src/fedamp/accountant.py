@@ -15,11 +15,14 @@ only if its client participates (probability p) and then samples it
 * LowerBound (lb): the subsampled Gaussian bound at probability pq; no
   scheme consistent with the protocol can certify less.
 
-All routines are pure.
+All routines are pure. main_pair is memoized with one entry on its frozen
+inputs, so the closed form and both oracles at one (params, eps) share one
+read-only pair.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -180,6 +183,7 @@ def derive_constants(eps: float, params: SamplingParams) -> AmplificationConstan
     )
 
 
+@functools.lru_cache(maxsize=1)
 def main_pair(
     consts: AmplificationConstants, params: SamplingParams
 ) -> HockeyStickQuery:

@@ -72,15 +72,15 @@ class GaussianMixture1D:
         total = float(weights.sum())
         if total <= 0.0:
             raise DomainError("mixture must carry positive total mass")
-        means = means.copy()
-        weights = weights.copy()
+        self._store(means.copy(), weights.copy(), sigma)
+
+    def _store(self, means: np.ndarray, weights: np.ndarray, sigma: float) -> None:
+        """Set the fields from valid arrays that no one else holds."""
         with np.errstate(divide="ignore"):
             log_weights = np.log(weights)
-        for array in (means, weights, log_weights):
+        for name, array in (("means", means), ("weights", weights), ("log_weights", log_weights)):
             array.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "log_weights", log_weights)
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -109,17 +109,25 @@ def weighted_normal_pdf(
     are exactly 0, so only the summation order changes."""
     out = np.zeros((len(z),) + weights.shape[1:])
     rows = max(1, _BLOCK_ELEMENTS // len(means))
-    band = _BAND_SIGMAS * sigma
     for start in range(0, len(z), rows):
         block = z[start : start + rows]
-        lo, hi = np.searchsorted(means, [block.min() - band, block.max() + band])
-        t = block[:, None] - means[None, lo:hi]
-        t /= sigma
-        t *= t
-        t *= -0.5
-        out[start : start + rows] = np.exp(t, out=t) @ weights[lo:hi]
+        out[start : start + rows] = _band_rows(
+            block[:, None], block.min(), block.max(), means, weights, sigma
+        )
     out /= sigma * SQRT_2PI
     return out
+
+
+def _band_rows(z, z_lo, z_hi, means, weights, sigma):
+    """Unscaled kernel rows at z (a column, or a scalar for one row): the
+    components within 39 sigma of [z_lo, z_hi], through one matmul."""
+    band = _BAND_SIGMAS * sigma
+    lo, hi = np.searchsorted(means, [z_lo - band, z_hi + band])
+    t = z - means[None, lo:hi]
+    t /= sigma
+    t *= t
+    t *= -0.5
+    return np.exp(t, out=t) @ weights[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -159,19 +167,25 @@ class HockeyStickQuery:
         weights = np.zeros((means.size, 2))
         weights[slot[: num.means.size], 0] = num.weights
         weights[slot[num.means.size :], 1] = alpha * den.weights
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "weights", weights)
+        for name, array in (("means", means), ("weights", weights)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def terms(self, z):
         """(num(z), alpha * den(z)), from one density pass over both.
 
         Their difference is the signed integrand; their sum is the local
         magnitude that cancellation noise in the difference scales with.
+        A scalar z takes weighted_normal_pdf's one-row path, without its loop.
         """
-        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        out = weighted_normal_pdf(z_arr, self.means, self.weights, self.numerator.sigma)
+        sigma = self.numerator.sigma
         if np.ndim(z) == 0:
-            return float(out[0, 0]), float(out[0, 1])
+            z = float(z)
+            row = _band_rows(z, z, z, self.means, self.weights, sigma)
+            row /= sigma * SQRT_2PI
+            return float(row[0, 0]), float(row[0, 1])
+        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+        out = weighted_normal_pdf(z_arr, self.means, self.weights, sigma)
         return out[:, 0], out[:, 1]
 
     def signed(self, z):
@@ -273,11 +287,17 @@ def round_mixtures(
     w_i is the Binom(d, q) probability that i of its d other elements are
     sampled. Weights below 1e-300 are dropped and the rest renormalized.
     Every branch sits on the lattice kC, so equal means coincide exactly;
-    zero-weight lattice points are removed.
+    zero-weight lattice points are removed. GaussianMixture1D's checks are
+    skipped: given finite nonnegative triples and a finite top lattice
+    point, sorted means and finite positive weights hold by construction.
     """
     idx, logw = binomial_log_weights(params.d, params.q)
     w = np.exp(logw)
     w = w / w.sum()
+    if not math.isfinite(float(idx[-1] + 1) * params.C):
+        raise DomainError("mixture components must be finite")
+    if not all(math.isfinite(sum(t)) and min(t) >= 0.0 for t in branch_weights):
+        raise DomainError(f"branch weights must be finite and nonnegative: {branch_weights}")
     means = np.arange(idx[-1] + 2) * params.C
     mixtures = []
     for absent, unsampled, sampled in branch_weights:
@@ -286,7 +306,11 @@ def round_mixtures(
         weights[idx] += unsampled * w
         weights[idx + 1] += sampled * w
         keep = weights != 0.0
-        mixtures.append(GaussianMixture1D(means[keep], weights[keep], params.sigma))
+        if not keep.any():
+            raise DomainError("mixture needs at least one nonzero component")
+        mixture = object.__new__(GaussianMixture1D)
+        mixture._store(means[keep], weights[keep], params.sigma)
+        mixtures.append(mixture)
     return tuple(mixtures)
 
 

@@ -262,10 +262,11 @@ def integrate_adaptive(
 
     edges = [lo, hi]
     if break_points is not None:
-        for point in break_points:
-            point = _require_finite("break point", point)
-            if lo < point < hi:
-                edges.append(point)
+        points = np.asarray(break_points, dtype=float)
+        finite = np.isfinite(points)
+        if not finite.all():
+            _require_finite("break point", points[~finite][0])
+        edges += points[(lo < points) & (points < hi)].tolist()
     edges = sorted(set(edges))
 
     lows = np.array(edges[:-1])

@@ -768,3 +768,51 @@ class TestSweep:
                 [Scheme.MAIN], SweepVariable.Q_FIXED_PQ, [0.1],
                 d=1, C=1.0, sigma=1.0, eps=0.1,  # missing pq_product
             )
+
+
+class TestSharedMainPair:
+    """main_pair keeps one pair: the closed form and both oracles at one
+    (params, eps) read the same read-only object."""
+
+    def test_same_object_for_equal_arguments(self):
+        pr = params(p=0.1, q=0.1, d=30, sigma=2.0)
+        pair = main_pair(derive_constants(0.5, pr), pr)
+        again = params(p=0.1, q=0.1, d=30, sigma=2.0)
+        assert main_pair(derive_constants(0.5, again), again) is pair
+        assert main_pair(derive_constants(0.1, pr), pr) is not pair
+        other = params(p=0.1, q=0.1, d=31, sigma=2.0)
+        assert main_pair(derive_constants(0.5, other), other) is not pair
+
+    def test_pair_is_read_only(self):
+        pr = params(p=0.1, q=0.1, d=30, sigma=2.0)
+        pair = main_pair(derive_constants(0.5, pr), pr)
+        with pytest.raises(ValueError):
+            pair.means[0] = 1.0
+        with pytest.raises(ValueError):
+            pair.weights[:, 1] = 0.0
+        for mixture in (pair.numerator, pair.denominator):
+            for array in (mixture.means, mixture.weights, mixture.log_weights):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
+    def test_results_do_not_depend_on_the_cache(self):
+        grid = list(
+            itertools.product(
+                VERIFY_GRID_P, VERIFY_GRID_Q, (1, 10, 30, 100), VERIFY_GRID_SIGMA, VERIFY_GRID_EPS
+            )
+        )
+        picks = np.random.default_rng(21).choice(len(grid), size=16, replace=False)
+        for i in picks:
+            p, q, d, sigma, eps = grid[i]
+            pr = params(p, q, d, 1.0, sigma)
+            routes = (
+                lambda: delta_main(pr, eps).delta,
+                lambda: delta_main_quadrature(pr, eps),
+                lambda: count_integrand_sign_changes(pr, eps),
+            )
+            shared = [route() for route in routes]
+            fresh = []
+            for route in routes:
+                main_pair.cache_clear()
+                fresh.append(route())
+            assert shared == fresh, grid[i]

@@ -1,10 +1,18 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from fedamp.accountant import SamplingParams
+from fedamp.accountant import SamplingParams, derive_constants, main_pair
+from fedamp.cli import (
+    VERIFY_GRID_D,
+    VERIFY_GRID_EPS,
+    VERIFY_GRID_P,
+    VERIFY_GRID_Q,
+    VERIFY_GRID_SIGMA,
+)
 from fedamp.divergence import (
     _BLOCK_ELEMENTS,
     DEFAULT_ABS_TOL,
@@ -404,3 +412,118 @@ class TestWorstCasePair:
         xi, xi_prime = worst_case_pair(SamplingParams(p=0.1, q=0.1, d=30, C=C, sigma=1.0))
         np.testing.assert_array_equal(xi.means, np.arange(32) * C)
         np.testing.assert_array_equal(xi_prime.means, np.arange(31) * C)
+
+
+def verify_grid_sample(count, seed):
+    """count (params, eps) points drawn from fedamp verify's built-in grid."""
+    grid = list(
+        itertools.product(
+            VERIFY_GRID_P, VERIFY_GRID_Q, VERIFY_GRID_D, VERIFY_GRID_SIGMA, VERIFY_GRID_EPS
+        )
+    )
+    picks = np.random.default_rng(seed).choice(len(grid), size=count, replace=False)
+    return [
+        (SamplingParams(p=p, q=q, d=d, C=1.0, sigma=sigma), eps)
+        for p, q, d, sigma, eps in (grid[i] for i in sorted(picks))
+    ]
+
+
+class TestScalarTerms:
+    """A scalar z takes its own one-row kernel path; it must return the
+    floats of the array path on a one-element array, bit for bit."""
+
+    @staticmethod
+    def probe_points(query):
+        means, sigma = query.means, query.numerator.sigma
+        band = 39.0 * sigma
+        picks = {means[0], means[len(means) // 2], means[-1]}
+        z = [0.0, 0.5 * (means[0] + means[-1])]
+        for m in picks:
+            for edge in (m - band, m + band):
+                z += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+        # every term underflows to 0 this far out
+        z += [means[0] - 100.0 * sigma, means[-1] + 100.0 * sigma]
+        return [float(v) for v in z]
+
+    def assert_scalar_matches_array(self, query):
+        underflows = 0
+        for z in self.probe_points(query):
+            a, b = query.terms(z)
+            want_a, want_b = query.terms(np.array([z]))
+            assert isinstance(a, float) and isinstance(b, float)
+            assert (a.hex(), b.hex()) == (float(want_a[0]).hex(), float(want_b[0]).hex()), z
+            assert query.signed(z) == float(want_a[0] - want_b[0])
+            underflows += a == 0.0 and b == 0.0
+        assert underflows >= 2
+
+    def test_main_and_worst_case_pairs_on_verify_points(self):
+        for pr, eps in verify_grid_sample(40, seed=13):
+            self.assert_scalar_matches_array(main_pair(derive_constants(eps, pr), pr))
+            xi, xi_prime = worst_case_pair(pr)
+            self.assert_scalar_matches_array(HockeyStickQuery(math.exp(eps), xi, xi_prime))
+
+    def test_seeded_ajc_pairs(self):
+        for mu0, mu1, mu1p, gamma, alpha in seeded_ajc_triples(50):
+            self.assert_scalar_matches_array(HockeyStickQuery(alpha, mu1, mu1p))
+            self.assert_scalar_matches_array(
+                HockeyStickQuery(
+                    1.0 + gamma * (alpha - 1.0),
+                    mix([(1.0 - gamma, mu0), (gamma, mu1)]),
+                    mix([(1.0 - gamma, mu0), (gamma, mu1p)]),
+                )
+            )
+
+    def test_numpy_scalar_z(self):
+        query = TestDensityKernel.lattice_query(5, 0.4, 0.7)
+        for z in (np.float64(2.5), np.array(2.5), 2):
+            assert query.terms(z) == query.terms(float(z))
+
+    def test_pair_arrays_read_only(self):
+        query = TestDensityKernel.lattice_query(5, 0.4, 0.7)
+        with pytest.raises(ValueError):
+            query.means[0] = 1.0
+        with pytest.raises(ValueError):
+            query.weights[0, 0] = 1.0
+
+
+class TestRoundMixturesUnchecked:
+    """round_mixtures skips GaussianMixture1D's checks; what it builds must
+    equal the validated mixture of the same arrays."""
+
+    @staticmethod
+    def assert_equals_validated(mixture):
+        checked = GaussianMixture1D(mixture.means, mixture.weights, mixture.sigma)
+        for name in ("means", "weights", "log_weights"):
+            got, want = getattr(mixture, name), getattr(checked, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+        assert type(mixture.sigma) is float and mixture.sigma == checked.sigma
+
+    @pytest.mark.parametrize(
+        "p, q, d",
+        [(0.3, 0.2, 0), (0.3, 1.0, 12), (0.3, 0.2, 30), (1.0, 0.5, 100), (0.1, 0.01, 10**5)],
+    )
+    def test_matches_validated_mixture(self, p, q, d):
+        pr = SamplingParams(p=p, q=q, d=d, C=0.7, sigma=1.3)
+        triples = [
+            (1.0 - p, p * (1.0 - q), p * q),
+            (1.0 - p, p, 0.0),
+            (0.0, 0.0, 1.0),
+            (0.25, 0.75, 0.0),
+            (1.0, 0.0, 0.0),
+        ]
+        mixtures = round_mixtures(pr, *triples)
+        assert len(mixtures) == len(triples)
+        for mixture in mixtures:
+            self.assert_equals_validated(mixture)
+        if d == 10**5:
+            # the binomial tails fall below the weight floor and are dropped
+            assert mixtures[2].means.size < d + 1
+
+    def test_bad_branch_weights_fail_closed(self):
+        pr = SamplingParams(p=0.3, q=0.2, d=5, C=1.0, sigma=1.0)
+        for triple in [(-0.1, 0.6, 0.5), (math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0), (0.0, 0.0, 0.0)]:
+            with pytest.raises(DomainError):
+                round_mixtures(pr, triple)
+        with pytest.raises(DomainError):
+            round_mixtures(SamplingParams(p=0.3, q=0.2, d=5, C=1e308, sigma=1.0), (0.0, 0.0, 1.0))

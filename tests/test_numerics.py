@@ -169,3 +169,51 @@ class TestIntegrateAdaptive:
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
             integrate_adaptive(lambda z: 1.0, 0.0, 1.0, abs_tol=0.0)
+
+
+class TestBreakPoints:
+    """integrate_adaptive checks and filters its break points as one array;
+    the edges must be the floats the per-point loop gave."""
+
+    @staticmethod
+    def first_batch(lo, hi, break_points):
+        seen = []
+
+        def f(z):
+            seen.append(z.copy())
+            return np.zeros_like(z)
+
+        integrate_adaptive(f, lo, hi, break_points=break_points)
+        return seen[0]
+
+    @staticmethod
+    def reference_batch(lo, hi, break_points):
+        from fedamp.numerics import _GK_NODES
+
+        edges = [lo, hi] + [float(x) for x in break_points if lo < float(x) < hi]
+        edges = np.array(sorted(set(edges)))
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        half_widths = 0.5 * (edges[1:] - edges[:-1])
+        return (centers[:, None] + half_widths[:, None] * _GK_NODES[None, :]).reshape(-1)
+
+    @pytest.mark.parametrize(
+        "break_points",
+        [
+            [],
+            [0.5, 0.25, 0.5, 0.75],
+            [-1.0, 0.0, 1.0, 2.0, 0.3],  # outside and at the ends
+            [-0.0, 0.0, 1e-300, 1.0 - 1e-16],
+            np.array([0.9, 0.1, 0.4]),
+            [1, 0, 2],  # integers, in a wider interval below
+        ],
+    )
+    def test_edges_match_per_point_loop(self, break_points):
+        lo, hi = (-1.0, 3.0) if list(break_points) == [1, 0, 2] else (0.0, 1.0)
+        got = self.first_batch(lo, hi, break_points)
+        want = self.reference_batch(lo, hi, break_points)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(DomainError, match=f"break point must be finite, got {bad!r}"):
+            integrate_adaptive(lambda z: z, 0.0, 1.0, break_points=[0.5, bad, 2.0])
