@@ -367,11 +367,11 @@ def _invert_monotone(
     """Smallest x in the bracket with delta_at(x) <= delta_target, for delta
     nonincreasing in x. The endpoints are checked at the raw bracket values;
     between them, Brent's method solves delta_at(from_coord(u)) = delta_target
-    in u = to_coord(x). The answer is the upper end of Brent's final bracket,
-    the side where delta <= target, or the root itself when its residual is
-    exactly 0: an exact hit stops Brent before the other end closes in.
-    Raises CalibrationError if the endpoints are not ordered or the target
-    is unreachable at the top."""
+    in u = to_coord(x), reusing an endpoint's delta where from_coord(u) is it.
+    The answer is the upper end of Brent's final bracket, the side where
+    delta <= target, or the root at an exact hit (residual 0), which stops
+    Brent before the other end closes in. Raises CalibrationError if the
+    endpoints are not ordered or the target is unreachable at the top."""
     lo, hi = bracket
     delta_lo = delta_at(lo)
     delta_hi = delta_at(hi)
@@ -387,9 +387,13 @@ def _invert_monotone(
         )
     if delta_lo <= delta_target:
         return lo
-    result = find_root_bracketed(
-        lambda u: delta_at(from_coord(u)) - delta_target, to_coord(lo), to_coord(hi)
-    )
+    known = {lo: delta_lo, hi: delta_hi}
+
+    def residual(u: float) -> float:
+        x = from_coord(u)
+        return (known[x] if x in known else delta_at(x)) - delta_target
+
+    result = find_root_bracketed(residual, to_coord(lo), to_coord(hi))
     if result.residual == 0.0:
         return from_coord(result.root)
     return from_coord(result.bracket[1])

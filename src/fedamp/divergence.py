@@ -36,6 +36,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK_ELEMENTS = 1 << 15
 # exp(-t * t / 2) underflows to exactly 0.0 once |t| exceeds 38.6.
 _BAND_SIGMAS = 39.0
+_LOG_DBL_MIN = math.log(np.finfo(float).tiny)  # -708.40; exp is subnormal or 0 below
+_FLUSH_SIGMAS = math.sqrt(-2.0 * _LOG_DBL_MIN)  # 37.64; so is exp(-t * t / 2) beyond
+_FLUSH_FLOOR = 2.0**-900  # flushed rows below this times their weight sum are redone
 
 
 @dataclass(frozen=True)
@@ -104,9 +107,9 @@ def weighted_normal_pdf(
 
     means must increase; weights of shape (k,) or (k, m) give a result of
     shape (n,) or (n, m), one exp pass for m mixtures on shared means. z, in
-    any order, goes in blocks of at most _BLOCK_ELEMENTS terms, each summing
-    only the components within 39 sigma of its z range; the terms left out
-    are exactly 0, so only the summation order changes."""
+    any order, goes in blocks of at most _BLOCK_ELEMENTS terms over the
+    components within 39 sigma (the rest are exactly 0); _band_rows flushes
+    in-band terms below 2^-1022 only where they cannot move a rounded row."""
     out = np.zeros((len(z),) + weights.shape[1:])
     rows = max(1, _BLOCK_ELEMENTS // len(means))
     for start in range(0, len(z), rows):
@@ -120,14 +123,32 @@ def weighted_normal_pdf(
 
 def _band_rows(z, z_lo, z_hi, means, weights, sigma):
     """Unscaled kernel rows at z (a column, or a scalar for one row): the
-    components within 39 sigma of [z_lo, z_hi], through one matmul."""
+    components within 39 sigma of [z_lo, z_hi], through one matmul.
+
+    exp and the matmul are up to 100x slower on subnormals. Blocks of 2+
+    rows (one row has too few such lanes to gain) with a lane past
+    _FLUSH_SIGMAS set lanes with exponents below _LOG_DBL_MIN to 0 before
+    and after exp. A row's flushed terms sum to under 2^-1022 of its band
+    weight sum, 2^-122 of a row at _FLUSH_FLOOR, far below half its last
+    bit. Rows below the floor in either column are redone exactly, unflushed."""
     band = _BAND_SIGMAS * sigma
     lo, hi = np.searchsorted(means, [z_lo - band, z_hi + band])
-    t = z - means[None, lo:hi]
+    means, weights = means[lo:hi], weights[lo:hi]
+    t = z - means[None, :]
     t /= sigma
     t *= t
     t *= -0.5
-    return np.exp(t, out=t) @ weights[lo:hi]
+    reach = _FLUSH_SIGMAS * sigma
+    if len(t) == 1 or lo == hi or max(z_hi - means[0], means[-1] - z_lo) <= reach:
+        return np.exp(t, out=t) @ weights
+    far = t < _LOG_DBL_MIN
+    np.copyto(t, 0.0, where=far)
+    np.copyto(np.exp(t, out=t), 0.0, where=far)
+    rows = t @ weights
+    low = (rows < _FLUSH_FLOOR * weights.sum(axis=0)).reshape(len(rows), -1).any(axis=1)
+    if low.any():
+        rows[low] = (np.exp(-0.5 * ((z - means[None, :]) / sigma) ** 2) @ weights)[low]
+    return rows
 
 
 @dataclass(frozen=True)

@@ -656,6 +656,23 @@ class TestEpsForDelta:
         assert delta_for_scheme(scheme, pr, eps).delta <= delta
         assert delta_for_scheme(scheme, pr, eps - EPS_ABS_TOL).delta > delta
 
+    @pytest.mark.parametrize("scheme", [Scheme.MAIN, Scheme.UPPER_BOUND])
+    def test_each_eps_evaluated_once(self, monkeypatch, scheme):
+        # eps is its own root-finding coordinate, so Brent's first two
+        # residuals reuse the bracket ends' deltas from the endpoint checks
+        seen = []
+
+        def counting(s, pr, eps):
+            seen.append(eps)
+            return delta_for_scheme(s, pr, eps)
+
+        monkeypatch.setattr(accountant, "delta_for_scheme", counting)
+        pr = params(p=0.1, q=0.1, d=5, sigma=2.0)
+        eps = eps_for_delta(scheme, pr, 1e-5)
+        assert seen[:2] == list(EPS_BRACKET)
+        assert len(seen) == len(set(seen)) > 2
+        assert delta_for_scheme(scheme, pr, eps).delta <= 1e-5
+
     def test_bracket_floor_when_target_is_loose(self):
         pr = params(p=0.1, q=0.01, d=5, sigma=100.0)
         assert eps_for_delta(Scheme.ONLY_LOCAL, pr, 1e-4) == EPS_BRACKET[0] == 0.0

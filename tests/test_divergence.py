@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fedamp import divergence
 from fedamp.accountant import SamplingParams, derive_constants, main_pair
 from fedamp.cli import (
     VERIFY_GRID_D,
@@ -14,8 +15,10 @@ from fedamp.cli import (
     VERIFY_GRID_SIGMA,
 )
 from fedamp.divergence import (
+    _BAND_SIGMAS,
     _BLOCK_ELEMENTS,
     DEFAULT_ABS_TOL,
+    SQRT_2PI,
     GaussianMixture1D,
     HockeyStickQuery,
     ajc_decompose,
@@ -271,8 +274,11 @@ def reference_terms(query: HockeyStickQuery, z: float) -> tuple[float, float]:
 class TestDensityKernel:
     """HockeyStickQuery.terms against a plain-loop reference.
 
-    The kernel sums blocks of z over a band of components; terms it leaves
-    out are exactly 0, so it must agree with the full sum to rounding.
+    The kernel sums blocks of z over a band of components; the terms it
+    leaves out are exactly 0, and the in-band terms it flushes (below
+    2^-1022) are too small to move a row above its floor, so it must agree
+    with the full sum to rounding. TestSubnormalFlush checks the flush bit
+    for bit.
     """
 
     @staticmethod
@@ -319,6 +325,82 @@ class TestDensityKernel:
         den = GaussianMixture1D(np.array([-1.0, 1.0]), np.array([0.1, 0.4]), 0.4)
         query = HockeyStickQuery(1.5, num, den)
         self.assert_matches_reference(query, np.linspace(-6.0, 9.0, 301))
+
+
+def unflushed_band_rows(z, z_lo, z_hi, means, weights, sigma, exponent_floor):
+    """The band kernel with every in-band lane through exp and the matmul,
+    subnormal results included. Appends the lowest exponent of each block
+    of two or more rows to exponent_floor."""
+    band = _BAND_SIGMAS * sigma
+    lo, hi = np.searchsorted(means, [z_lo - band, z_hi + band])
+    t = z - means[None, lo:hi]
+    t /= sigma
+    t *= t
+    t *= -0.5
+    if len(t) > 1 and t.size:
+        exponent_floor.append(float(t.min()))
+    return np.exp(t, out=t) @ weights[lo:hi]
+
+
+class TestSubnormalFlush:
+    """_band_rows flushes in-band lanes whose exp would be subnormal; every
+    output must stay bit-identical to the kernel that runs them through."""
+
+    @staticmethod
+    def outputs(query):
+        sigma = query.numerator.sigma
+        pad = 12.0 * sigma
+        z = np.linspace(query.means[0] - pad, query.means[-1] + pad, 2048)
+        scalars = [query.terms(float(zi)) for zi in z[::97].tolist()]
+        a, b = query.terms(z)
+        values = [x for pair in scalars for x in pair] + a.tolist() + b.tolist()
+        values.append(hockey_stick(query))
+        return [float(x).hex() for x in values]
+
+    @staticmethod
+    def far_query(kind, sigma):
+        if kind == "separated":  # the pair of test_clamped_to_unit_interval
+            return HockeyStickQuery(
+                1.0, single_gaussian(50.0, sigma), single_gaussian(0.0, sigma)
+            )
+        pr = SamplingParams(p=0.1, q=0.1, d=100, C=1.0, sigma=sigma)
+        if kind == "main":
+            return main_pair(derive_constants(0.5, pr), pr)
+        return HockeyStickQuery(math.exp(0.5), *worst_case_pair(pr))
+
+    @pytest.mark.parametrize(
+        "kind, sigma",
+        [("main", 0.5), ("main", 1.0), ("worst", 0.5), ("worst", 1.0), ("separated", 0.1)],
+    )
+    def test_bit_identical_to_unflushed_kernel(self, monkeypatch, kind, sigma):
+        query = self.far_query(kind, sigma)
+        shipped = self.outputs(query)
+        exponent_floor = []
+
+        def reference(*args):
+            return unflushed_band_rows(*args, exponent_floor)
+
+        monkeypatch.setattr(divergence, "_band_rows", reference)
+        assert self.outputs(query) == shipped
+        # the reference ran blocks with lanes whose exp is subnormal or 0,
+        # the blocks that the shipped kernel flushes
+        assert min(exponent_floor) < divergence._LOG_DBL_MIN
+
+    def test_rows_below_floor_keep_subnormal_terms(self):
+        # at z = 38.2 the mean-0 lane is flushed and its column falls below
+        # the floor, so that row comes from the unflushed pass: exp(-729.62)
+        num = single_gaussian(0.0, 1.0)
+        query = HockeyStickQuery(1.0, num, single_gaussian(1.0, 1.0))
+        z = np.array([0.0, 38.2])
+        want = unflushed_band_rows(z[:, None], 0.0, 38.2, query.means, query.weights, 1.0, [])
+        want /= SQRT_2PI
+        a, b = query.terms(z)
+        assert 0.0 < a[1] < np.finfo(float).tiny < b[1]
+        assert np.column_stack([a, b]).tolist() == want.tolist()
+        assert query.terms(38.2) == tuple(want[1].tolist())
+        # one mixture (1-d weights) takes the same path
+        pdf = weighted_normal_pdf(z, num.means, num.weights, num.sigma)
+        assert pdf.tolist() == a.tolist()
 
 
 class TestAjcIdentity:
