@@ -1,6 +1,13 @@
 """Command line surface emitting CSV for curves, calibration, verification
 and simulation. No plotting; every figure is two columns away from any
-plotting tool."""
+plotting tool.
+
+Each option is declared once, in its click decorator. `--config` reads a
+manifest whose keys become click's defaults for the value options whose
+flags they name, so manifest values are cast and validated like flags and
+a flag on the command line still wins. The rules between grid flags are
+`accountant.sweep`'s own; the CLI adds only that a command-line flag for a
+value the sweep supplies is a conflict."""
 
 from __future__ import annotations
 
@@ -11,6 +18,7 @@ from contextlib import contextmanager
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .accountant import (
     CERTIFIED_SCHEMES,
@@ -29,6 +37,7 @@ from .accountant import (
     sweep,
 )
 from .divergence import ajc_decompose, seeded_ajc_triples
+from .numerics import DomainError
 from .simulator import (
     SimConfig,
     Task,
@@ -63,11 +72,9 @@ VERIFY_GRID_D = (1, 10, 30, 100)
 VERIFY_GRID_SIGMA = (0.5, 1.0, 2.0, 5.0)
 VERIFY_GRID_EPS = (0.015, 0.1, 0.5, 1.0)
 
-_SCHEMES = {
-    s.value: s
-    for s in (Scheme.MAIN, Scheme.ONLY_LOCAL, Scheme.UPPER_BOUND, Scheme.LOWER_BOUND)
-}
-_SWEEPS = {v.value: v for v in SweepVariable}
+_SCHEME_CHOICE = click.Choice(
+    sorted(s.value for s in Scheme if s is not Scheme.GAUSSIAN_MECHANISM)
+)
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -91,50 +98,30 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-class _Options:
-    """One view of flags merged over a config file. Flags win."""
-
-    def __init__(self, cli: dict, config_path: str | None):
-        self.cli = cli
-        self.file = _read_config(config_path) if config_path else {}
-
-    def get(self, key: str, cast, default=None):
-        value = self.cli.get(key)
-        if value is not None and value != ():
-            return value
-        if key in self.file:
-            raw = self.file[key]
-            try:
-                return cast(raw)
-            except (TypeError, ValueError) as exc:
-                raise click.UsageError(f"config value {key}={raw!r}: {exc}")
-        return default
-
-    def require(self, key: str, cast):
-        value = self.get(key, cast)
-        if value is None:
-            raise click.UsageError(f"missing --{key}")
-        return value
-
-    def forbid_flag(self, key: str, reason: str) -> None:
-        # Only command line flags conflict; a manifest may carry keys that
-        # some invocations ignore.
-        value = self.cli.get(key)
-        if value is not None and value != ():
-            raise click.UsageError(f"--{key} conflicts with {reason}")
+def _apply_config(ctx: click.Context, param, path: str | None) -> None:
+    """Make each manifest key the default of the value option whose flag it
+    names. `--out`, flags such as `--ajc` and unknown keys are ignored; a
+    multiple option splits its value on commas and spaces."""
+    if path is None:
+        return
+    options = {
+        opt.opts[0][2:]: opt
+        for opt in ctx.command.params
+        if opt.expose_value and not opt.is_flag and opt.name != "out_path"
+    }
+    ctx.default_map = {
+        options[key].name: raw.replace(",", " ").split() if options[key].multiple else raw
+        for key, raw in _read_config(path).items()
+        if key in options
+    }
 
 
-def _parse_schemes(raw: str) -> tuple[str, ...]:
-    return tuple(s for s in raw.replace(",", " ").split() if s)
-
-
-def _to_schemes(names) -> list[Scheme]:
-    out = []
-    for name in names:
-        if name not in _SCHEMES:
-            raise click.UsageError(f"unknown scheme {name!r}")
-        out.append(_SCHEMES[name])
-    return out
+def _io_flags(fn):
+    fn = click.option("--out", "out_path", type=click.Path(dir_okay=False))(fn)
+    return click.option(
+        "--config", type=click.Path(exists=True, dir_okay=False),
+        is_eager=True, expose_value=False, callback=_apply_config,
+    )(fn)
 
 
 @contextmanager
@@ -156,19 +143,21 @@ def main():
 
 
 _GRID_FLAGS = [
-    click.option("--sweep", "sweep_name", type=click.Choice(sorted(_SWEEPS)), default=None),
-    click.option("--from", "start", type=float, default=None),
-    click.option("--to", "stop", type=float, default=None),
-    click.option("--points", type=int, default=None),
-    click.option("--p", type=float, default=None),
-    click.option("--q", type=float, default=None),
-    click.option("--d", type=int, default=None),
-    click.option("--C", "cap", type=float, default=None),
-    click.option("--sigma", type=float, default=None),
-    click.option("--eps", type=float, default=None),
-    click.option("--delta", type=float, default=None),
-    click.option("--pq", type=float, default=None, help="fixed p*q product for the q-fixed-pq sweep"),
+    click.option("--sweep", "sweep_name", type=click.Choice(sorted(v.value for v in SweepVariable))),
+    click.option("--from", "start", type=float),
+    click.option("--to", "stop", type=float),
+    click.option("--points", type=click.IntRange(min=1)),
+    click.option("--p", type=float),
+    click.option("--q", type=float),
+    click.option("--d", type=int),
+    click.option("--C", "C", type=float),
+    click.option("--sigma", type=float),
+    click.option("--eps", type=float),
+    click.option("--delta", type=float),
+    click.option("--pq", "pq_product", type=float, help="fixed p*q product for the q-fixed-pq sweep"),
 ]
+# Grid values every sweep needs unless it supplies them itself.
+_GRID_NEEDED = {"start", "stop", "points", "p", "q", "d", "C", "sigma"}
 
 
 def _grid_flags(fn):
@@ -177,74 +166,43 @@ def _grid_flags(fn):
     return fn
 
 
-def _collect_sweep_spec(opts: _Options):
-    """Validate grid flags for one sweep and return (variable, values, fixed)."""
-    sweep_name = opts.require("sweep", str)
-    if sweep_name not in _SWEEPS:
-        raise click.UsageError(f"unknown sweep {sweep_name!r}")
-    variable = _SWEEPS[sweep_name]
-    start = opts.require("from", float)
-    stop = opts.require("to", float)
-    points = opts.require("points", int)
-    if points < 1:
-        raise click.UsageError("--points must be at least 1")
-
-    fixed: dict = {"C": opts.require("C", float)}
-    opts.forbid_flag(variable.parameter, f"--sweep {sweep_name}")
-
+def _grid_sweep(schemes, sweep_name, start, stop, points, **fixed):
+    """Run `sweep` over the grid flags. A command-line flag for a value the
+    sweep supplies is a usage error; a manifest key for one is ignored."""
+    if sweep_name is None:
+        raise click.UsageError("missing --sweep")
+    ctx = click.get_current_context()
+    variable = SweepVariable(sweep_name)
+    supplied = {variable.parameter}
     if variable in (SweepVariable.EPS, SweepVariable.DELTA):
-        opts.forbid_flag("eps" if variable is SweepVariable.DELTA else "delta",
-                         f"--sweep {sweep_name}")
-        fixed["sigma"] = opts.require("sigma", float)
-    else:
-        eps = opts.get("eps", float)
-        delta = opts.get("delta", float)
-        if (eps is None) == (delta is None):
-            raise click.UsageError(
-                f"--sweep {sweep_name} needs exactly one of --eps/--delta"
-            )
-        fixed["eps"] = eps
-        fixed["delta"] = delta
-        if variable is not SweepVariable.SIGMA:
-            fixed["sigma"] = opts.require("sigma", float)
+        supplied |= {"eps", "delta"}
+    elif variable is SweepVariable.Q_FIXED_PQ:
+        supplied.add("p")
+    for param in ctx.command.params:
+        if param.name in supplied:
+            if ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
+                raise click.UsageError(f"{param.opts[0]} conflicts with --sweep {sweep_name}")
+            fixed[param.name] = None
+        elif param.name in _GRID_NEEDED and ctx.params[param.name] is None:
+            raise click.UsageError(f"missing {param.opts[0]}")
 
-    if variable is SweepVariable.Q_FIXED_PQ:
-        opts.forbid_flag("p", "--sweep q-fixed-pq (p is derived from --pq)")
-        fixed["pq_product"] = opts.require("pq", float)
-    else:
-        fixed["p"] = opts.require("p", float)
-        fixed["q"] = opts.require("q", float)
-    if variable is not SweepVariable.D:
-        fixed["d"] = opts.require("d", int)
-
-    values = np.linspace(start, stop, points)
-    if variable is SweepVariable.D:
-        values = [float(int(round(v))) for v in values]
-    else:
-        values = [float(v) for v in values]
-    return variable, values, fixed
+    values = [
+        float(int(round(v))) if variable is SweepVariable.D else float(v)
+        for v in np.linspace(start, stop, points)
+    ]
+    try:
+        return sweep(schemes, variable, values, **fixed)
+    except DomainError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 @main.command()
-@click.option("--scheme", "scheme_names", multiple=True, type=click.Choice(sorted(_SCHEMES)))
+@click.option("--scheme", "scheme_names", multiple=True, required=True, type=_SCHEME_CHOICE)
 @_grid_flags
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def curve(scheme_names, sweep_name, start, stop, points, p, q, d, cap, sigma,
-          eps, delta, pq, config_path, out_path):
+@_io_flags
+def curve(scheme_names, out_path, **grid):
     """Tradeoff curves over one swept variable, one CSV row per point."""
-    opts = _Options(
-        {"scheme": scheme_names, "sweep": sweep_name, "from": start, "to": stop,
-         "points": points, "p": p, "q": q, "d": d, "C": cap, "sigma": sigma,
-         "eps": eps, "delta": delta, "pq": pq},
-        config_path,
-    )
-    schemes = _to_schemes(opts.get("scheme", _parse_schemes) or ())
-    if not schemes:
-        raise click.UsageError("at least one --scheme is required")
-    variable, values, fixed = _collect_sweep_spec(opts)
-
-    rows = sweep(schemes, variable, values, **fixed)
+    rows = _grid_sweep([Scheme(name) for name in scheme_names], **grid)
     failures = sum(1 for row in rows if row.error is not None)
     with _open_out(out_path) as stream:
         writer = _writer(stream)
@@ -262,37 +220,23 @@ def curve(scheme_names, sweep_name, start, stop, points, p, q, d, cap, sigma,
 
 
 @main.command()
-@click.option("--scheme", "scheme_name", type=click.Choice(sorted(_SCHEMES)), default=None)
-@click.option("--p", type=float, default=None)
-@click.option("--q", type=float, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--C", "cap", type=float, default=None)
-@click.option("--eps", type=float, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--sigma-cap", type=float, default=None,
-              help="upper end of the sigma search bracket")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def calibrate(scheme_name, p, q, d, cap, eps, delta, sigma_cap, config_path, out_path):
+@click.option("--scheme", "scheme_name", required=True, type=_SCHEME_CHOICE)
+@click.option("--p", type=float, required=True)
+@click.option("--q", type=float, required=True)
+@click.option("--d", type=int, required=True)
+@click.option("--C", "C", type=float, required=True)
+@click.option("--eps", type=float, required=True)
+@click.option("--delta", type=float, required=True)
+@click.option("--sigma-cap", type=float, help="upper end of the sigma search bracket")
+@_io_flags
+def calibrate(scheme_name, p, q, d, C, eps, delta, sigma_cap, out_path):
     """Smallest sigma meeting a per-round (eps, delta) target."""
-    opts = _Options(
-        {"scheme": scheme_name, "p": p, "q": q, "d": d, "C": cap,
-         "eps": eps, "delta": delta, "sigma-cap": sigma_cap},
-        config_path,
-    )
-    scheme = _to_schemes([opts.require("scheme", str)])[0]
-    p_v = opts.require("p", float)
-    q_v = opts.require("q", float)
-    d_v = opts.require("d", int)
-    c_v = opts.require("C", float)
-    eps_v = opts.require("eps", float)
-    delta_v = opts.require("delta", float)
-    cap_v = opts.get("sigma-cap", float)
-    bracket = SIGMA_BRACKET if cap_v is None else (SIGMA_BRACKET[0], cap_v)
+    scheme = Scheme(scheme_name)
+    bracket = SIGMA_BRACKET if sigma_cap is None else (SIGMA_BRACKET[0], sigma_cap)
     try:
-        sigma_v = calibrate_sigma(
-            scheme, p=p_v, q=q_v, d=d_v, C=c_v,
-            eps_target=eps_v, delta_target=delta_v,
+        sigma = calibrate_sigma(
+            scheme, p=p, q=q, d=d, C=C,
+            eps_target=eps, delta_target=delta,
             sigma_bracket=bracket,
         )
     except CalibrationError as exc:
@@ -301,10 +245,8 @@ def calibrate(scheme_name, p, q, d, cap, eps, delta, sigma_cap, config_path, out
     with _open_out(out_path) as stream:
         writer = _writer(stream)
         writer.writerow(CALIBRATE_HEADER)
-        writer.writerow([
-            scheme.value, _fmt(p_v), _fmt(q_v), _fmt(d_v), _fmt(c_v),
-            _fmt(eps_v), _fmt(delta_v), _fmt(sigma_v),
-            _fmt(scheme in CERTIFIED_SCHEMES),
+        writer.writerow([scheme.value] + [
+            _fmt(v) for v in (p, q, d, C, eps, delta, sigma, scheme in CERTIFIED_SCHEMES)
         ])
 
 
@@ -316,24 +258,12 @@ def _default_verify_points():
         yield SamplingParams(p=p, q=q, d=d, C=1.0, sigma=sigma), eps
 
 
-def _sweep_verify_points(opts: _Options):
-    variable, values, fixed = _collect_sweep_spec(opts)
-    for row in sweep([Scheme.MAIN], variable, values, **fixed):
-        if row.error is not None:
-            yield None, None, row.error
-            continue
-        params = SamplingParams(p=row.p, q=row.q, d=row.d, C=row.C, sigma=row.sigma)
-        yield params, row.eps, None
-
-
 @main.command()
 @_grid_flags
 @click.option("--ajc", is_flag=True, default=False,
               help="also spot-check the joint-convexity identity on seeded mixtures")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def verify(sweep_name, start, stop, points, p, q, d, cap, sigma, eps, delta,
-           pq, ajc, config_path, out_path):
+@_io_flags
+def verify(sweep_name, ajc, out_path, **grid):
     """Cross-check the closed form against quadrature, crossing count and
     scheme ordering on a grid; nonzero exit when any check fails.
 
@@ -342,16 +272,17 @@ def verify(sweep_name, start, stop, points, p, q, d, cap, sigma, eps, delta,
     claim of the source analysis that does not hold everywhere, so the
     built-in grid is expected to flag those points.
     """
-    opts = _Options(
-        {"sweep": sweep_name, "from": start, "to": stop, "points": points,
-         "p": p, "q": q, "d": d, "C": cap, "sigma": sigma, "eps": eps,
-         "delta": delta, "pq": pq},
-        config_path,
-    )
-    if opts.get("sweep", str) is None:
+    if sweep_name is None:
         points_iter = ((pr, e, None) for pr, e in _default_verify_points())
     else:
-        points_iter = _sweep_verify_points(opts)
+        # swept before the output opens, so a usage error writes nothing
+        points_iter = [
+            (None, None, row.error) if row.error is not None else (
+                SamplingParams(p=row.p, q=row.q, d=row.d, C=row.C, sigma=row.sigma),
+                row.eps, None,
+            )
+            for row in _grid_sweep([Scheme.MAIN], sweep_name, **grid)
+        ]
 
     n_points = 0
     n_failures = 0
@@ -363,7 +294,7 @@ def verify(sweep_name, start, stop, points, p, q, d, cap, sigma, eps, delta,
             n_points += 1
             if error is not None:
                 n_failures += 1
-                writer.writerow(["", "", "", "", "", "", "", "", "", "", "", error])
+                writer.writerow([""] * 11 + [error])
                 continue
             closed = delta_main(params, eps_v).delta
             quad = delta_main_quadrature(params, eps_v)
@@ -410,58 +341,34 @@ def verify(sweep_name, start, stop, points, p, q, d, cap, sigma, eps, delta,
 
 
 @main.command()
-@click.option("--task", "task_name", type=click.Choice([t.value for t in Task]), default=None)
-@click.option("--N", "n_clients", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--p", type=float, default=None)
-@click.option("--q", type=float, default=None)
-@click.option("--C", "cap", type=float, default=None)
-@click.option("--T", "iterations", type=int, default=None)
-@click.option("--eta", type=float, default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--sigma", type=float, default=None)
-@click.option("--eps", type=float, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--scheme", "scheme_name", type=click.Choice(sorted(_SCHEMES)), default=None,
+@click.option("--task", "task_name", required=True, type=click.Choice([t.value for t in Task]))
+@click.option("--N", "N", type=int, required=True)
+@click.option("--d", type=int, required=True)
+@click.option("--p", type=float, required=True)
+@click.option("--q", type=float, required=True)
+@click.option("--C", "C", type=float, required=True)
+@click.option("--T", "T", type=int, required=True)
+@click.option("--eta", type=float, required=True)
+@click.option("--m", type=int, required=True)
+@click.option("--seed", type=int, required=True)
+@click.option("--sigma", type=float)
+@click.option("--eps", type=float)
+@click.option("--delta", type=float)
+@click.option("--scheme", "scheme_name", type=_SCHEME_CHOICE, default="ub",
               help="scheme that calibrates sigma from --eps/--delta (default: ub)")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def simulate(task_name, n_clients, d, p, q, cap, iterations, eta, m, seed,
-             sigma, eps, delta, scheme_name, config_path, out_path):
+@_io_flags
+def simulate(task_name, sigma, eps, delta, scheme_name, out_path, **protocol):
     """Run synthetic federated training and emit the per-round metrics CSV."""
-    opts = _Options(
-        {"task": task_name, "N": n_clients, "d": d, "p": p, "q": q, "C": cap,
-         "T": iterations, "eta": eta, "m": m, "seed": seed, "sigma": sigma,
-         "eps": eps, "delta": delta, "scheme": scheme_name},
-        config_path,
-    )
-    task = Task(opts.require("task", str))
-    sigma_v = opts.get("sigma", float)
-    eps_v = opts.get("eps", float)
-    delta_v = opts.get("delta", float)
-    if sigma_v is None and (eps_v is None or delta_v is None):
+    if sigma is None and (eps is None or delta is None):
         raise click.UsageError("either --sigma or both --eps and --delta are required")
-    if sigma_v is not None and (eps_v is not None or delta_v is not None):
+    if sigma is not None and (eps is not None or delta is not None):
         raise click.UsageError("--sigma conflicts with --eps/--delta calibration")
-    scheme = _to_schemes([opts.get("scheme", str, "ub")])[0]
-    config = SimConfig(
-        N=opts.require("N", int),
-        d=opts.require("d", int),
-        p=opts.require("p", float),
-        q=opts.require("q", float),
-        C=opts.require("C", float),
-        sigma=sigma_v,
-        T=opts.require("T", int),
-        eta=opts.require("eta", float),
-        m=opts.require("m", int),
-        seed=opts.require("seed", int),
-    )
+    config = SimConfig(sigma=sigma, **protocol)
     try:
         rows = run_training(
-            config, task,
-            eps_per_round=eps_v, delta_per_round=delta_v,
-            calibration_scheme=scheme,
+            config, Task(task_name),
+            eps_per_round=eps, delta_per_round=delta,
+            calibration_scheme=Scheme(scheme_name),
         )
     except TrainingDivergedError as exc:
         click.echo(f"simulation diverged: {exc}", err=True)

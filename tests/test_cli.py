@@ -300,3 +300,98 @@ class TestSimulate:
         result = runner.invoke(main, args)
         assert result.exit_code == 5
         assert "simulation diverged" in result.stderr
+
+
+def write_manifest(tmp_path, flags, extra=""):
+    """A manifest holding every `--key value` pair of flags, plus extra lines."""
+    pairs = zip(flags[::2], flags[1::2])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k[2:]} {v}\n" for k, v in pairs) + extra)
+    return str(cfg)
+
+
+class TestManifest:
+    """--config: a manifest fills the value flags a command reads; flags win."""
+
+    CALIBRATE = [
+        "--scheme", "ub", "--p", "0.1", "--q", "0.1", "--d", "30", "--C", "1",
+        "--eps", "0.015", "--delta", "1e-6", "--sigma-cap", "100",
+    ]
+    VERIFY_SWEEP = [
+        "--sweep", "sigma", "--from", "1", "--to", "2", "--points", "2",
+        "--p", "0.1", "--q", "0.1", "--d", "1", "--C", "1", "--eps", "0.015",
+    ]
+
+    @pytest.mark.parametrize("command, flags", [
+        ("calibrate", CALIBRATE),
+        ("simulate", TestSimulate.BASE[1:] + ["--eps", "0.5", "--delta", "1e-5", "--scheme", "lb"]),
+        ("verify", VERIFY_SWEEP),
+    ])
+    def test_manifest_only_run_matches_flags(self, tmp_path, command, flags):
+        from_flags = runner.invoke(main, [command] + flags)
+        from_file = runner.invoke(main, [command, "--config", write_manifest(tmp_path, flags)])
+        assert from_flags.exit_code == 0
+        assert (from_file.exit_code, from_file.stdout, from_file.stderr) == (
+            0, from_flags.stdout, from_flags.stderr
+        )
+
+    def test_flag_overrides_manifest(self, tmp_path):
+        cfg = write_manifest(tmp_path, self.CALIBRATE)
+        overridden = runner.invoke(main, ["calibrate", "--config", cfg, "--eps", "0.5", "--scheme", "ols"])
+        # a repeated single-value flag takes its last value
+        flags = self.CALIBRATE + ["--eps", "0.5", "--scheme", "ols"]
+        assert overridden.exit_code == 0
+        assert overridden.stdout == runner.invoke(main, ["calibrate"] + flags).stdout
+        assert rows_of(overridden.stdout)[0]["scheme"] == "ols"
+
+    def test_unread_keys_ignored(self, tmp_path):
+        out = tmp_path / "never.csv"
+        cfg = write_manifest(tmp_path, self.CALIBRATE, f"out {out}\najc true\npq 1e-3\n")
+        result = runner.invoke(main, ["calibrate", "--config", cfg])
+        assert result.exit_code == 0
+        assert result.stdout == runner.invoke(main, ["calibrate"] + self.CALIBRATE).stdout
+        assert not out.exists()
+
+        cfg = write_manifest(tmp_path, self.VERIFY_SWEEP, f"out {out}\najc true\n")
+        result = runner.invoke(main, ["verify", "--config", cfg])
+        assert result.exit_code == 0
+        assert "ajc:" not in result.stderr
+        assert header_of(result.stdout) == VERIFY_HEADER
+        assert not out.exists()
+
+    def test_swept_key_ignored_but_swept_flag_rejected(self, tmp_path):
+        cfg = write_manifest(tmp_path, self.VERIFY_SWEEP, "sigma 7\n")
+        from_file = runner.invoke(main, ["verify", "--config", cfg])
+        assert from_file.exit_code == 0
+        assert [r["sigma"] for r in rows_of(from_file.stdout)] == ["1", "2"]
+        flagged = runner.invoke(main, ["verify", "--config", cfg, "--sigma", "7"])
+        assert flagged.exit_code == 2
+
+    @pytest.mark.parametrize("schemes", ["main,ub", "main ub", "main, ub"])
+    def test_scheme_list(self, tmp_path, schemes):
+        flags = self.VERIFY_SWEEP[:-2] + ["--eps", "0.5"]
+        cfg = write_manifest(tmp_path, flags, f"scheme {schemes}\n")
+        result = runner.invoke(main, ["curve", "--config", cfg])
+        assert result.exit_code == 0
+        assert [r["scheme"] for r in rows_of(result.stdout)] == ["main", "main", "ub", "ub"]
+
+
+class TestUsageBeforeOutput:
+    """A bad flag set exits 2 before any CSV is written or --out is opened."""
+
+    SWEEP = ["verify", "--sweep", "sigma", "--from", "1", "--to", "2", "--points", "2",
+             "--p", "0.1", "--q", "0.1", "--C", "1"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--d", "1", "--eps", "0.1", "--delta", "1e-6"],
+        ["--d", "1"],
+        ["--eps", "0.1"],
+    ])
+    def test_verify_sweep_writes_nothing(self, tmp_path, extra):
+        result = runner.invoke(main, self.SWEEP + extra)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        out = tmp_path / "verify.csv"
+        result = runner.invoke(main, self.SWEEP + extra + ["--out", str(out)])
+        assert result.exit_code == 2
+        assert not out.exists()

@@ -402,6 +402,28 @@ class TestSubnormalFlush:
         pdf = weighted_normal_pdf(z, num.means, num.weights, num.sigma)
         assert pdf.tolist() == a.tolist()
 
+    @pytest.mark.parametrize("z_row, near", [
+        (math.sqrt(1202), 0.3),  # lanes e^-590.6 and e^-601
+        (math.sqrt(1304), math.sqrt(1304) - math.sqrt(1240)),  # e^-620 and e^-652
+    ], ids=["lane-e-601", "lane-e-652"])
+    def test_normal_lanes_kept_above_floor(self, z_row, near):
+        """A row above the floor in both columns keeps every lane whose exp
+        is normal: flushing below -600 (first row) or -650 (second) changes
+        it. A -700 flush cannot be told apart: any lane at or below e^-700
+        is at most e^-76 of a row above the 2^-900 floor, under half an ulp."""
+        means = np.array([0.0, near, 80.0])
+        weights = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 0.0]])
+        z = np.array([z_row, 50.0])  # the row at 50 puts the block past the flush reach
+        exponent_floor = []
+        want = unflushed_band_rows(z[:, None], z[0], z[1], means, weights, 1.0, exponent_floor)
+        assert min(exponent_floor) < divergence._LOG_DBL_MIN
+        lanes = -0.5 * (z_row - means[:2]) ** 2
+        assert -708.0 < lanes.min() < -600.0 and lanes.max() < -590.0
+        assert (want[0] > 2.0**-900).all()
+        want /= SQRT_2PI
+        pdf = weighted_normal_pdf(z, means, weights, 1.0)
+        assert [x.hex() for x in pdf[0].tolist()] == [x.hex() for x in want[0].tolist()]
+
 
 class TestAjcIdentity:
     def test_equal_conditionals_vanish(self):
