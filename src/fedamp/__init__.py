@@ -25,13 +25,7 @@ from fedamp.divergence import (
     worst_case_pair,
 )
 from fedamp.numerics import gaussian_mechanism_delta
-from fedamp.simulator import (
-    SimConfig,
-    Task,
-    TrainingDivergedError,
-    run_training,
-    write_metrics_csv,
-)
+from fedamp.simulator import SimConfig, Task, TrainingDivergedError, run_training
 
 __version__ = "0.1.0"
 

@@ -139,9 +139,12 @@ class AmplificationConstants:
 
 @dataclass(frozen=True)
 class PrivacyPoint:
+    """A scheme's delta at eps; z_star is Main's crossing, None elsewhere."""
+
     eps: float
     delta: float
     scheme: Scheme
+    z_star: float | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.eps) or self.eps < 0.0:
@@ -228,12 +231,16 @@ def find_z_star(pair: HockeyStickQuery, lo: float, hi: float) -> RootResult:
         raise DegenerateIntegrandError(str(exc)) from exc
 
 
-def _delta_main_at(consts: AmplificationConstants, params: SamplingParams):
-    """(delta, z_star) for the Main scheme at fully derived constants.
+def delta_main(params: SamplingParams, eps: float) -> PrivacyPoint:
+    """Amplified bound: delta at the target eps for the full protocol.
 
-    A tail below -1e-15 is not rounding noise and raises
+    pq times the tail of main_pair above z* from find_z_star, summed in
+    closed form over the components' survival terms. z* always exists, so
+    there is no regime that certifies 0 by fiat; a delta below the double
+    range reads 0. A tail below -1e-15 is not rounding noise and raises
     DegenerateIntegrandError; a smaller negative tail reads 0.
     """
+    consts = derive_constants(eps, params)
     pair = main_pair(consts, params)
     z_star = find_z_star(pair, *_scan_window(consts, params)).root
     tail = pair.tail(z_star)
@@ -241,20 +248,8 @@ def _delta_main_at(consts: AmplificationConstants, params: SamplingParams):
         raise DegenerateIntegrandError(
             f"Main tail {tail:.3e} above z*={z_star} is negative beyond rounding"
         )
-    return min(params.p * params.q * max(tail, 0.0), 1.0), z_star
-
-
-def delta_main(params: SamplingParams, eps: float) -> PrivacyPoint:
-    """Amplified bound: delta at the target eps for the full protocol.
-
-    pq times the tail of main_pair above z* from find_z_star, summed in
-    closed form over the components' survival terms. z* always exists, so
-    there is no regime that certifies 0 by fiat; a delta below the double
-    range reads 0.
-    """
-    consts = derive_constants(eps, params)
-    delta, _ = _delta_main_at(consts, params)
-    return PrivacyPoint(eps=float(eps), delta=delta, scheme=Scheme.MAIN)
+    delta = min(params.p * params.q * max(tail, 0.0), 1.0)
+    return PrivacyPoint(eps=float(eps), delta=delta, scheme=Scheme.MAIN, z_star=z_star)
 
 
 def delta_main_quadrature(params: SamplingParams, eps: float) -> float:
@@ -504,16 +499,9 @@ def _sweep_point(
         if variable is SweepVariable.D and (d is None or float(d) != int(d)):
             raise DomainError(f"d grid values must be integers, got {d!r}")
         params = SamplingParams(p=p, q=q, d=int(d), C=C, sigma=sigma)
-        z_star = None
-        if delta is not None and eps is None:
+        if eps is None:
             eps = eps_for_delta(scheme, params, delta)
-            delta_out = delta
-            if scheme is Scheme.MAIN:
-                _, z_star = _delta_main_at(derive_constants(eps, params), params)
-        elif scheme is Scheme.MAIN:
-            delta_out, z_star = _delta_main_at(derive_constants(eps, params), params)
-        else:
-            delta_out = delta_for_scheme(scheme, params, eps).delta
+        point = delta_for_scheme(scheme, params, eps)
         return SweepRow(
             scheme=scheme,
             p=params.p,
@@ -522,8 +510,9 @@ def _sweep_point(
             C=params.C,
             sigma=params.sigma,
             eps=eps,
-            delta=delta_out,
-            z_star=z_star,
+            # an inverted row keeps its target, which the answer meets
+            delta=point.delta if delta is None else delta,
+            z_star=point.z_star,
         )
     except _ROW_ERRORS as exc:
         return SweepRow(

@@ -38,14 +38,7 @@ from .accountant import (
 )
 from .divergence import ajc_decompose, seeded_ajc_triples
 from .numerics import DomainError
-from .simulator import (
-    SimConfig,
-    Task,
-    TrainingDivergedError,
-    _fmt,
-    run_training,
-    write_metrics_csv,
-)
+from .simulator import SimConfig, Task, TrainingDivergedError, run_training
 
 CURVE_HEADER = (
     "scheme", "p", "q", "d", "C", "sigma", "eps", "delta", "z_star",
@@ -58,6 +51,10 @@ VERIFY_HEADER = (
     "p", "q", "d", "C", "sigma", "eps",
     "delta_closed_form", "delta_quadrature", "abs_diff",
     "single_crossing_ok", "ordering_ok", "error",
+)
+METRICS_HEADER = (
+    "iteration", "loss", "grad_norm", "participants", "sampled_elements",
+    "sigma", "eps_round", "delta_round", "certified",
 )
 
 VERIFY_ABS_TOL = 1e-10
@@ -135,6 +132,29 @@ def _open_out(path: str | None):
 
 def _writer(stream):
     return csv.writer(stream, lineterminator="\n")
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    # 17 significant digits: lossless for 64-bit floats.
+    return "%.17g" % float(value)
+
+
+def _calibrate(scheme: Scheme, **kwargs) -> float:
+    """calibrate_sigma with its failures as exits: a value outside its
+    domain is a usage error (2), an unreachable target exits 3."""
+    try:
+        return calibrate_sigma(scheme, **kwargs)
+    except DomainError as exc:
+        raise click.UsageError(str(exc)) from exc
+    except CalibrationError as exc:
+        click.echo(f"calibration failed: {exc}", err=True)
+        sys.exit(3)
 
 
 @click.group()
@@ -233,15 +253,10 @@ def calibrate(scheme_name, p, q, d, C, eps, delta, sigma_cap, out_path):
     """Smallest sigma meeting a per-round (eps, delta) target."""
     scheme = Scheme(scheme_name)
     bracket = SIGMA_BRACKET if sigma_cap is None else (SIGMA_BRACKET[0], sigma_cap)
-    try:
-        sigma = calibrate_sigma(
-            scheme, p=p, q=q, d=d, C=C,
-            eps_target=eps, delta_target=delta,
-            sigma_bracket=bracket,
-        )
-    except CalibrationError as exc:
-        click.echo(f"calibration failed: {exc}", err=True)
-        sys.exit(3)
+    sigma = _calibrate(
+        scheme, p=p, q=q, d=d, C=C, eps_target=eps, delta_target=delta,
+        sigma_bracket=bracket,
+    )
     with _open_out(out_path) as stream:
         writer = _writer(stream)
         writer.writerow(CALIBRATE_HEADER)
@@ -358,26 +373,40 @@ def verify(sweep_name, ajc, out_path, **grid):
               help="scheme that calibrates sigma from --eps/--delta (default: ub)")
 @_io_flags
 def simulate(task_name, sigma, eps, delta, scheme_name, out_path, **protocol):
-    """Run synthetic federated training and emit the per-round metrics CSV."""
+    """Run synthetic federated training and emit the per-round metrics CSV.
+
+    A sigma calibrated here carries its (eps, delta) targets and whether the
+    scheme certifies them into every row; a set --sigma claims neither."""
     if sigma is None and (eps is None or delta is None):
         raise click.UsageError("either --sigma or both --eps and --delta are required")
     if sigma is not None and (eps is not None or delta is not None):
         raise click.UsageError("--sigma conflicts with --eps/--delta calibration")
-    config = SimConfig(sigma=sigma, **protocol)
-    try:
-        rows = run_training(
-            config, Task(task_name),
-            eps_per_round=eps, delta_per_round=delta,
-            calibration_scheme=Scheme(scheme_name),
+    certified = None
+    if sigma is None:
+        scheme = Scheme(scheme_name)
+        sigma = _calibrate(
+            scheme, p=protocol["p"], q=protocol["q"], d=protocol["d"],
+            C=protocol["C"], eps_target=eps, delta_target=delta,
         )
+        certified = scheme in CERTIFIED_SCHEMES
+    try:
+        config = SimConfig(sigma=sigma, **protocol)
+    except DomainError as exc:
+        raise click.UsageError(str(exc)) from exc
+    try:
+        rows = run_training(config, Task(task_name))
     except TrainingDivergedError as exc:
         click.echo(f"simulation diverged: {exc}", err=True)
         sys.exit(5)
-    except CalibrationError as exc:
-        click.echo(f"calibration failed: {exc}", err=True)
-        sys.exit(3)
+    run_cells = [_fmt(v) for v in (sigma, eps, delta, certified)]
     with _open_out(out_path) as stream:
-        write_metrics_csv(rows, stream)
+        writer = _writer(stream)
+        writer.writerow(METRICS_HEADER)
+        for row in rows:
+            writer.writerow([
+                row.iteration, _fmt(row.loss), _fmt(row.grad_norm),
+                row.participants, row.sampled_elements, *run_cells,
+            ])
 
 
 if __name__ == "__main__":

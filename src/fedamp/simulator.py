@@ -15,17 +15,15 @@ streams by construction.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .accountant import CERTIFIED_SCHEMES, Scheme, calibrate_sigma
 from .numerics import DomainError
 
 
@@ -44,17 +42,14 @@ class Task(Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Protocol and task parameters for one training run.
-
-    sigma None means "calibrate from the per-round privacy target".
-    """
+    """Protocol and task parameters for one training run."""
 
     N: int
     d: int
     p: float
     q: float
     C: float
-    sigma: float | None
+    sigma: float
     T: int
     eta: float
     m: int
@@ -71,10 +66,8 @@ class SimConfig:
                 raise DomainError(f"{name} must lie in (0, 1], got {value}")
         if not math.isfinite(self.C) or self.C <= 0.0:
             raise DomainError(f"C must be positive, got {self.C}")
-        if self.sigma is not None and (
-            not math.isfinite(self.sigma) or self.sigma < 0.0
-        ):
-            raise DomainError(f"sigma must be >= 0 or None, got {self.sigma}")
+        if self.sigma is None or not math.isfinite(self.sigma) or self.sigma < 0.0:
+            raise DomainError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not math.isfinite(self.eta) or self.eta <= 0.0:
             raise DomainError(f"eta must be positive, got {self.eta}")
 
@@ -213,7 +206,7 @@ def run_round(
     streams: Streams,
     task: Task,
 ) -> tuple[ModelState, RoundOutcome]:
-    """One protocol round at the config's sigma, which must be set.
+    """One protocol round at the config's sigma.
 
     Every round draws one participation coin per client and the noise
     vector. Only participants draw element masks, each from its own
@@ -259,48 +252,12 @@ class MetricsRow:
     grad_norm: float
     participants: int
     sampled_elements: int
-    sigma: float
-    eps_round: float | None
-    delta_round: float | None
-    certified: bool | None
 
 
-METRICS_HEADER = (
-    "iteration", "loss", "grad_norm", "participants", "sampled_elements",
-    "sigma", "eps_round", "delta_round", "certified",
-)
-
-
-def run_training(
-    config: SimConfig,
-    task: Task,
-    eps_per_round: float | None = None,
-    delta_per_round: float | None = None,
-    calibration_scheme: Scheme = Scheme.UPPER_BOUND,
-) -> list[MetricsRow]:
-    """Full training run returning one metrics row per iteration.
-
-    sigma comes from the config when set; otherwise both per-round
-    targets must be given and the noise is calibrated with the requested
-    scheme. The (eps, delta) targets appear in every row only when the
-    noise was calibrated to them, and so does whether that scheme certifies
-    them (CERTIFIED_SCHEMES); a set sigma with targets is rejected.
-    """
-    if config.sigma is not None:
-        if eps_per_round is not None or delta_per_round is not None:
-            raise DomainError("config.sigma conflicts with eps/delta calibration targets")
-        sigma, certified = config.sigma, None
-    elif eps_per_round is None or delta_per_round is None:
-        raise DomainError("config.sigma is None: eps_per_round and delta_per_round required")
-    else:
-        sigma = calibrate_sigma(
-            calibration_scheme, p=config.p, q=config.q, d=config.d, C=config.C,
-            eps_target=eps_per_round, delta_target=delta_per_round,
-        )
-        certified = calibration_scheme in CERTIFIED_SCHEMES
-    effective = replace(config, sigma=sigma)
+def run_training(config: SimConfig, task: Task) -> list[MetricsRow]:
+    """Full training run at config.sigma, one metrics row per iteration."""
     streams = make_streams(config.seed, config.N)
-    datasets, _ = make_synthetic_datasets(effective, task, streams.data)
+    datasets, _ = make_synthetic_datasets(config, task, streams.data)
     all_X = np.vstack([ds.features for ds in datasets])
     all_y = np.concatenate([ds.labels for ds in datasets])
 
@@ -308,7 +265,7 @@ def run_training(
     rows = []
     for t in range(config.T):
         try:
-            state, outcome = run_round(state, effective, datasets, streams, task)
+            state, outcome = run_round(state, config, datasets, streams, task)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(
                 f"weights diverged at iteration {t}", t
@@ -323,32 +280,6 @@ def run_training(
                 grad_norm=float(np.linalg.norm(outcome.noisy_estimate)),
                 participants=len(outcome.participants),
                 sampled_elements=int(np.count_nonzero(outcome.element_mask)),
-                sigma=sigma,
-                eps_round=eps_per_round,
-                delta_round=delta_per_round,
-                certified=certified,
             )
         )
     return rows
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    # 17 significant digits: lossless for 64-bit floats.
-    return "%.17g" % float(value)
-
-
-def write_metrics_csv(rows: Sequence[MetricsRow], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(METRICS_HEADER)
-    for row in rows:
-        writer.writerow([
-            row.iteration, _fmt(row.loss), _fmt(row.grad_norm), row.participants,
-            row.sampled_elements, _fmt(row.sigma), _fmt(row.eps_round),
-            _fmt(row.delta_round), _fmt(row.certified),
-        ])

@@ -518,6 +518,15 @@ class TestDeltaForScheme:
             == delta_lower_bound(pr, eps).delta
         )
 
+    def test_z_star_only_on_main(self):
+        pr = params(p=0.2, q=0.3, d=4, sigma=1.1)
+        for scheme in Scheme:
+            z_star = delta_for_scheme(scheme, pr, 0.25).z_star
+            if scheme is Scheme.MAIN:
+                assert z_star == main_z_star(pr, 0.25).root
+            else:
+                assert z_star is None
+
     def test_plain_mechanism_ignores_sampling(self):
         a = delta_for_scheme(Scheme.GAUSSIAN_MECHANISM, params(p=0.1, q=0.1), 0.3)
         b = delta_for_scheme(Scheme.GAUSSIAN_MECHANISM, params(p=0.9, q=0.5, d=99), 0.3)

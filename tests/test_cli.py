@@ -7,8 +7,14 @@ import pytest
 from click.testing import CliRunner
 
 from fedamp.accountant import Scheme, calibrate_sigma
-from fedamp.cli import CALIBRATE_HEADER, CURVE_HEADER, VERIFY_HEADER, main
-from fedamp.simulator import METRICS_HEADER
+from fedamp.cli import (
+    CALIBRATE_HEADER,
+    CURVE_HEADER,
+    METRICS_HEADER,
+    VERIFY_HEADER,
+    main,
+)
+from fedamp.simulator import SimConfig, Task, run_training
 
 runner = CliRunner()
 
@@ -260,17 +266,26 @@ class TestSimulate:
         second = runner.invoke(main, self.BASE + ["--sigma", "1.0"])
         assert first.stdout == second.stdout
 
+    def test_loss_cells_round_trip(self):
+        result = runner.invoke(main, self.BASE + ["--sigma", "0.3"])
+        config = SimConfig(
+            N=10, d=3, p=0.5, q=0.5, C=1.0, sigma=0.3, T=3, eta=0.1, m=2, seed=0
+        )
+        rows = run_training(config, Task.LINEAR_REGRESSION)
+        # 17 significant digits reproduce the double exactly
+        assert [float(r["loss"]) for r in rows_of(result.stdout)] == [r.loss for r in rows]
+
     def test_calibrated_sigma_matches_calibrate_command(self):
         result = runner.invoke(main, self.BASE + [
             "--eps", "0.5", "--delta", "1e-5", "--scheme", "ub",
         ])
         assert result.exit_code == 0
         rows = rows_of(result.stdout)
-        expected = calibrate_sigma(
-            Scheme.UPPER_BOUND, p=0.5, q=0.5, d=3, C=1.0,
-            eps_target=0.5, delta_target=1e-5,
-        )
-        assert float(rows[0]["sigma"]) == expected
+        calibrated = rows_of(runner.invoke(main, [
+            "calibrate", "--scheme", "ub", "--p", "0.5", "--q", "0.5", "--d", "3",
+            "--C", "1", "--eps", "0.5", "--delta", "1e-5",
+        ]).stdout)[0]
+        assert {r["sigma"] for r in rows} == {calibrated["sigma"]}
         assert rows[0]["eps_round"] == "0.5"
         assert rows[0]["delta_round"] == "1.0000000000000001e-05"
 
@@ -283,9 +298,23 @@ class TestSimulate:
         assert {r["certified"] for r in default} == {"true"}
         assert {r["certified"] for r in fixed} == {""}
 
+    def test_main_calibration_is_uncertified(self):
+        result = runner.invoke(main, self.BASE + [
+            "--eps", "0.5", "--delta", "1e-5", "--scheme", "main",
+        ])
+        expected = calibrate_sigma(
+            Scheme.MAIN, p=0.5, q=0.5, d=3, C=1.0, eps_target=0.5, delta_target=1e-5,
+        )
+        rows = rows_of(result.stdout)
+        assert {float(r["sigma"]) for r in rows} == {expected}
+        assert {r["certified"] for r in rows} == {"false"}
+
     def test_sigma_conflicts_with_targets(self):
-        result = runner.invoke(main, self.BASE + ["--sigma", "1", "--eps", "0.5"])
-        assert result.exit_code == 2
+        # a set sigma was not calibrated to the targets, so they must not
+        # appear in the rows as if certified
+        for targets in (["--eps", "0.5"], ["--delta", "1e-5"], ["--eps", "0.5", "--delta", "1e-5"]):
+            result = runner.invoke(main, self.BASE + ["--sigma", "1"] + targets)
+            assert result.exit_code == 2, targets
 
     def test_needs_noise_specification(self):
         result = runner.invoke(main, self.BASE)
@@ -300,6 +329,27 @@ class TestSimulate:
         result = runner.invoke(main, args)
         assert result.exit_code == 5
         assert "simulation diverged" in result.stderr
+
+
+class TestDomainErrors:
+    """A value outside its domain exits 2 with the reason, no traceback."""
+
+    CALIBRATE = ["calibrate", "--scheme", "ub", "--p", "0.1", "--q", "0.1",
+                 "--d", "30", "--C", "1", "--eps", "0.015", "--delta", "1e-6"]
+    SIMULATE = TestSimulate.BASE
+
+    @pytest.mark.parametrize("args, reason", [
+        (CALIBRATE + ["--p", "2"], "p must lie in (0, 1]"),
+        (CALIBRATE + ["--delta", "2"], "delta_target must lie in (0, 1)"),
+        (SIMULATE + ["--N", "0", "--sigma", "1"], "N must be a positive integer"),
+        (SIMULATE + ["--N", "0", "--eps", "0.5", "--delta", "1e-5"], "N must be a positive integer"),
+        (SIMULATE + ["--eps", "-1", "--delta", "1e-5"], "eps_target must be positive"),
+    ], ids=["calibrate-p", "calibrate-delta", "simulate-N", "simulate-N-calibrated", "simulate-eps"])
+    def test_usage_error(self, args, reason):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert reason in result.stderr
+        assert result.stdout == ""
 
 
 def write_manifest(tmp_path, flags, extra=""):

@@ -1,16 +1,19 @@
 import csv
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from fedamp import simulator
 from fedamp.accountant import Scheme, calibrate_sigma
+from fedamp.cli import main
 from fedamp.numerics import DomainError
 from fedamp.simulator import (
-    METRICS_HEADER,
     ClientDataset,
+    MetricsRow,
     ModelState,
     SimConfig,
     Task,
@@ -22,7 +25,6 @@ from fedamp.simulator import (
     run_training,
     task_loss,
     task_sample_grads,
-    write_metrics_csv,
 )
 
 
@@ -32,6 +34,19 @@ def config(**overrides) -> SimConfig:
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def simulate_rows(cfg: SimConfig, *flags: str) -> list[dict]:
+    """Rows of `fedamp simulate` on cfg's protocol; cfg.sigma is passed as
+    --sigma only when no --eps/--delta flags ask for calibration."""
+    args = ["simulate", "--task", Task.LINEAR_REGRESSION.value]
+    for name in ("N", "d", "p", "q", "C", "T", "eta", "m", "seed"):
+        args += [f"--{name}", repr(getattr(cfg, name))]
+    if not flags:
+        args += ["--sigma", repr(cfg.sigma)]
+    result = CliRunner().invoke(main, args + list(flags))
+    assert result.exit_code == 0, result.output
+    return list(csv.DictReader(io.StringIO(result.stdout)))
 
 
 def fresh_world(cfg: SimConfig, task: Task = Task.LINEAR_REGRESSION):
@@ -118,14 +133,12 @@ class TestSimConfig:
             dict(C=-1.0),
             dict(sigma=-0.5),
             dict(eta=0.0),
+            dict(sigma=None),
         ],
     )
     def test_validation(self, overrides):
         with pytest.raises(DomainError):
             config(**overrides)
-
-    def test_sigma_none_means_calibrate_later(self):
-        assert config(sigma=None).sigma is None
 
     @pytest.mark.parametrize("name", ["N", "d", "T", "m"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -438,43 +451,46 @@ class TestRunTraining:
         assert losses[-1] < losses[0] * 0.5
 
     def test_metrics_rows_without_targets(self):
-        cfg = config(T=5, sigma=0.8)
-        rows = run_training(cfg, Task.LINEAR_REGRESSION)
+        # a row holds what the round measured; sigma and any privacy
+        # target belong to whoever chose the sigma
+        rows = run_training(config(T=5, sigma=0.8), Task.LINEAR_REGRESSION)
         assert [r.iteration for r in rows] == list(range(5))
-        assert all(r.sigma == 0.8 for r in rows)
-        assert all(r.eps_round is None and r.delta_round is None for r in rows)
+        assert [f.name for f in fields(MetricsRow)] == [
+            "iteration", "loss", "grad_norm", "participants", "sampled_elements",
+        ]
 
     def test_calibrated_mode_records_targets(self):
-        cfg = config(T=3, sigma=None, p=0.5, q=0.5, d=8)
-        rows = run_training(
-            cfg, Task.LINEAR_REGRESSION,
-            eps_per_round=0.5, delta_per_round=1e-5,
-            calibration_scheme=Scheme.UPPER_BOUND,
-        )
+        # calibration lives in `fedamp simulate`: its calibrated run is
+        # run_training at calibrate_sigma's sigma, with the targets in each row
+        cfg = config(T=3, p=0.5, q=0.5, d=8)
+        rows = simulate_rows(cfg, "--eps", "0.5", "--delta", "1e-5", "--scheme", "ub")
         expected = calibrate_sigma(
             Scheme.UPPER_BOUND, p=0.5, q=0.5, d=8, C=1.0,
             eps_target=0.5, delta_target=1e-5,
         )
-        assert all(r.sigma == expected for r in rows)
-        assert all(r.eps_round == 0.5 and r.delta_round == 1e-5 for r in rows)
+        trained = run_training(config(T=3, p=0.5, q=0.5, d=8, sigma=expected),
+                               Task.LINEAR_REGRESSION)
+        assert [float(r["loss"]) for r in rows] == [r.loss for r in trained]
+        assert all(float(r["sigma"]) == expected for r in rows)
+        assert all(float(r["eps_round"]) == 0.5 and float(r["delta_round"]) == 1e-5
+                   for r in rows)
 
     def test_default_scheme_is_certified(self):
         # with no scheme named, calibration uses ub, which is a certificate;
         # main calibrates less noise and is marked uncertified
-        cfg = config(T=2, sigma=None, p=0.5, q=0.5, d=8)
-        targets = dict(eps_per_round=0.5, delta_per_round=1e-5)
-        default = run_training(cfg, Task.LINEAR_REGRESSION, **targets)
-        main = run_training(
-            cfg, Task.LINEAR_REGRESSION, **targets, calibration_scheme=Scheme.MAIN
-        )
+        cfg = config(T=2, p=0.5, q=0.5, d=8)
+        targets = ("--eps", "0.5", "--delta", "1e-5")
+        default = simulate_rows(cfg, *targets)
+        main_rows = simulate_rows(cfg, *targets, "--scheme", "main")
         expected = calibrate_sigma(
             Scheme.UPPER_BOUND, p=0.5, q=0.5, d=8, C=1.0,
             eps_target=0.5, delta_target=1e-5,
         )
-        assert all(r.sigma == expected and r.certified is True for r in default)
-        assert all(r.certified is False for r in main)
-        fixed = run_training(config(T=2, sigma=0.8), Task.LINEAR_REGRESSION)
-        assert all(r.certified is None for r in fixed)
+        assert all(float(r["sigma"]) == expected and r["certified"] == "true"
+                   for r in default)
+        assert all(r["certified"] == "false" for r in main_rows)
+        fixed = simulate_rows(config(T=2, sigma=0.8))
+        assert all(r["certified"] == "" for r in fixed)
 
     @pytest.mark.parametrize(
         "targets",
@@ -486,8 +502,8 @@ class TestRunTraining:
     )
     def test_sigma_with_targets_rejected(self, targets):
         # a set sigma was not calibrated to the targets, so they must not
-        # appear in the rows as if certified
-        with pytest.raises(DomainError):
+        # appear in the rows as if certified: the trainer takes none
+        with pytest.raises(TypeError):
             run_training(config(sigma=0.01), Task.LINEAR_REGRESSION, **targets)
 
     def test_sigma_none_without_targets_rejected(self):
@@ -505,19 +521,3 @@ class TestRunTraining:
         cfg = config(T=5, sigma=1e308, eta=1e10)
         with pytest.raises(TrainingDivergedError, match="weights diverged"):
             run_training(cfg, Task.LINEAR_REGRESSION)
-
-
-class TestMetricsCsv:
-    def test_header_and_round_trip(self):
-        cfg = config(T=4, sigma=0.3)
-        rows = run_training(cfg, Task.LINEAR_REGRESSION)
-        buffer = io.StringIO()
-        write_metrics_csv(rows, buffer)
-        parsed = list(csv.reader(io.StringIO(buffer.getvalue())))
-        assert tuple(parsed[0]) == METRICS_HEADER
-        assert len(parsed) == 5
-        for line, row in zip(parsed[1:], rows):
-            assert int(line[0]) == row.iteration
-            # 17 significant digits reproduce the double exactly
-            assert float(line[1]) == row.loss
-            assert line[6] == "" and line[7] == ""
