@@ -1,6 +1,8 @@
 """Command line surface emitting CSV for curves, calibration, verification
 and simulation. No plotting; every figure is two columns away from any
-plotting tool.
+plotting tool. One command class maps library failures to exits: a value
+outside its domain exits 2, an unreachable calibration target 3 and a
+diverged simulation 5. One writer emits every CSV.
 
 Each option is declared once, in its click decorator. `--config` reads a
 manifest whose keys become click's defaults for the value options whose
@@ -14,7 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import click
 import numpy as np
@@ -121,22 +123,11 @@ def _io_flags(fn):
     )(fn)
 
 
-@contextmanager
-def _open_out(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
-def _writer(stream):
-    return csv.writer(stream, lineterminator="\n")
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -145,19 +136,37 @@ def _fmt(value) -> str:
     return "%.17g" % float(value)
 
 
-def _calibrate(scheme: Scheme, **kwargs) -> float:
-    """calibrate_sigma with its failures as exits: a value outside its
-    domain is a usage error (2), an unreachable target exits 3."""
-    try:
-        return calibrate_sigma(scheme, **kwargs)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except CalibrationError as exc:
-        click.echo(f"calibration failed: {exc}", err=True)
-        sys.exit(3)
+def _write_csv(path: str | None, header, rows) -> None:
+    """Write header and rows to path, or to stdout when path is None."""
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-@click.group()
+class _Command(click.Command):
+    """Runs a command with library failures as exits."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except DomainError as exc:
+            # with this command's ctx, so the usage line names the command
+            raise click.UsageError(str(exc), ctx) from exc
+        except CalibrationError as exc:
+            click.echo(f"calibration failed: {exc}", err=True)
+            sys.exit(3)
+        except TrainingDivergedError as exc:
+            click.echo(f"simulation diverged: {exc}", err=True)
+            sys.exit(5)
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main():
     """Privacy accounting for DP-SGD with random client participation."""
 
@@ -210,10 +219,7 @@ def _grid_sweep(schemes, sweep_name, start, stop, points, **fixed):
         float(int(round(v))) if variable is SweepVariable.D else float(v)
         for v in np.linspace(start, stop, points)
     ]
-    try:
-        return sweep(schemes, variable, values, **fixed)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
+    return sweep(schemes, variable, values, **fixed)
 
 
 @main.command()
@@ -224,17 +230,12 @@ def curve(scheme_names, out_path, **grid):
     """Tradeoff curves over one swept variable, one CSV row per point."""
     rows = _grid_sweep([Scheme(name) for name in scheme_names], **grid)
     failures = sum(1 for row in rows if row.error is not None)
-    with _open_out(out_path) as stream:
-        writer = _writer(stream)
-        writer.writerow(CURVE_HEADER)
-        for row in rows:
-            writer.writerow([
-                row.scheme.value, _fmt(row.p), _fmt(row.q), _fmt(row.d),
-                _fmt(row.C), _fmt(row.sigma), _fmt(row.eps), _fmt(row.delta),
-                _fmt(row.z_star),
-                "" if row.error else _fmt(row.scheme in CERTIFIED_SCHEMES),
-                row.error or "",
-            ])
+    _write_csv(out_path, CURVE_HEADER, (
+        (row.scheme.value, row.p, row.q, row.d, row.C, row.sigma, row.eps,
+         row.delta, row.z_star,
+         None if row.error else row.scheme in CERTIFIED_SCHEMES, row.error)
+        for row in rows
+    ))
     if failures:
         click.echo(f"warning: {failures} of {len(rows)} grid points failed", err=True)
 
@@ -253,16 +254,13 @@ def calibrate(scheme_name, p, q, d, C, eps, delta, sigma_cap, out_path):
     """Smallest sigma meeting a per-round (eps, delta) target."""
     scheme = Scheme(scheme_name)
     bracket = SIGMA_BRACKET if sigma_cap is None else (SIGMA_BRACKET[0], sigma_cap)
-    sigma = _calibrate(
+    sigma = calibrate_sigma(
         scheme, p=p, q=q, d=d, C=C, eps_target=eps, delta_target=delta,
         sigma_bracket=bracket,
     )
-    with _open_out(out_path) as stream:
-        writer = _writer(stream)
-        writer.writerow(CALIBRATE_HEADER)
-        writer.writerow([scheme.value] + [
-            _fmt(v) for v in (p, q, d, C, eps, delta, sigma, scheme in CERTIFIED_SCHEMES)
-        ])
+    _write_csv(out_path, CALIBRATE_HEADER, [
+        (scheme.value, p, q, d, C, eps, delta, sigma, scheme in CERTIFIED_SCHEMES)
+    ])
 
 
 def _default_verify_points():
@@ -290,48 +288,43 @@ def verify(sweep_name, ajc, out_path, **grid):
     if sweep_name is None:
         points_iter = ((pr, e, None) for pr, e in _default_verify_points())
     else:
-        # swept before the output opens, so a usage error writes nothing
-        points_iter = [
+        points_iter = (
             (None, None, row.error) if row.error is not None else (
                 SamplingParams(p=row.p, q=row.q, d=row.d, C=row.C, sigma=row.sigma),
                 row.eps, None,
             )
             for row in _grid_sweep([Scheme.MAIN], sweep_name, **grid)
-        ]
+        )
 
-    n_points = 0
+    rows = []
     n_failures = 0
     max_abs_diff = 0.0
-    with _open_out(out_path) as stream:
-        writer = _writer(stream)
-        writer.writerow(VERIFY_HEADER)
-        for params, eps_v, error in points_iter:
-            n_points += 1
-            if error is not None:
-                n_failures += 1
-                writer.writerow([""] * 11 + [error])
-                continue
-            closed = delta_main(params, eps_v).delta
-            quad = delta_main_quadrature(params, eps_v)
-            abs_diff = abs(closed - quad)
-            max_abs_diff = max(max_abs_diff, abs_diff)
-            crossings = count_integrand_sign_changes(params, eps_v)
-            lb = delta_lower_bound(params, eps_v).delta
-            ub = delta_upper_bound(params, eps_v).delta
-            ols = delta_only_local(params.q, params.sigma, params.C, eps_v).delta
-            ordering_ok = (
-                lb <= closed + ORDERING_SLACK
-                and closed <= ub + ORDERING_SLACK
-                and ub <= ols + ORDERING_SLACK
-            )
-            single_ok = crossings == 1
-            if abs_diff > VERIFY_ABS_TOL or not single_ok or not ordering_ok:
-                n_failures += 1
-            writer.writerow([
-                _fmt(params.p), _fmt(params.q), _fmt(params.d), _fmt(params.C),
-                _fmt(params.sigma), _fmt(eps_v), _fmt(closed), _fmt(quad),
-                _fmt(abs_diff), _fmt(single_ok), _fmt(ordering_ok), "",
-            ])
+    for params, eps_v, error in points_iter:
+        if error is not None:
+            n_failures += 1
+            rows.append([None] * 11 + [error])
+            continue
+        closed = delta_main(params, eps_v).delta
+        quad = delta_main_quadrature(params, eps_v)
+        abs_diff = abs(closed - quad)
+        max_abs_diff = max(max_abs_diff, abs_diff)
+        crossings = count_integrand_sign_changes(params, eps_v)
+        lb = delta_lower_bound(params, eps_v).delta
+        ub = delta_upper_bound(params, eps_v).delta
+        ols = delta_only_local(params.q, params.sigma, params.C, eps_v).delta
+        ordering_ok = (
+            lb <= closed + ORDERING_SLACK
+            and closed <= ub + ORDERING_SLACK
+            and ub <= ols + ORDERING_SLACK
+        )
+        single_ok = crossings == 1
+        if abs_diff > VERIFY_ABS_TOL or not single_ok or not ordering_ok:
+            n_failures += 1
+        rows.append([
+            params.p, params.q, params.d, params.C, params.sigma, eps_v,
+            closed, quad, abs_diff, single_ok, ordering_ok, None,
+        ])
+    _write_csv(out_path, VERIFY_HEADER, rows)
 
     ajc_ok = True
     if ajc:
@@ -347,7 +340,7 @@ def verify(sweep_name, ajc, out_path, **grid):
         )
 
     click.echo(
-        f"verify: {n_points} points, max abs_diff = {max_abs_diff:.3e}, "
+        f"verify: {len(rows)} points, max abs_diff = {max_abs_diff:.3e}, "
         f"{n_failures} failing",
         err=True,
     )
@@ -384,29 +377,17 @@ def simulate(task_name, sigma, eps, delta, scheme_name, out_path, **protocol):
     certified = None
     if sigma is None:
         scheme = Scheme(scheme_name)
-        sigma = _calibrate(
+        sigma = calibrate_sigma(
             scheme, p=protocol["p"], q=protocol["q"], d=protocol["d"],
             C=protocol["C"], eps_target=eps, delta_target=delta,
         )
         certified = scheme in CERTIFIED_SCHEMES
-    try:
-        config = SimConfig(sigma=sigma, **protocol)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
-    try:
-        rows = run_training(config, Task(task_name))
-    except TrainingDivergedError as exc:
-        click.echo(f"simulation diverged: {exc}", err=True)
-        sys.exit(5)
-    run_cells = [_fmt(v) for v in (sigma, eps, delta, certified)]
-    with _open_out(out_path) as stream:
-        writer = _writer(stream)
-        writer.writerow(METRICS_HEADER)
-        for row in rows:
-            writer.writerow([
-                row.iteration, _fmt(row.loss), _fmt(row.grad_norm),
-                row.participants, row.sampled_elements, *run_cells,
-            ])
+    rows = run_training(SimConfig(sigma=sigma, **protocol), Task(task_name))
+    _write_csv(out_path, METRICS_HEADER, (
+        (row.iteration, row.loss, row.grad_norm, row.participants,
+         row.sampled_elements, sigma, eps, delta, certified)
+        for row in rows
+    ))
 
 
 if __name__ == "__main__":

@@ -80,10 +80,9 @@ def gaussian_mechanism_delta(eps: float, sigma: float, sensitivity: float) -> fl
     half = sensitivity / (2.0 * sigma)
     shift = eps * sigma / sensitivity
     lead = float(ndtr(half - shift))
-    try:
-        scaled_tail = math.exp(eps + float(log_ndtr(-half - shift)))
-    except OverflowError:
-        return 0.0
+    # The exponent is at most -log 2, so exp cannot overflow: by AM-GM
+    # x = half + shift >= sqrt(2 eps), and Phi(-x) <= e^{-x^2/2} / 2.
+    scaled_tail = math.exp(eps + float(log_ndtr(-half - shift)))
     delta = lead - scaled_tail
     if delta < 0.0:
         return 0.0

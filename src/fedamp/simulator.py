@@ -30,10 +30,6 @@ from .numerics import DomainError
 class TrainingDivergedError(RuntimeError):
     """Loss or weights became non-finite during training."""
 
-    def __init__(self, message: str, iteration: int):
-        super().__init__(message)
-        self.iteration = iteration
-
 
 class Task(Enum):
     LINEAR_REGRESSION = "linear_regression"
@@ -109,9 +105,7 @@ class ModelState:
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.weights)):
-            raise TrainingDivergedError(
-                f"non-finite weights at iteration {self.iteration}", self.iteration
-            )
+            raise TrainingDivergedError(f"non-finite weights at iteration {self.iteration}")
 
 
 @dataclass
@@ -267,12 +261,10 @@ def run_training(config: SimConfig, task: Task) -> list[MetricsRow]:
         try:
             state, outcome = run_round(state, config, datasets, streams, task)
         except TrainingDivergedError as exc:
-            raise TrainingDivergedError(
-                f"weights diverged at iteration {t}", t
-            ) from exc
+            raise TrainingDivergedError(f"weights diverged at iteration {t}") from exc
         loss = task_loss(task, state.weights, all_X, all_y)
         if not math.isfinite(loss):
-            raise TrainingDivergedError(f"loss diverged at iteration {t}", t)
+            raise TrainingDivergedError(f"loss diverged at iteration {t}")
         rows.append(
             MetricsRow(
                 iteration=t,

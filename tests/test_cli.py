@@ -337,6 +337,10 @@ class TestDomainErrors:
     CALIBRATE = ["calibrate", "--scheme", "ub", "--p", "0.1", "--q", "0.1",
                  "--d", "30", "--C", "1", "--eps", "0.015", "--delta", "1e-6"]
     SIMULATE = TestSimulate.BASE
+    GRID = ["--sweep", "sigma", "--from", "1", "--to", "2", "--points", "2",
+            "--p", "0.1", "--q", "0.1", "--d", "1", "--C", "1"]
+    CURVE = ["curve", "--scheme", "main", "--scheme", "ub"] + GRID
+    VERIFY = ["verify"] + GRID
 
     @pytest.mark.parametrize("args, reason", [
         (CALIBRATE + ["--p", "2"], "p must lie in (0, 1]"),
@@ -344,12 +348,39 @@ class TestDomainErrors:
         (SIMULATE + ["--N", "0", "--sigma", "1"], "N must be a positive integer"),
         (SIMULATE + ["--N", "0", "--eps", "0.5", "--delta", "1e-5"], "N must be a positive integer"),
         (SIMULATE + ["--eps", "-1", "--delta", "1e-5"], "eps_target must be positive"),
-    ], ids=["calibrate-p", "calibrate-delta", "simulate-N", "simulate-N-calibrated", "simulate-eps"])
+        (CURVE + ["--eps", "0.1", "--delta", "1e-6"], "sigma sweep needs exactly one of eps/delta fixed"),
+        (VERIFY + ["--eps", "0.1", "--delta", "1e-6"], "sigma sweep needs exactly one of eps/delta fixed"),
+    ], ids=["calibrate-p", "calibrate-delta", "simulate-N", "simulate-N-calibrated", "simulate-eps",
+            "curve-targets", "verify-targets"])
     def test_usage_error(self, args, reason):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert reason in result.stderr
         assert result.stdout == ""
+        # the usage line names the failing command, as for click's own errors
+        usage, _, error = result.stderr.partition("\nError: ")
+        assert usage.startswith(f"Usage: main {args[0]} [OPTIONS]\n")
+        assert reason in error
+
+
+class TestOutFile:
+    """--out FILE receives exactly what stdout would."""
+
+    @pytest.mark.parametrize("args", [
+        TestDomainErrors.CALIBRATE,
+        TestDomainErrors.CURVE + ["--eps", "0.1"],
+        TestDomainErrors.VERIFY + ["--eps", "0.015"],
+        TestSimulate.BASE + ["--sigma", "1.0"],
+        TestSimulate.BASE + ["--eps", "0.5", "--delta", "1e-5"],
+    ], ids=["calibrate", "curve", "verify-sweep", "simulate", "simulate-calibrated"])
+    def test_out_file_equals_stdout(self, tmp_path, args):
+        to_stdout = runner.invoke(main, args)
+        out = tmp_path / "out.csv"
+        to_file = runner.invoke(main, args + ["--out", str(out)])
+        assert to_stdout.exit_code == to_file.exit_code == 0
+        assert to_file.stdout == ""
+        assert to_file.stderr == to_stdout.stderr
+        assert out.read_bytes() == to_stdout.stdout_bytes
 
 
 def write_manifest(tmp_path, flags, extra=""):

@@ -69,6 +69,14 @@ class TestGaussianMechanismDelta:
         assert 0.0 <= gaussian_mechanism_delta(12.0, 0.05, 1.0) <= 1.0
         assert gaussian_mechanism_delta(0.0, 0.01, 1.0) <= 1.0
 
+    @pytest.mark.parametrize("sigma_over_c", [1.0 / math.sqrt(1400.0), 1e-6, 1e6])
+    def test_large_eps_stays_finite(self, sigma_over_c):
+        # sigma = C / sqrt(2 eps) minimises x = C/(2 sigma) + eps sigma / C,
+        # where exp(eps + log Phi(-x)) comes closest to overflowing
+        c = 2.0
+        delta = gaussian_mechanism_delta(700.0, sigma_over_c * c, c)
+        assert math.isfinite(delta) and 0.0 <= delta <= 1.0
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             gaussian_mechanism_delta(-0.1, 1.0, 1.0)
