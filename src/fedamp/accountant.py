@@ -4,16 +4,19 @@ A round releases a Gaussian-noised sum in which a target element appears
 only if its client participates (probability p) and then samples it
 (probability q). Four schemes certify (eps, delta) for that release:
 
-* Main: the amplified bound. The final eps fixes an inner level eps' via
-  eps = log(1 + pq (e^{eps'} - 1)); delta is pq times a hockey-stick
-  divergence between binomially weighted Gaussian mixtures, evaluated in
-  closed form above the integrand's single crossing z*, the root of the
-  pair's log likelihood ratio less log alpha'.
+* Main: the amplified bound. delta is pq times a hockey-stick divergence,
+  at alpha' = e^{eps'}, between binomially weighted Gaussian mixtures,
+  evaluated in closed form above the integrand's single crossing z*, the
+  root of the pair's log likelihood ratio less log alpha'.
 * OnlyLocal (ols): amplification by the local sampling alone (probability
   q); a subsampled Gaussian mechanism bound.
 * UpperBound (ub): p times OnlyLocal, a closed-form relaxation of Main.
 * LowerBound (lb): the subsampled Gaussian bound at probability pq; no
   scheme consistent with the protocol can certify less.
+
+Subsampling at rate r turns a mechanism that meets eps' = amplified_eps(eps, r)
+into one that meets eps: main and lb run at r = pq, ols and ub at r = q,
+and gm at r = 1, where eps' is eps itself.
 
 All routines are pure. main_pair is memoized with one entry on its frozen
 inputs, so the closed form and both oracles at one (params, eps) share one
@@ -104,7 +107,7 @@ class SamplingParams:
             raise DomainError(f"p must lie in (0, 1], got {self.p}")
         if not math.isfinite(q) or not 0.0 < q <= 1.0:
             raise DomainError(f"q must lie in (0, 1], got {self.q}")
-        if isinstance(self.d, bool) or int(self.d) != self.d or self.d < 0:
+        if isinstance(self.d, bool) or not 0 <= self.d < math.inf or int(self.d) != self.d:
             raise DomainError(f"d must be a nonnegative integer, got {self.d!r}")
         if not math.isfinite(C) or C <= 0.0:
             raise DomainError(f"C must be positive, got {self.C}")
@@ -118,26 +121,6 @@ class SamplingParams:
 
 
 @dataclass(frozen=True)
-class AmplificationConstants:
-    """Derived quantities shared by the Main and UpperBound schemes.
-
-    beta = e^{eps - eps'}; c1 and c2 split the denominator mass between the
-    not-participating and participating-without-the-element branches, and
-    c1_bar, c2_bar are their beta-tilted versions (c1_bar + c2_bar = 1).
-    """
-
-    eps: float
-    eps_prime: float
-    alpha: float
-    alpha_prime: float
-    beta: float
-    c1: float
-    c2: float
-    c1_bar: float
-    c2_bar: float
-
-
-@dataclass(frozen=True)
 class PrivacyPoint:
     """A scheme's delta at eps; z_star is Main's crossing, None elsewhere."""
 
@@ -147,67 +130,61 @@ class PrivacyPoint:
     z_star: float | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.eps) or self.eps < 0.0:
-            raise DomainError(f"eps must be finite and >= 0, got {self.eps}")
+        # eps was checked where the delta was computed
         if not 0.0 <= self.delta <= 1.0:
             raise DomainError(f"delta must lie in [0, 1], got {self.delta}")
 
 
-def derive_constants(eps: float, params: SamplingParams) -> AmplificationConstants:
-    """Constants for a target final eps; eps = 0 is the no-privacy-loss limit."""
+def amplified_eps(eps: float, rate: float) -> float:
+    """The level eps' = log(1 + (e^eps - 1)/rate) at which a mechanism run on a
+    rate-`rate` subsample meets eps overall (Balle, Barthe and Gaboardi 2018);
+    eps itself at rate 1. Raises DomainError unless eps is finite, >= 0 and
+    (e^eps - 1)/rate a finite double, which keeps e^{eps'} finite too."""
     eps = float(eps)
     if not math.isfinite(eps) or eps < 0.0:
         raise DomainError(f"eps must be finite and >= 0, got {eps}")
-    pq = params.p * params.q
-    if pq == 1.0:
-        eps_prime, beta, c1, c2 = eps, 1.0, 0.0, 1.0
-    else:
-        eps_prime = math.log1p(math.expm1(eps) / pq)
-        beta = math.exp(eps - eps_prime)
-        c1 = (1.0 - params.p) / (1.0 - pq)
-        c2 = params.p * (1.0 - params.q) / (1.0 - pq)
-    alpha_prime = math.exp(eps_prime)
-    if not math.isfinite(alpha_prime):
-        raise DomainError(
-            f"alpha' overflows for eps={eps} at pq={pq}; target out of range"
-        )
-    c1_bar = (1.0 - beta) * c1
-    c2_bar = (1.0 - beta) * c2 + beta
-    return AmplificationConstants(
-        eps=eps,
-        eps_prime=eps_prime,
-        alpha=math.exp(eps),
-        alpha_prime=alpha_prime,
-        beta=beta,
-        c1=c1,
-        c2=c2,
-        c1_bar=c1_bar,
-        c2_bar=c2_bar,
-    )
+    try:
+        ratio = math.expm1(eps) / rate
+    except OverflowError:
+        ratio = math.inf
+    if ratio == math.inf:
+        raise DomainError(f"eps={eps} overflows (e^eps - 1)/rate at rate {rate}")
+    return eps if rate == 1.0 else math.log1p(ratio)
 
 
 @functools.lru_cache(maxsize=1)
-def main_pair(
-    consts: AmplificationConstants, params: SamplingParams
-) -> HockeyStickQuery:
+def main_pair(params: SamplingParams, eps: float) -> HockeyStickQuery:
     """The mixture pair whose hockey-stick divergence, times pq, is Main.
 
     num = sum_i w_i N((i+1)C, s^2) and
-    den = c2_bar sum_i w_i N(iC, s^2) + c1_bar N(0, s^2) at alpha', with w_i
-    the Binom(d, q) weights; den has mass c1_bar + c2_bar = 1.
+    den = c2_bar sum_i w_i N(iC, s^2) + c1_bar N(0, s^2) at alpha' = e^{eps'},
+    eps' = amplified_eps(eps, pq), with w_i the Binom(d, q) weights. With
+    beta = e^{eps - eps'}, c1_bar = (1-beta)(1-p)/(1-pq) for the absent branch
+    and c2_bar = (1-beta)p(1-q)/(1-pq) + beta for the unsampled one are the
+    beta-tilted split of den, which has mass c1_bar + c2_bar = 1.
     """
-    numerator, denominator = round_mixtures(
-        params, (0.0, 0.0, 1.0), (consts.c1_bar, consts.c2_bar, 0.0)
-    )
-    return HockeyStickQuery(consts.alpha_prime, numerator, denominator)
+    pq = params.p * params.q
+    eps_prime = amplified_eps(eps, pq)
+    if pq == 1.0:
+        c1_bar, c2_bar = 0.0, 1.0
+    else:
+        beta = math.exp(eps - eps_prime)
+        c1_bar = (1.0 - beta) * ((1.0 - params.p) / (1.0 - pq))
+        c2_bar = (1.0 - beta) * (params.p * (1.0 - params.q) / (1.0 - pq)) + beta
+    numerator, denominator = round_mixtures(params, (0.0, 0.0, 1.0), (c1_bar, c2_bar, 0.0))
+    return HockeyStickQuery(math.exp(eps_prime), numerator, denominator)
 
 
-def _scan_window(consts: AmplificationConstants, params: SamplingParams):
+def _scan_window(params: SamplingParams, eps: float):
+    try:
+        sigma_sq = params.sigma**2
+    except OverflowError as exc:
+        raise DomainError(f"sigma={params.sigma} is out of range: sigma**2 overflows") from exc
     lo = -12.0 * params.sigma
     hi = (
         (params.d + 1) * params.C
         + 12.0 * params.sigma
-        + params.sigma**2 * consts.eps_prime / params.C
+        + sigma_sq * amplified_eps(eps, params.p * params.q) / params.C
     )
     return lo, hi
 
@@ -240,9 +217,8 @@ def delta_main(params: SamplingParams, eps: float) -> PrivacyPoint:
     range reads 0. A tail below -1e-15 is not rounding noise and raises
     DegenerateIntegrandError; a smaller negative tail reads 0.
     """
-    consts = derive_constants(eps, params)
-    pair = main_pair(consts, params)
-    z_star = find_z_star(pair, *_scan_window(consts, params)).root
+    pair = main_pair(params, eps)
+    z_star = find_z_star(pair, *_scan_window(params, eps)).root
     tail = pair.tail(z_star)
     if tail < -1e-15:
         raise DegenerateIntegrandError(
@@ -260,8 +236,7 @@ def delta_main_quadrature(params: SamplingParams, eps: float) -> float:
     find_z_star nor the tail sums enter. Used by verification and the
     acceptance suite.
     """
-    consts = derive_constants(eps, params)
-    return params.p * params.q * hockey_stick(main_pair(consts, params))
+    return params.p * params.q * hockey_stick(main_pair(params, eps))
 
 
 def count_integrand_sign_changes(params: SamplingParams, eps: float) -> int:
@@ -282,7 +257,7 @@ def count_integrand_sign_changes(params: SamplingParams, eps: float) -> int:
     quadrature oracle. Raises DegenerateIntegrandError if the single
     crossing runs from + to -, where the tail above z* is negative.
     """
-    pair = main_pair(derive_constants(eps, params), params)
+    pair = main_pair(params, eps)
     c = pair.weights[:, 0] - pair.weights[:, 1]
     signs = np.sign(c[c != 0.0])
     changes = int(np.count_nonzero(signs[:-1] != signs[1:]))
@@ -294,17 +269,13 @@ def count_integrand_sign_changes(params: SamplingParams, eps: float) -> int:
 def delta_only_local(q: float, sigma: float, C: float, eps: float) -> PrivacyPoint:
     """Amplification by local sampling only (participation ignored).
 
-    eps' = log(1 + (e^eps - 1)/q), delta = q * delta_G(eps', sigma, C).
+    delta = q * delta_G(amplified_eps(eps, q), sigma, C).
     """
     q = float(q)
     if not math.isfinite(q) or not 0.0 < q <= 1.0:
         raise DomainError(f"q must lie in (0, 1], got {q}")
-    eps = float(eps)
-    if not math.isfinite(eps) or eps < 0.0:
-        raise DomainError(f"eps must be finite and >= 0, got {eps}")
-    eps_local = math.log1p(math.expm1(eps) / q)
-    delta = q * gaussian_mechanism_delta(eps_local, sigma, C)
-    return PrivacyPoint(eps=eps, delta=min(delta, 1.0), scheme=Scheme.ONLY_LOCAL)
+    delta = q * gaussian_mechanism_delta(amplified_eps(eps, q), sigma, C)
+    return PrivacyPoint(eps=float(eps), delta=min(delta, 1.0), scheme=Scheme.ONLY_LOCAL)
 
 
 def delta_upper_bound(params: SamplingParams, eps: float) -> PrivacyPoint:
@@ -337,8 +308,7 @@ def delta_for_scheme(
     if scheme is Scheme.MAIN:
         return delta_main(params, eps)
     if scheme is Scheme.ONLY_LOCAL:
-        point = delta_only_local(params.q, params.sigma, params.C, eps)
-        return point
+        return delta_only_local(params.q, params.sigma, params.C, eps)
     if scheme is Scheme.UPPER_BOUND:
         return delta_upper_bound(params, eps)
     if scheme is Scheme.LOWER_BOUND:
@@ -456,6 +426,15 @@ class SweepVariable(Enum):
         """The fixed parameter that the grid value replaces."""
         return "q" if self is SweepVariable.Q_FIXED_PQ else self.value
 
+    @property
+    def supplies(self) -> frozenset[str]:
+        """The values a sweep over this variable supplies; none may be fixed."""
+        if self in (SweepVariable.EPS, SweepVariable.DELTA):
+            return frozenset({"eps", "delta"})
+        if self is SweepVariable.Q_FIXED_PQ:
+            return frozenset({"p", "q"})
+        return frozenset({self.value})
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -496,9 +475,7 @@ def _sweep_point(
     )
 
     try:
-        if variable is SweepVariable.D and (d is None or float(d) != int(d)):
-            raise DomainError(f"d grid values must be integers, got {d!r}")
-        params = SamplingParams(p=p, q=q, d=int(d), C=C, sigma=sigma)
+        params = SamplingParams(p=p, q=q, d=d, C=C, sigma=sigma)
         if eps is None:
             eps = eps_for_delta(scheme, params, delta)
         point = delta_for_scheme(scheme, params, eps)
@@ -519,7 +496,7 @@ def _sweep_point(
             scheme=scheme,
             p=p,
             q=q,
-            d=None if d is None else int(d) if float(d).is_integer() else d,
+            d=d,
             C=C,
             sigma=sigma,
             eps=eps,
@@ -536,28 +513,22 @@ def sweep(
 ) -> list[SweepRow]:
     """Evaluate each scheme over a grid of one swept variable.
 
-    The grid value replaces the fixed parameter variable.parameter. For eps
-    and delta sweeps the grid value is the target and the other quantity is
-    computed; for sigma, d and q-fixed-pq sweeps exactly one of eps/delta
-    must be fixed (the fixed one is the target, the other is computed).
+    The grid value replaces the fixed parameter variable.parameter; no value
+    in variable.supplies may be fixed. An eps or delta grid value is the
+    target; a sigma, d or q-fixed-pq sweep needs exactly one of eps/delta
+    fixed as its target. The other of eps/delta is computed.
     Invalid grid points become rows with the error field set; the sweep
     continues. Rows are emitted scheme-major in grid order.
     """
     if len(values) == 0:
         raise DomainError("sweep needs a nonempty grid")
-    if variable in (SweepVariable.EPS, SweepVariable.DELTA):
-        if fixed.get("eps") is not None or fixed.get("delta") is not None:
-            raise DomainError(
-                f"{variable.value} sweep takes its target from the grid; "
-                "fixed eps/delta must not be set"
-            )
-    else:
-        have_eps = fixed.get("eps") is not None
-        have_delta = fixed.get("delta") is not None
-        if have_eps == have_delta:
-            raise DomainError(
-                f"{variable.value} sweep needs exactly one of eps/delta fixed"
-            )
+    clashes = "/".join(sorted(n for n in variable.supplies if fixed.get(n) is not None))
+    if clashes:
+        raise DomainError(f"{variable.value} sweep supplies {clashes}; it must not be fixed")
+    if variable not in (SweepVariable.EPS, SweepVariable.DELTA) and (
+        (fixed.get("eps") is None) == (fixed.get("delta") is None)
+    ):
+        raise DomainError(f"{variable.value} sweep needs exactly one of eps/delta fixed")
     if variable is SweepVariable.Q_FIXED_PQ and fixed.get("pq_product") is None:
         raise DomainError("q-fixed-pq sweep needs pq_product")
 

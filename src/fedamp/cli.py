@@ -202,23 +202,19 @@ def _grid_sweep(schemes, sweep_name, start, stop, points, **fixed):
         raise click.UsageError("missing --sweep")
     ctx = click.get_current_context()
     variable = SweepVariable(sweep_name)
-    supplied = {variable.parameter}
-    if variable in (SweepVariable.EPS, SweepVariable.DELTA):
-        supplied |= {"eps", "delta"}
-    elif variable is SweepVariable.Q_FIXED_PQ:
-        supplied.add("p")
     for param in ctx.command.params:
-        if param.name in supplied:
+        if param.name in variable.supplies:
             if ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
                 raise click.UsageError(f"{param.opts[0]} conflicts with --sweep {sweep_name}")
             fixed[param.name] = None
         elif param.name in _GRID_NEEDED and ctx.params[param.name] is None:
             raise click.UsageError(f"missing {param.opts[0]}")
 
-    values = [
-        float(int(round(v))) if variable is SweepVariable.D else float(v)
-        for v in np.linspace(start, stop, points)
-    ]
+    # an infinite end gives nan and inf grid values, which become error rows
+    with np.errstate(invalid="ignore"):
+        values = np.linspace(start, stop, points)
+    if variable is SweepVariable.D:
+        values = np.rint(values)
     return sweep(schemes, variable, values, **fixed)
 
 

@@ -1,4 +1,4 @@
-"""Accounting schemes: derived constants, the amplified bound, and calibration.
+"""Accounting schemes: the amplified level, the amplified bound, and calibration.
 
 The closed forms are cross-checked three ways: against the quadrature
 evaluation of the same integrand, against hockey-stick divergences of the
@@ -25,6 +25,7 @@ from fedamp.accountant import (
     Scheme,
     SweepVariable,
     _scan_window,
+    amplified_eps,
     calibrate_sigma,
     count_integrand_sign_changes,
     delta_for_scheme,
@@ -33,7 +34,6 @@ from fedamp.accountant import (
     delta_main_quadrature,
     delta_only_local,
     delta_upper_bound,
-    derive_constants,
     eps_for_delta,
     find_z_star,
     main_pair,
@@ -68,8 +68,7 @@ def params(p=0.1, q=0.1, d=1, C=1.0, sigma=1.0) -> SamplingParams:
 
 def main_z_star(pr: SamplingParams, eps: float):
     """find_z_star on the Main pair over the window delta_main scans."""
-    consts = derive_constants(eps, pr)
-    return find_z_star(main_pair(consts, pr), *_scan_window(consts, pr))
+    return find_z_star(main_pair(pr, eps), *_scan_window(pr, eps))
 
 
 class TestSamplingParams:
@@ -85,6 +84,8 @@ class TestSamplingParams:
             dict(C=0.0),
             dict(sigma=0.0),
             dict(sigma=-1.0),
+            dict(d=math.inf),
+            dict(d=math.nan),
         ],
     )
     def test_validation(self, kwargs):
@@ -96,63 +97,68 @@ class TestSamplingParams:
 
 
 class TestDeriveConstants:
+    """The constants derived from eps: amplified_eps's level and the
+    alpha' and denominator split of main_pair."""
+
     def test_reference_eps_prime(self):
-        consts = derive_constants(0.015, params(p=0.001, q=0.1, d=30))
-        assert consts.eps_prime == pytest.approx(EPS_PRIME_REF, rel=1e-13)
+        assert amplified_eps(0.015, 0.001 * 0.1) == pytest.approx(EPS_PRIME_REF, rel=1e-13)
 
     def test_amplification_identity(self):
         for p, q, eps in [(0.1, 0.1, 0.5), (0.01, 0.5, 1.0), (0.9, 0.9, 0.015)]:
-            consts = derive_constants(eps, params(p=p, q=q))
             expected = 1.0 + (math.exp(eps) - 1.0) / (p * q)
-            assert consts.alpha_prime == pytest.approx(expected, rel=1e-12)
-            assert consts.beta == pytest.approx(
-                consts.alpha / consts.alpha_prime, rel=1e-12
-            )
+            assert math.exp(amplified_eps(eps, p * q)) == pytest.approx(expected, rel=1e-12)
+            assert main_pair(params(p=p, q=q), eps).alpha == pytest.approx(expected, rel=1e-12)
 
     def test_round_trip_through_eps_prime(self):
         for p, q, eps in [(0.1, 0.1, 0.015), (0.001, 0.1, 0.5), (0.5, 0.9, 2.0)]:
-            consts = derive_constants(eps, params(p=p, q=q))
-            back = math.log1p(p * q * math.expm1(consts.eps_prime))
+            back = math.log1p(p * q * math.expm1(amplified_eps(eps, p * q)))
             assert back == pytest.approx(eps, rel=1e-12)
 
     def test_tilted_split_sums_to_one(self):
         for p, q, eps in [(0.1, 0.1, 0.5), (0.01, 0.9, 0.1), (0.99, 0.01, 1.5)]:
-            consts = derive_constants(eps, params(p=p, q=q))
-            assert consts.c1_bar + consts.c2_bar == pytest.approx(1.0, abs=1e-12)
-            assert consts.c1_bar >= 0.0
+            den = main_pair(params(p=p, q=q, d=1), eps).denominator
+            assert den.total_mass == pytest.approx(1.0, abs=1e-12)
+            # den = c1_bar N(0) + c2_bar ((1-q) N(0) + q N(C)), so c1_bar >= 0
+            c2_bar = den.weights[1] / q
+            assert den.weights[0] >= c2_bar * (1.0 - q)
 
     def test_no_amplification_at_full_sampling(self):
-        consts = derive_constants(0.7, params(p=1.0, q=1.0))
-        assert consts.eps_prime == 0.7
-        assert consts.beta == 1.0
-        assert consts.c1 == 0.0 and consts.c2 == 1.0
+        assert amplified_eps(0.7, 1.0) == 0.7
+        # c1_bar = 0 drops N(0); c2_bar = 1 keeps N(C) whole
+        pair = main_pair(params(p=1.0, q=1.0, d=1), 0.7)
+        assert pair.alpha == math.exp(0.7)
+        assert pair.denominator.means.tolist() == [1.0]
+        assert pair.denominator.weights.tolist() == [1.0]
 
     def test_eps_zero(self):
-        consts = derive_constants(0.0, params())
-        assert consts.eps_prime == 0.0
-        assert consts.alpha == 1.0 and consts.alpha_prime == 1.0
+        assert amplified_eps(0.0, 0.01) == 0.0
+        assert main_pair(params(), 0.0).alpha == 1.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            derive_constants(-0.1, params())
-        with pytest.raises(DomainError):
-            derive_constants(math.inf, params())
-        # alpha' overflows once (e^eps - 1)/pq leaves double range
-        with pytest.raises(DomainError):
-            derive_constants(700.0, params(p=0.001, q=0.001))
+        for eps, rate in [
+            (-0.1, 0.01),
+            (math.inf, 0.01),
+            (math.nan, 0.01),
+            (710.0, 1.0),  # e^eps - 1 overflows
+            (700.0, 1e-6),  # (e^eps - 1)/rate overflows
+        ]:
+            with pytest.raises(DomainError):
+                amplified_eps(eps, rate)
+            with pytest.raises(DomainError):
+                main_pair(params(p=1.0, q=rate), eps)
+            with pytest.raises(DomainError):
+                delta_only_local(rate, 1.0, 1.0, eps)
 
 
 class TestMainIntegrand:
     def test_negligible_far_left(self):
         pr = params(p=0.1, q=0.1, d=5, sigma=1.0)
-        consts = derive_constants(0.1, pr)
-        assert abs(main_pair(consts, pr).signed(-12.0)) < 1e-30
+        assert abs(main_pair(pr, 0.1).signed(-12.0)) < 1e-30
 
     def test_vectorized(self):
         pr = params(d=3)
-        consts = derive_constants(0.2, pr)
         z = np.linspace(-2.0, 6.0, 17)
-        values = main_pair(consts, pr).signed(z)
+        values = main_pair(pr, 0.2).signed(z)
         assert np.shape(values) == z.shape
 
     def test_single_sign_change_spot_checks(self):
@@ -181,9 +187,8 @@ class TestMainIntegrand:
         LINSPACE_POINTS = 10_000
 
         def linspace_count(pr, eps):
-            consts = derive_constants(eps, pr)
-            grid = np.linspace(*_scan_window(consts, pr), LINSPACE_POINTS)
-            a, b = main_pair(consts, pr).terms(grid)
+            grid = np.linspace(*_scan_window(pr, eps), LINSPACE_POINTS)
+            a, b = main_pair(pr, eps).terms(grid)
             values = a - b
             signs = np.sign(values[np.abs(values) > np.maximum(1e-13 * (a + b), 1e-300)])
             return int(np.count_nonzero(signs[:-1] != signs[1:]))
@@ -232,7 +237,7 @@ class TestMainIntegrand:
 
             alpha = math.exp(rng.uniform(0.0, 1.0))
             pair = HockeyStickQuery(alpha, mixture(), mixture())
-            monkeypatch.setattr(accountant, "main_pair", lambda consts, pr: pair)
+            monkeypatch.setattr(accountant, "main_pair", lambda pr, eps: pair)
             grid = np.linspace(-20.0 * sigma, 8.0 * C + 20.0 * sigma, 20_001)
             a, b = pair.terms(grid)
             values = a - b
@@ -272,7 +277,7 @@ class TestMainIntegrand:
             return GaussianMixture1D(np.array(ks) * C, np.array(ws), sigma)
 
         pair = HockeyStickQuery(1.0, mixture(num), mixture(den))
-        monkeypatch.setattr(accountant, "main_pair", lambda consts, pr: pair)
+        monkeypatch.setattr(accountant, "main_pair", lambda pr, eps: pair)
         pr = params(0.5, 0.5, 10, C, sigma)
         assert count_integrand_sign_changes(pr, 0.5) == expected
 
@@ -288,14 +293,12 @@ class TestFindZStar:
             (0.01, 0.01, 5.0, 1.0, 5.0),
         ]:
             pr = params(p=p, q=q, d=0, C=C, sigma=sigma)
-            consts = derive_constants(eps, pr)
-            expected = C / 2.0 + sigma**2 * consts.eps_prime / C
+            expected = C / 2.0 + sigma**2 * amplified_eps(eps, p * q) / C
             assert main_z_star(pr, eps).root == pytest.approx(expected, rel=1e-12)
 
     def test_brute_force_scan_oracle(self):
         pr = params(p=0.1, q=0.1, d=30, C=1.0, sigma=1.0)
-        consts = derive_constants(0.1, pr)
-        pair = main_pair(consts, pr)
+        pair = main_pair(pr, 0.1)
 
         grid = np.linspace(-12.0, 46.0, 2_000_001)
         values = pair.signed(grid)
@@ -771,6 +774,33 @@ class TestSweep:
         )
         assert [r.d for r in rows] == [1, 10]
 
+    def test_non_integer_d_is_an_error_row(self):
+        fixed = dict(p=0.1, q=0.1, C=1.0, eps=0.1)
+        # a fixed fractional d is not truncated to its integer part
+        row, = sweep([Scheme.UPPER_BOUND], SweepVariable.SIGMA, [1.0], d=2.5, **fixed)
+        assert row.delta is None and row.d == 2.5
+        assert "d must be a nonnegative integer" in row.error
+        rows = sweep(
+            [Scheme.UPPER_BOUND], SweepVariable.D, [2.5, math.inf, math.nan], sigma=1.0, **fixed
+        )
+        assert [r.delta for r in rows] == [None] * 3
+        assert all("d must be a nonnegative integer" in r.error for r in rows)
+
+    @pytest.mark.parametrize("variable, supplied", [
+        (SweepVariable.SIGMA, dict(sigma=9.0)),
+        (SweepVariable.D, dict(d=5)),
+        (SweepVariable.Q_FIXED_PQ, dict(p=0.9)),
+        (SweepVariable.Q_FIXED_PQ, dict(q=0.9)),
+        (SweepVariable.DELTA, dict(delta=1e-6)),
+    ], ids=["sigma", "d", "q-fixed-pq-p", "q-fixed-pq-q", "delta"])
+    def test_supplied_value_rejected(self, variable, supplied):
+        # every other value the sweep needs is fixed, and nothing else it supplies
+        fixed = dict(p=0.1, q=0.1, d=1, C=1.0, sigma=1.0, eps=0.1, pq_product=1e-3)
+        for name in variable.supplies:
+            fixed.pop(name, None)
+        with pytest.raises(DomainError, match="must not be fixed"):
+            sweep([Scheme.UPPER_BOUND], variable, [0.5], **fixed, **supplied)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             sweep([Scheme.MAIN], SweepVariable.SIGMA, [], p=0.1, q=0.1, d=1, C=1.0, eps=0.1)
@@ -802,16 +832,16 @@ class TestSharedMainPair:
 
     def test_same_object_for_equal_arguments(self):
         pr = params(p=0.1, q=0.1, d=30, sigma=2.0)
-        pair = main_pair(derive_constants(0.5, pr), pr)
+        pair = main_pair(pr, 0.5)
         again = params(p=0.1, q=0.1, d=30, sigma=2.0)
-        assert main_pair(derive_constants(0.5, again), again) is pair
-        assert main_pair(derive_constants(0.1, pr), pr) is not pair
+        assert main_pair(again, 0.5) is pair
+        assert main_pair(pr, 0.1) is not pair
         other = params(p=0.1, q=0.1, d=31, sigma=2.0)
-        assert main_pair(derive_constants(0.5, other), other) is not pair
+        assert main_pair(other, 0.5) is not pair
 
     def test_pair_is_read_only(self):
         pr = params(p=0.1, q=0.1, d=30, sigma=2.0)
-        pair = main_pair(derive_constants(0.5, pr), pr)
+        pair = main_pair(pr, 0.5)
         with pytest.raises(ValueError):
             pair.means[0] = 1.0
         with pytest.raises(ValueError):

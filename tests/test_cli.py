@@ -77,6 +77,18 @@ class TestCurve:
         assert rows[1]["error"] == "" and rows[1]["delta"] != ""
         assert "warning: 1 of 2 grid points failed" in result.stderr
 
+    def test_d_sweep_to_infinity_gives_error_rows(self):
+        result = runner.invoke(main, [
+            "curve", "--scheme", "ub", "--sweep", "d", "--from", "1", "--to", "inf",
+            "--points", "3", "--p", "0.1", "--q", "0.1", "--C", "1", "--sigma", "1",
+            "--delta", "1e-6",
+        ])
+        assert result.exit_code == 0
+        rows = rows_of(result.stdout)
+        assert [r["d"] for r in rows] == ["nan", "inf", "inf"]
+        assert all("d must be a nonnegative integer" in r["error"] for r in rows)
+        assert "warning: 3 of 3 grid points failed" in result.stderr
+
     def test_scheme_required(self):
         result = runner.invoke(main, [
             "curve", "--sweep", "sigma", "--from", "1", "--to", "2",
@@ -350,8 +362,14 @@ class TestDomainErrors:
         (SIMULATE + ["--eps", "-1", "--delta", "1e-5"], "eps_target must be positive"),
         (CURVE + ["--eps", "0.1", "--delta", "1e-6"], "sigma sweep needs exactly one of eps/delta fixed"),
         (VERIFY + ["--eps", "0.1", "--delta", "1e-6"], "sigma sweep needs exactly one of eps/delta fixed"),
+        (CALIBRATE + ["--eps", "800"], "overflows (e^eps - 1)/rate"),
+        (CALIBRATE + ["--eps", "800", "--scheme", "main"], "overflows (e^eps - 1)/rate"),
+        (CALIBRATE + ["--eps", "800", "--scheme", "lb"], "overflows (e^eps - 1)/rate"),
+        (SIMULATE + ["--eps", "800", "--delta", "1e-6"], "overflows (e^eps - 1)/rate"),
+        (CALIBRATE + ["--scheme", "main", "--sigma-cap", "1e200"], "sigma**2 overflows"),
     ], ids=["calibrate-p", "calibrate-delta", "simulate-N", "simulate-N-calibrated", "simulate-eps",
-            "curve-targets", "verify-targets"])
+            "curve-targets", "verify-targets", "calibrate-eps-ub", "calibrate-eps-main",
+            "calibrate-eps-lb", "simulate-eps-overflow", "calibrate-sigma-cap"])
     def test_usage_error(self, args, reason):
         result = runner.invoke(main, args)
         assert result.exit_code == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedamp import divergence
-from fedamp.accountant import SamplingParams, derive_constants, main_pair
+from fedamp.accountant import SamplingParams, main_pair
 from fedamp.cli import (
     VERIFY_GRID_D,
     VERIFY_GRID_EPS,
@@ -365,7 +365,7 @@ class TestSubnormalFlush:
             )
         pr = SamplingParams(p=0.1, q=0.1, d=100, C=1.0, sigma=sigma)
         if kind == "main":
-            return main_pair(derive_constants(0.5, pr), pr)
+            return main_pair(pr, 0.5)
         return HockeyStickQuery(math.exp(0.5), *worst_case_pair(pr))
 
     @pytest.mark.parametrize(
@@ -562,7 +562,7 @@ class TestScalarTerms:
 
     def test_main_and_worst_case_pairs_on_verify_points(self):
         for pr, eps in verify_grid_sample(40, seed=13):
-            self.assert_scalar_matches_array(main_pair(derive_constants(eps, pr), pr))
+            self.assert_scalar_matches_array(main_pair(pr, eps))
             xi, xi_prime = worst_case_pair(pr)
             self.assert_scalar_matches_array(HockeyStickQuery(math.exp(eps), xi, xi_prime))
 
