@@ -110,9 +110,9 @@ class SamplingParams:
         if isinstance(self.d, bool) or not 0 <= self.d < math.inf or int(self.d) != self.d:
             raise DomainError(f"d must be a nonnegative integer, got {self.d!r}")
         if not math.isfinite(C) or C <= 0.0:
-            raise DomainError(f"C must be positive, got {self.C}")
+            raise DomainError(f"C must be finite and positive, got {self.C}")
         if not math.isfinite(sigma) or sigma <= 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+            raise DomainError(f"sigma must be finite and positive, got {self.sigma}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", int(self.d))

@@ -273,8 +273,9 @@ def binomial_log_weights(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Log Binom(d, q) pmf over the kept support.
 
     Returns (indices, log_weights) with entries below the representable
-    density range removed. Evaluated through log-gamma, so d in the millions
-    is fine.
+    density range removed. Evaluated through log-gamma, and only over the
+    O(sqrt(d)) counts near dq that can clear the threshold, so d in the
+    millions is fine.
     """
     if d < 0:
         raise DomainError(f"d must be nonnegative, got {d}")
@@ -284,7 +285,10 @@ def binomial_log_weights(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
         return np.array([0]), np.array([0.0])
     if q == 1.0:
         return np.array([d]), np.array([0.0])
-    i = np.arange(d + 1)
+    # Hoeffding: P(X = i) <= exp(-2 (i - dq)^2 / d), so every count with
+    # (i - dq)^2 > 350 d weighs below e^-700, under the drop threshold
+    radius = math.sqrt(350.0 * d)
+    i = np.arange(max(0, math.ceil(d * q - radius)), min(d, math.floor(d * q + radius)) + 1)
     logw = (
         gammaln(d + 1.0)
         - gammaln(i + 1.0)

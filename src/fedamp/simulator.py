@@ -4,8 +4,15 @@ Each round: every client joins with probability p, each participant
 samples each of its local elements with probability q, the sampled
 per-sample gradients of all participants are clipped to norm C and summed,
 the coordinator adds centered Gaussian noise (std sigma per coordinate) and
-scales by 1/(p N q d) for unbiasedness, then takes a gradient step. Only
-the masks are drawn per participant; one flat mask gathers all sampled rows.
+scales by 1/(p N q d) for unbiasedness, then takes a gradient step.
+
+The random draws of a block of rounds are made together, one call per
+stream: all the participation coins, all the noise, and per client the
+masks of every round it takes part in; one gather then picks the sampled
+rows of all those rounds. A PCG64 stream gives the same values however its
+draws are split into calls, so a block's draws, and the stream states it
+leaves, are those of drawing one round at a time. A round then only takes
+the gradient step on its draws.
 
 Synthetic linear and logistic regression stand in for real workloads;
 everything is driven by seeded generator streams so that runs are
@@ -25,6 +32,10 @@ import numpy as np
 from scipy.special import expit
 
 from .numerics import DomainError
+
+
+# mask draws per block of rounds in run_training: bounds its memory, not its results
+_DRAW_BLOCK = 1 << 18
 
 
 class TrainingDivergedError(RuntimeError):
@@ -61,11 +72,11 @@ class SimConfig:
             if not math.isfinite(value) or not 0.0 < value <= 1.0:
                 raise DomainError(f"{name} must lie in (0, 1], got {value}")
         if not math.isfinite(self.C) or self.C <= 0.0:
-            raise DomainError(f"C must be positive, got {self.C}")
+            raise DomainError(f"C must be finite and positive, got {self.C}")
         if self.sigma is None or not math.isfinite(self.sigma) or self.sigma < 0.0:
             raise DomainError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not math.isfinite(self.eta) or self.eta <= 0.0:
-            raise DomainError(f"eta must be positive, got {self.eta}")
+            raise DomainError(f"eta must be finite and positive, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,7 @@ class ModelState:
     iteration: int
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.weights)):
+        if not np.isfinite(self.weights).all():
             raise TrainingDivergedError(f"non-finite weights at iteration {self.iteration}")
 
 
@@ -145,6 +156,11 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
+def _mean(values: np.ndarray) -> np.floating:
+    # np.mean's own two steps on a float64 vector, without its wrapper's cost
+    return np.add.reduce(values) / values.size
+
+
 def _clip_rows(rows: np.ndarray, C: float) -> np.ndarray:
     norms = _row_norms(rows)
     scale = np.maximum(1.0, norms / C)
@@ -177,10 +193,10 @@ def task_loss(task: Task, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
         margins = X @ w
         if task is Task.LINEAR_REGRESSION:
             r = margins - y
-            return float(0.5 * np.mean(r * r))
+            return float(0.5 * _mean(r * r))
         # npy_logaddexp's log(1 + e^z), on vector exp and log1p, not its scalar loop
         z = -y * margins
-        return float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
+        return float(_mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
 
 
 def task_sample_grads(
@@ -193,45 +209,107 @@ def task_sample_grads(
     return (-y * expit(-y * margins))[:, None] * X
 
 
-def run_round(
-    state: ModelState,
+@dataclass(frozen=True)
+class RoundDraw:
+    """One round's random draws, read-only: the participants, each one's
+    size and element mask (joined into one flat mask), the sampled rows of
+    all participants in that order, and the standard normal noise row."""
+
+    participants: tuple[int, ...]
+    client_sizes: tuple[int, ...]
+    element_mask: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+    noise: np.ndarray
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Start of each run of the given lengths, then the end of the last."""
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def draw_rounds(
     config: SimConfig,
     datasets: Sequence[ClientDataset],
     streams: Streams,
-    task: Task,
-) -> tuple[ModelState, RoundOutcome]:
-    """One protocol round at the config's sigma.
+    rounds: int,
+) -> list[RoundDraw]:
+    """The draws of the next `rounds` rounds, one call per stream.
 
-    Every round draws one participation coin per client and the noise
-    vector. Only participants draw element masks, each from its own
-    stream, so a client's stream advances only in rounds it takes part in.
-    The masks are joined into one flat mask that gathers the sampled rows
-    of all participants at once; those rows are clipped and summed together.
+    Participation takes one (rounds, N) block of coins and noise one
+    (rounds, m) block; each client draws the masks of all the rounds it
+    takes part in with one call, and one fancy index gathers the sampled
+    rows in (round, participant, element) order. A PCG64 stream yields the
+    same values however its draws are split into calls, so the draws and
+    the final stream states equal those of `rounds` one-round calls.
     """
-    part_u = streams.participation.uniform(size=config.N)
-    noise = streams.noise.standard_normal(config.m)
-    participants = tuple(np.flatnonzero(part_u < config.p).tolist())
-    joined = [datasets[i] for i in participants]
-    sizes = tuple(len(ds) for ds in joined)
-    draws = [streams.elements[i].random(n) for i, n in zip(participants, sizes)]
-    # the empty leading blocks keep a round without participants well defined
-    mask = np.concatenate([np.empty(0), *draws]) < config.q
-    features = np.concatenate([np.empty((0, config.m)), *(ds.features for ds in joined)])
-    labels = np.concatenate([np.empty(0), *(ds.labels for ds in joined)])
-    grads = task_sample_grads(task, state.weights, features[mask], labels[mask])
+    coins = streams.participation.uniform(size=(rounds, config.N)) < config.p
+    noise = streams.noise.standard_normal((rounds, config.m))
+    sizes = np.array([len(ds) for ds in datasets])
+    takes = np.count_nonzero(coins, axis=0)
+    # a client's stream advances only in rounds it takes part in
+    uniforms = [
+        streams.elements[i].random(k * n)
+        for i, (k, n) in enumerate(zip(takes.tolist(), sizes.tolist()))
+        if k
+    ]
+    masks = np.concatenate([np.empty(0), *uniforms]) < config.q
+
+    # (round, participant) pairs in round order. The k-th round a client
+    # takes part in reads the k-th block of its masks; element e of pair j
+    # sits at first[j] + e in the round-ordered elements.
+    round_of, client = np.nonzero(coins)
+    lengths = sizes[client]
+    first = _offsets(lengths)
+    taken_before = (np.cumsum(coins, axis=0) - 1)[round_of, client]
+    mask_start = _offsets(takes * sizes)[client] + taken_before * lengths
+    position = np.arange(first[-1])
+    mask = masks[np.repeat(mask_start - first[:-1], lengths) + position]
+    sampled = np.flatnonzero(mask)
+    rows = np.repeat(_offsets(sizes)[client] - first[:-1], lengths)[sampled] + sampled
+    features = np.concatenate([ds.features for ds in datasets])[rows]
+    labels = np.concatenate([ds.labels for ds in datasets])[rows]
+    for block in (noise, mask, features, labels):
+        block.setflags(write=False)
+
+    pair_at = _offsets(np.count_nonzero(coins, axis=1))
+    element_at = first[pair_at]
+    sampled_at = np.searchsorted(sampled, element_at).tolist()
+    pair_at, element_at = pair_at.tolist(), element_at.tolist()
+    clients, client_sizes = client.tolist(), lengths.tolist()
+    return [
+        RoundDraw(
+            participants=tuple(clients[pair_at[r]:pair_at[r + 1]]),
+            client_sizes=tuple(client_sizes[pair_at[r]:pair_at[r + 1]]),
+            element_mask=mask[element_at[r]:element_at[r + 1]],
+            features=features[sampled_at[r]:sampled_at[r + 1]],
+            labels=labels[sampled_at[r]:sampled_at[r + 1]],
+            noise=noise[r],
+        )
+        for r in range(rounds)
+    ]
+
+
+def run_round(
+    state: ModelState, config: SimConfig, draw: RoundDraw, task: Task
+) -> tuple[ModelState, RoundOutcome]:
+    """One protocol round at the config's sigma on the given draws: the
+    sampled rows are clipped and summed together, the noise is added and
+    the step taken."""
+    grads = task_sample_grads(task, state.weights, draw.features, draw.labels)
     clipped = _clip_rows(grads, config.C)
     total = clipped.sum(axis=0)
 
     scale = config.p * config.N * config.q * config.d
     # overflow here is legitimate; ModelState turns it into a divergence error
     with np.errstate(over="ignore"):
-        estimate = (total + config.sigma * noise) / scale
+        estimate = (total + config.sigma * draw.noise) / scale
         new_weights = state.weights - config.eta * estimate
     new_state = ModelState(weights=new_weights, iteration=state.iteration + 1)
     outcome = RoundOutcome(
-        participants=participants,
-        element_mask=mask,
-        client_sizes=sizes,
+        participants=draw.participants,
+        element_mask=draw.element_mask,
+        client_sizes=draw.client_sizes,
         noisy_estimate=estimate,
         raw_sum=total,
         max_clipped_norm=float(_row_norms(clipped).max(initial=0.0)),
@@ -255,23 +333,27 @@ def run_training(config: SimConfig, task: Task) -> list[MetricsRow]:
     all_X = np.vstack([ds.features for ds in datasets])
     all_y = np.concatenate([ds.labels for ds in datasets])
 
+    # a block of rounds holds at most about _DRAW_BLOCK mask draws
+    block = max(1, _DRAW_BLOCK // all_y.size)
     state = ModelState(weights=np.zeros(config.m), iteration=0)
     rows = []
-    for t in range(config.T):
-        try:
-            state, outcome = run_round(state, config, datasets, streams, task)
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(f"weights diverged at iteration {t}") from exc
-        loss = task_loss(task, state.weights, all_X, all_y)
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(f"loss diverged at iteration {t}")
-        rows.append(
-            MetricsRow(
-                iteration=t,
-                loss=loss,
-                grad_norm=float(np.linalg.norm(outcome.noisy_estimate)),
-                participants=len(outcome.participants),
-                sampled_elements=int(np.count_nonzero(outcome.element_mask)),
+    for start in range(0, config.T, block):
+        draws = draw_rounds(config, datasets, streams, min(block, config.T - start))
+        for t, draw in enumerate(draws, start):
+            try:
+                state, outcome = run_round(state, config, draw, task)
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(f"weights diverged at iteration {t}") from exc
+            loss = task_loss(task, state.weights, all_X, all_y)
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(f"loss diverged at iteration {t}")
+            rows.append(
+                MetricsRow(
+                    iteration=t,
+                    loss=loss,
+                    grad_norm=float(np.linalg.norm(outcome.noisy_estimate)),
+                    participants=len(outcome.participants),
+                    sampled_elements=len(draw.labels),
+                )
             )
-        )
     return rows

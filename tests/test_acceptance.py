@@ -42,6 +42,7 @@ from fedamp.simulator import (
     ModelState,
     SimConfig,
     Task,
+    draw_rounds,
     make_streams,
     make_synthetic_datasets,
     run_round,
@@ -196,14 +197,15 @@ def test_criterion_10_simulator_statistics():
     participants = np.empty(rounds)
     elements = np.empty(rounds)
     clip_ok = True
-    for t in range(rounds):
-        _, outcome = run_round(
-            state, cfg, datasets, streams, Task.LINEAR_REGRESSION
-        )
-        participants[t] = len(outcome.participants)
-        elements[t] = sum(len(s) for s in outcome.sampled_elements.values())
-        assert outcome.max_clipped_norm is not None
-        clip_ok = clip_ok and outcome.max_clipped_norm <= cfg.C + 1e-12
+    # blocks of rounds' draws give the same values as one-round draws
+    block = 1_000
+    for first in range(0, rounds, block):
+        for t, draw in enumerate(draw_rounds(cfg, datasets, streams, block), first):
+            _, outcome = run_round(state, cfg, draw, Task.LINEAR_REGRESSION)
+            participants[t] = len(outcome.participants)
+            elements[t] = sum(len(s) for s in outcome.sampled_elements.values())
+            assert outcome.max_clipped_norm is not None
+            clip_ok = clip_ok and outcome.max_clipped_norm <= cfg.C + 1e-12
 
     se_part = math.sqrt(cfg.N * cfg.p * (1 - cfg.p) / rounds)
     part_dev = abs(participants.mean() - cfg.N * cfg.p)
@@ -226,11 +228,10 @@ def test_criterion_10_simulator_statistics():
     expected /= cfg.N * cfg.d
 
     estimates = np.empty((fixed_rounds, cfg.m))
-    for t in range(fixed_rounds):
-        _, outcome = run_round(
-            fixed_state, cfg, datasets, streams, Task.LINEAR_REGRESSION
-        )
-        estimates[t] = outcome.noisy_estimate
+    for first in range(0, fixed_rounds, block):
+        for t, draw in enumerate(draw_rounds(cfg, datasets, streams, block), first):
+            _, outcome = run_round(fixed_state, cfg, draw, Task.LINEAR_REGRESSION)
+            estimates[t] = outcome.noisy_estimate
     se_coord = estimates.std(axis=0, ddof=1) / math.sqrt(fixed_rounds)
     bias_z = np.abs(estimates.mean(axis=0) - expected) / se_coord
 

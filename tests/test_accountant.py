@@ -92,6 +92,12 @@ class TestSamplingParams:
         with pytest.raises(DomainError):
             params(**kwargs)
 
+    @pytest.mark.parametrize("name", ["C", "sigma"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_scale_message(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be finite and positive, got"):
+            params(**{name: value})
+
     def test_d_zero_allowed(self):
         assert params(d=0).d == 0
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from fedamp import divergence
 from fedamp.accountant import SamplingParams, main_pair
@@ -19,9 +20,11 @@ from fedamp.divergence import (
     _BLOCK_ELEMENTS,
     DEFAULT_ABS_TOL,
     SQRT_2PI,
+    WEIGHT_DROP_THRESHOLD,
     GaussianMixture1D,
     HockeyStickQuery,
     ajc_decompose,
+    binomial_log_weights,
     hockey_stick,
     mix,
     round_mixtures,
@@ -181,6 +184,17 @@ class TestBinomialMixture:
         assert m.means.size < 2000
         assert m.total_mass == pytest.approx(1.0, abs=1e-12)
         assert abs(m.means[int(np.argmax(m.weights))] - 100.0) <= 1.0
+
+    @pytest.mark.parametrize("d, q", [(30, 0.1), (1000, 0.5), (10**6, 0.1), (10**6, 1e-4)])
+    def test_window_keeps_what_the_full_support_keeps(self, d, q):
+        # the Hoeffding window drops only counts below the threshold
+        i = np.arange(d + 1)
+        logw = (gammaln(d + 1.0) - gammaln(i + 1.0) - gammaln(d - i + 1.0)
+                + i * math.log(q) + (d - i) * math.log1p(-q))
+        keep = logw >= math.log(WEIGHT_DROP_THRESHOLD)
+        indices, log_weights = binomial_log_weights(d, q)
+        np.testing.assert_array_equal(indices, i[keep])
+        np.testing.assert_array_equal(log_weights, logw[keep])
 
     def test_round_mixtures_branches(self):
         # one call, several triples, all over the same Binom(d, q) weights

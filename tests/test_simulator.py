@@ -15,10 +15,12 @@ from fedamp.simulator import (
     ClientDataset,
     MetricsRow,
     ModelState,
+    RoundDraw,
     SimConfig,
     Task,
     TrainingDivergedError,
     _clip_rows,
+    draw_rounds,
     make_streams,
     make_synthetic_datasets,
     run_round,
@@ -53,6 +55,17 @@ def fresh_world(cfg: SimConfig, task: Task = Task.LINEAR_REGRESSION):
     streams = make_streams(cfg.seed, cfg.N)
     datasets, w_star = make_synthetic_datasets(cfg, task, streams.data)
     return streams, datasets, w_star
+
+
+def one_round(state, cfg, datasets, streams, task=Task.LINEAR_REGRESSION):
+    """One protocol round on a one-round draw."""
+    (draw,) = draw_rounds(cfg, datasets, streams, 1)
+    return run_round(state, cfg, draw, task)
+
+
+def stream_states(streams) -> list:
+    return [g.bit_generator.state for g in
+            (streams.data, streams.participation, streams.noise, *streams.elements)]
 
 
 def with_extra_element(
@@ -144,6 +157,12 @@ class TestSimConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_sizes_rejected(self, name, value):
         with pytest.raises(DomainError):
+            config(**{name: value})
+
+    @pytest.mark.parametrize("name", ["C", "eta"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_scale_message(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be finite and positive, got"):
             config(**{name: value})
 
 
@@ -249,8 +268,8 @@ class TestRunRound:
         streams_b = make_streams(cfg.seed, cfg.N)
         make_synthetic_datasets(cfg, Task.LINEAR_REGRESSION, streams_b.data)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
-        _, out_a = run_round(state, cfg, datasets, streams_a, Task.LINEAR_REGRESSION)
-        _, out_b = run_round(state, cfg, datasets, streams_b, Task.LINEAR_REGRESSION)
+        _, out_a = one_round(state, cfg, datasets, streams_a)
+        _, out_b = one_round(state, cfg, datasets, streams_b)
         assert out_a.participants == out_b.participants
         assert out_a.sampled_elements == out_b.sampled_elements
         np.testing.assert_array_equal(out_a.noisy_estimate, out_b.noisy_estimate)
@@ -259,9 +278,7 @@ class TestRunRound:
         cfg = config(p=1.0, q=1.0, sigma=0.0, N=6, d=4, m=3)
         streams, datasets, _ = fresh_world(cfg)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
-        new_state, outcome = run_round(
-            state, cfg, datasets, streams, Task.LINEAR_REGRESSION
-        )
+        new_state, outcome = one_round(state, cfg, datasets, streams)
         manual = np.zeros(cfg.m)
         for ds in datasets:
             grads = task_sample_grads(
@@ -282,9 +299,7 @@ class TestRunRound:
         empty_rounds = 0
         for _ in range(20):
             before = [g.bit_generator.state for g in streams.elements]
-            state, outcome = run_round(
-                state, cfg, datasets, streams, Task.LINEAR_REGRESSION
-            )
+            state, outcome = one_round(state, cfg, datasets, streams)
             for i, g in enumerate(streams.elements):
                 advanced = g.bit_generator.state != before[i]
                 assert advanced == (i in outcome.participants)
@@ -301,9 +316,7 @@ class TestRunRound:
         streams, datasets, _ = fresh_world(cfg)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
         for _ in range(25):
-            state, outcome = run_round(
-                state, cfg, datasets, streams, Task.LINEAR_REGRESSION
-            )
+            state, outcome = one_round(state, cfg, datasets, streams)
             assert outcome.max_clipped_norm <= cfg.C + 1e-12
 
     def test_coupling_between_neighboring_datasets(self):
@@ -315,8 +328,8 @@ class TestRunRound:
         grown = with_extra_element(datasets, 0, np.full(cfg.m, 0.1), 1.0)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
         for _ in range(10):
-            sa, out_a = run_round(state, cfg, datasets, streams_a, Task.LINEAR_REGRESSION)
-            sb, out_b = run_round(state, cfg, grown, streams_b, Task.LINEAR_REGRESSION)
+            _, out_a = one_round(state, cfg, datasets, streams_a)
+            _, out_b = one_round(state, cfg, grown, streams_b)
             assert out_a.participants == out_b.participants
             for i in out_a.participants:
                 if i != 0:
@@ -341,7 +354,7 @@ class TestRoundReference:
         for _ in range(60):
             ref_state = ModelState(weights=ref_weights, iteration=state.iteration)
             ref = reference_round(ref_state, cfg, datasets, ref_streams, task)
-            state, outcome = run_round(state, cfg, datasets, streams, task)
+            state, outcome = one_round(state, cfg, datasets, streams, task)
             ref_weights, participants, sampled, estimate, total, max_norm = ref
             assert outcome.participants == participants
             assert outcome.sampled_elements == sampled
@@ -371,27 +384,103 @@ class TestRoundReference:
             assert row.participants == len(outcome.sampled_elements)
 
 
+class TestDrawRounds:
+    """A block of R rounds' draws equals R one-round draws, field for field
+    and in the state of every stream it leaves behind."""
+
+    @pytest.mark.parametrize(
+        "overrides, rounds, kind",
+        [
+            (dict(N=12, d=6, p=0.5, q=0.4, m=4, seed=5), 40, "ragged"),
+            (dict(N=3, d=4, p=0.1, q=0.5, seed=1), 30, "empty rounds"),
+            (dict(N=5, d=4, p=1.0, q=1.0, seed=2), 7, "p = q = 1"),
+        ],
+    )
+    def test_block_equals_one_round_draws(self, overrides, rounds, kind):
+        cfg = config(**overrides)
+        streams, datasets, _ = fresh_world(cfg)
+        one_streams, _, _ = fresh_world(cfg)
+        rng = np.random.default_rng(8)
+        for client in (0, 1, 1):
+            datasets = with_extra_element(
+                datasets, client, rng.standard_normal(cfg.m), rng.choice([-1.0, 1.0])
+            )
+        block = draw_rounds(cfg, datasets, streams, rounds)
+        singles = [d for _ in range(rounds) for d in draw_rounds(cfg, datasets, one_streams, 1)]
+        assert len(block) == len(singles) == rounds
+        for a, b in zip(block, singles):
+            for field in fields(RoundDraw):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                if isinstance(x, np.ndarray):
+                    assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
+                    assert x.tobytes() == y.tobytes(), field.name
+                    assert not x.flags.writeable, field.name
+                else:
+                    assert x == y, field.name
+        assert stream_states(streams) == stream_states(one_streams)
+
+        assert {len(ds) for ds in datasets} == {cfg.d, cfg.d + 1, cfg.d + 2}
+        if kind == "empty rounds":
+            assert any(not d.participants for d in block)
+            assert any(d.participants for d in block)
+        if kind == "p = q = 1":
+            for d in block:
+                assert d.participants == tuple(range(cfg.N))
+                assert d.element_mask.all()
+                assert len(d.labels) == sum(len(ds) for ds in datasets)
+
+    @pytest.mark.parametrize("task", list(Task))
+    def test_run_training_blocks_equal_one_round_loop(self, task, monkeypatch):
+        # 100 clients of 1000 elements: blocks of 2, 2 and 1 rounds
+        cfg = config(N=100, d=1000, p=0.1, q=0.1, T=5, seed=4)
+        blocks = []
+
+        def recording_draw(config, datasets, streams, rounds):
+            blocks.append(rounds)
+            return draw_rounds(config, datasets, streams, rounds)
+
+        monkeypatch.setattr(simulator, "draw_rounds", recording_draw)
+        rows = run_training(cfg, task)
+        assert blocks == [2, 2, 1]
+
+        streams, datasets, _ = fresh_world(cfg, task)
+        X = np.vstack([ds.features for ds in datasets])
+        y = np.concatenate([ds.labels for ds in datasets])
+        state = ModelState(weights=np.zeros(cfg.m), iteration=0)
+        expected = []
+        for t in range(cfg.T):
+            state, outcome = one_round(state, cfg, datasets, streams, task)
+            expected.append(MetricsRow(
+                iteration=t,
+                loss=task_loss(task, state.weights, X, y),
+                grad_norm=float(np.linalg.norm(outcome.noisy_estimate)),
+                participants=len(outcome.participants),
+                sampled_elements=sum(len(s) for s in outcome.sampled_elements.values()),
+            ))
+        assert rows == expected
+
+
 class TestRoundStatistics:
     def test_means_and_noise_independence(self):
         cfg = config(N=30, d=5, p=0.3, q=0.4, sigma=1.0, m=3)
         streams, datasets, _ = fresh_world(cfg)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
-        rounds = 10_000
+        rounds, block = 10_000, 1_000
         participant_counts = np.empty(rounds)
         element_counts = np.empty(rounds)
         noise_first = np.empty(rounds)
         scale = cfg.p * cfg.N * cfg.q * cfg.d
-        for t in range(rounds):
-            _, outcome = run_round(
-                state, cfg, datasets, streams, Task.LINEAR_REGRESSION
-            )
-            participant_counts[t] = len(outcome.participants)
-            element_counts[t] = sum(
-                len(s) for s in outcome.sampled_elements.values()
-            )
-            noise_first[t] = (
-                outcome.noisy_estimate[0] * scale - outcome.raw_sum[0]
-            ) / cfg.sigma
+        for start in range(0, rounds, block):
+            draws = draw_rounds(cfg, datasets, streams, block)
+            for t, draw in enumerate(draws, start):
+                _, outcome = run_round(state, cfg, draw, Task.LINEAR_REGRESSION)
+                participant_counts[t] = len(outcome.participants)
+                element_counts[t] = sum(
+                    len(s) for s in outcome.sampled_elements.values()
+                )
+                noise_first[t] = (
+                    outcome.noisy_estimate[0] * scale - outcome.raw_sum[0]
+                ) / cfg.sigma
 
         se_participants = math.sqrt(cfg.N * cfg.p * (1.0 - cfg.p) / rounds)
         assert participant_counts.mean() == pytest.approx(
@@ -424,12 +513,8 @@ class TestSensitivity:
             grown = with_extra_element(datasets, 0, np.full(cfg.m, 2.0), -3.0)
             rng = np.random.default_rng(seed)
             state = ModelState(weights=rng.standard_normal(cfg.m), iteration=0)
-            _, out_a = run_round(
-                state, cfg, datasets, streams_a, Task.LINEAR_REGRESSION
-            )
-            _, out_b = run_round(
-                state, cfg, grown, streams_b, Task.LINEAR_REGRESSION
-            )
+            _, out_a = one_round(state, cfg, datasets, streams_a)
+            _, out_b = one_round(state, cfg, grown, streams_b)
             shift = float(np.linalg.norm(out_b.raw_sum - out_a.raw_sum))
             assert shift <= cfg.C + 1e-12
 
