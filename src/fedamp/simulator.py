@@ -6,13 +6,16 @@ per-sample gradients of all participants are clipped to norm C and summed,
 the coordinator adds centered Gaussian noise (std sigma per coordinate) and
 scales by 1/(p N q d) for unbiasedness, then takes a gradient step.
 
-The random draws of a block of rounds are made together, one call per
-stream: all the participation coins, all the noise, and per client the
-masks of every round it takes part in; one gather then picks the sampled
-rows of all those rounds. A PCG64 stream gives the same values however its
-draws are split into calls, so a block's draws, and the stream states it
-leaves, are those of drawing one round at a time. A round then only takes
-the gradient step on its draws.
+All clients' elements sit in one stacked, read-only feature and label
+array, client i owning one run of rows. The random draws of a block of
+rounds are made together, one call per stream: all the participation
+coins, all the noise, and per client the masks of every round it takes
+part in. The block keeps the stack rows of the sampled elements, not the
+elements themselves, so its memory does not grow with the model dimension.
+A PCG64 stream gives the same values however its draws are split into
+calls, so a block's draws, and the stream states it leaves, are those of
+drawing one round at a time. A round gathers its rows and takes the
+gradient step; what only inspection reads of it is built on first read.
 
 Synthetic linear and logistic regression stand in for real workloads;
 everything is driven by seeded generator streams so that runs are
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -34,7 +36,8 @@ from scipy.special import expit
 from .numerics import DomainError
 
 
-# mask draws per block of rounds in run_training: bounds its memory, not its results
+# mask and noise draws per block of rounds in run_training: bounds its
+# memory, not its results
 _DRAW_BLOCK = 1 << 18
 
 
@@ -80,33 +83,28 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class ClientDataset:
+class ClientData:
+    """Every client's elements, stacked in client order: client i owns
+    rows offsets[i] to offsets[i + 1] of features and labels."""
+
     features: np.ndarray
     labels: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self) -> None:
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise DomainError("features must be 2-d and labels 1-d")
         if self.features.shape[0] != self.labels.shape[0]:
             raise DomainError("features and labels disagree on sample count")
+        offsets = self.offsets
+        if (offsets.ndim != 1 or offsets.size < 2 or offsets.dtype.kind not in "iu"
+                or offsets[0] != 0 or offsets[-1] != self.labels.shape[0]
+                or (np.diff(offsets) < 0).any()):
+            raise DomainError("offsets must rise from 0 to the sample count")
 
-    def __len__(self) -> int:
-        return self.labels.shape[0]
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    participants: tuple[int, ...]
-    element_mask: np.ndarray
-    client_sizes: tuple[int, ...]
-    noisy_estimate: np.ndarray
-    raw_sum: np.ndarray
-    max_clipped_norm: float
-
-    @cached_property
-    def sampled_elements(self) -> dict[int, tuple[int, ...]]:
-        blocks = np.split(self.element_mask, np.cumsum(self.client_sizes)[:-1])
-        return {i: tuple(np.flatnonzero(b).tolist()) for i, b in zip(self.participants, blocks)}
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
 
 @dataclass(frozen=True)
@@ -169,21 +167,33 @@ def _clip_rows(rows: np.ndarray, C: float) -> np.ndarray:
 
 def make_synthetic_datasets(
     config: SimConfig, task: Task, rng: np.random.Generator
-) -> tuple[list[ClientDataset], np.ndarray]:
-    """Seeded datasets for N clients plus the planted parameter vector."""
-    w_star = rng.standard_normal(config.m) * (2.0 / math.sqrt(config.m))
-    datasets = []
-    for _ in range(config.N):
-        X = rng.standard_normal((config.d, config.m))
-        margins = X @ w_star
-        if task is Task.LINEAR_REGRESSION:
-            y = margins + 0.1 * rng.standard_normal(config.d)
-        else:
-            y = np.where(rng.uniform(size=config.d) < expit(margins), 1.0, -1.0)
-        X.setflags(write=False)
-        y.setflags(write=False)
-        datasets.append(ClientDataset(features=X, labels=y))
-    return datasets, w_star
+) -> tuple[ClientData, np.ndarray]:
+    """Seeded datasets for N clients of d elements, stacked, plus the
+    planted parameter vector. Each client draws its features and then its
+    label noise; its margins are its own matrix-vector product, since one
+    product over the whole stack can differ from them in the last bit."""
+    N, d, m = config.N, config.d, config.m
+    w_star = rng.standard_normal(m) * (2.0 / math.sqrt(m))
+    X = np.empty((N * d, m))
+    margins = np.empty(N * d)
+    draws = np.empty(N * d)
+    # the linear task's label noise or the logistic task's label uniforms;
+    # random(d) gives the values of uniform(size=d)
+    draw = rng.standard_normal if task is Task.LINEAR_REGRESSION else rng.random
+    for start in range(0, N * d, d):
+        client = slice(start, start + d)
+        rng.standard_normal(out=X[client])
+        np.matmul(X[client], w_star, out=margins[client])
+        draw(out=draws[client])
+    if task is Task.LINEAR_REGRESSION:
+        y = margins + 0.1 * draws
+    else:
+        y = np.where(draws < expit(margins), 1.0, -1.0)
+    X.setflags(write=False)
+    y.setflags(write=False)
+    offsets = np.arange(0, N * d + 1, d)
+    offsets.setflags(write=False)
+    return ClientData(features=X, labels=y, offsets=offsets), w_star
 
 
 def task_loss(task: Task, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -210,17 +220,61 @@ def task_sample_grads(
 
 
 @dataclass(frozen=True)
-class RoundDraw:
-    """One round's random draws, read-only: the participants, each one's
-    size and element mask (joined into one flat mask), the sampled rows of
-    all participants in that order, and the standard normal noise row."""
+class RoundBlock:
+    """The draws of a block of rounds, read-only, over one ClientData.
 
-    participants: tuple[int, ...]
-    client_sizes: tuple[int, ...]
+    The flat arrays list the rounds in order. Per (round, participant)
+    pair: the client and its size. Per element of those pairs: the mask.
+    Per sampled element: its row in the stack. Round r owns entries
+    pair_at[r] to pair_at[r + 1] of the pair arrays, and likewise with
+    element_at and row_at; noise[r] is its standard normal noise row.
+    """
+
+    data: ClientData
+    participants: np.ndarray
+    client_sizes: np.ndarray
     element_mask: np.ndarray
-    features: np.ndarray
-    labels: np.ndarray
+    rows: np.ndarray
     noise: np.ndarray
+    pair_at: tuple[int, ...]
+    element_at: tuple[int, ...]
+    row_at: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class RoundOutcome:
+    """What round `index` of `block` computed. The attributes that only
+    inspection reads are built on first read."""
+
+    block: RoundBlock
+    index: int
+    clipped: np.ndarray
+    noisy_estimate: np.ndarray
+    raw_sum: np.ndarray
+
+    @cached_property
+    def participants(self) -> tuple[int, ...]:
+        at = self.block.pair_at
+        return tuple(self.block.participants[at[self.index]:at[self.index + 1]].tolist())
+
+    @cached_property
+    def client_sizes(self) -> tuple[int, ...]:
+        at = self.block.pair_at
+        return tuple(self.block.client_sizes[at[self.index]:at[self.index + 1]].tolist())
+
+    @cached_property
+    def element_mask(self) -> np.ndarray:
+        at = self.block.element_at
+        return self.block.element_mask[at[self.index]:at[self.index + 1]]
+
+    @cached_property
+    def max_clipped_norm(self) -> float:
+        return float(_row_norms(self.clipped).max(initial=0.0))
+
+    @cached_property
+    def sampled_elements(self) -> dict[int, tuple[int, ...]]:
+        blocks = np.split(self.element_mask, np.cumsum(self.client_sizes)[:-1])
+        return {i: tuple(np.flatnonzero(b).tolist()) for i, b in zip(self.participants, blocks)}
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -230,22 +284,21 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 
 def draw_rounds(
     config: SimConfig,
-    datasets: Sequence[ClientDataset],
+    data: ClientData,
     streams: Streams,
     rounds: int,
-) -> list[RoundDraw]:
+) -> RoundBlock:
     """The draws of the next `rounds` rounds, one call per stream.
 
     Participation takes one (rounds, N) block of coins and noise one
     (rounds, m) block; each client draws the masks of all the rounds it
-    takes part in with one call, and one fancy index gathers the sampled
-    rows in (round, participant, element) order. A PCG64 stream yields the
-    same values however its draws are split into calls, so the draws and
-    the final stream states equal those of `rounds` one-round calls.
+    takes part in with one call. A PCG64 stream yields the same values
+    however its draws are split into calls, so the draws and the final
+    stream states equal those of `rounds` one-round calls.
     """
     coins = streams.participation.uniform(size=(rounds, config.N)) < config.p
     noise = streams.noise.standard_normal((rounds, config.m))
-    sizes = np.array([len(ds) for ds in datasets])
+    sizes = data.sizes
     takes = np.count_nonzero(coins, axis=0)
     # a client's stream advances only in rounds it takes part in
     uniforms = [
@@ -266,53 +319,46 @@ def draw_rounds(
     position = np.arange(first[-1])
     mask = masks[np.repeat(mask_start - first[:-1], lengths) + position]
     sampled = np.flatnonzero(mask)
-    rows = np.repeat(_offsets(sizes)[client] - first[:-1], lengths)[sampled] + sampled
-    features = np.concatenate([ds.features for ds in datasets])[rows]
-    labels = np.concatenate([ds.labels for ds in datasets])[rows]
-    for block in (noise, mask, features, labels):
-        block.setflags(write=False)
+    rows = np.repeat(data.offsets[client] - first[:-1], lengths)[sampled] + sampled
 
     pair_at = _offsets(np.count_nonzero(coins, axis=1))
     element_at = first[pair_at]
-    sampled_at = np.searchsorted(sampled, element_at).tolist()
-    pair_at, element_at = pair_at.tolist(), element_at.tolist()
-    clients, client_sizes = client.tolist(), lengths.tolist()
-    return [
-        RoundDraw(
-            participants=tuple(clients[pair_at[r]:pair_at[r + 1]]),
-            client_sizes=tuple(client_sizes[pair_at[r]:pair_at[r + 1]]),
-            element_mask=mask[element_at[r]:element_at[r + 1]],
-            features=features[sampled_at[r]:sampled_at[r + 1]],
-            labels=labels[sampled_at[r]:sampled_at[r + 1]],
-            noise=noise[r],
-        )
-        for r in range(rounds)
-    ]
+    row_at = np.searchsorted(sampled, element_at)
+    for array in (client, lengths, mask, rows, noise):
+        array.setflags(write=False)
+    return RoundBlock(
+        data=data,
+        participants=client,
+        client_sizes=lengths,
+        element_mask=mask,
+        rows=rows,
+        noise=noise,
+        pair_at=tuple(pair_at.tolist()),
+        element_at=tuple(element_at.tolist()),
+        row_at=tuple(row_at.tolist()),
+    )
 
 
 def run_round(
-    state: ModelState, config: SimConfig, draw: RoundDraw, task: Task
+    state: ModelState, config: SimConfig, block: RoundBlock, r: int, task: Task
 ) -> tuple[ModelState, RoundOutcome]:
-    """One protocol round at the config's sigma on the given draws: the
-    sampled rows are clipped and summed together, the noise is added and
-    the step taken."""
-    grads = task_sample_grads(task, state.weights, draw.features, draw.labels)
-    clipped = _clip_rows(grads, config.C)
+    """Round r of the block at the config's sigma: its sampled rows are
+    gathered, clipped and summed together, the noise is added and the
+    step taken."""
+    rows = block.rows[block.row_at[r]:block.row_at[r + 1]]
+    X = block.data.features.take(rows, axis=0)
+    y = block.data.labels.take(rows)
+    clipped = _clip_rows(task_sample_grads(task, state.weights, X, y), config.C)
     total = clipped.sum(axis=0)
 
     scale = config.p * config.N * config.q * config.d
     # overflow here is legitimate; ModelState turns it into a divergence error
     with np.errstate(over="ignore"):
-        estimate = (total + config.sigma * draw.noise) / scale
+        estimate = (total + config.sigma * block.noise[r]) / scale
         new_weights = state.weights - config.eta * estimate
     new_state = ModelState(weights=new_weights, iteration=state.iteration + 1)
     outcome = RoundOutcome(
-        participants=draw.participants,
-        element_mask=draw.element_mask,
-        client_sizes=draw.client_sizes,
-        noisy_estimate=estimate,
-        raw_sum=total,
-        max_clipped_norm=float(_row_norms(clipped).max(initial=0.0)),
+        block=block, index=r, clipped=clipped, noisy_estimate=estimate, raw_sum=total
     )
     return new_state, outcome
 
@@ -329,22 +375,22 @@ class MetricsRow:
 def run_training(config: SimConfig, task: Task) -> list[MetricsRow]:
     """Full training run at config.sigma, one metrics row per iteration."""
     streams = make_streams(config.seed, config.N)
-    datasets, _ = make_synthetic_datasets(config, task, streams.data)
-    all_X = np.vstack([ds.features for ds in datasets])
-    all_y = np.concatenate([ds.labels for ds in datasets])
+    data, _ = make_synthetic_datasets(config, task, streams.data)
 
-    # a block of rounds holds at most about _DRAW_BLOCK mask draws
-    block = max(1, _DRAW_BLOCK // all_y.size)
+    # a block of rounds holds at most about _DRAW_BLOCK mask and noise draws
+    block_rounds = max(1, _DRAW_BLOCK // (data.labels.size + config.m))
     state = ModelState(weights=np.zeros(config.m), iteration=0)
     rows = []
-    for start in range(0, config.T, block):
-        draws = draw_rounds(config, datasets, streams, min(block, config.T - start))
-        for t, draw in enumerate(draws, start):
+    for start in range(0, config.T, block_rounds):
+        rounds = min(block_rounds, config.T - start)
+        block = draw_rounds(config, data, streams, rounds)
+        for r in range(rounds):
+            t = start + r
             try:
-                state, outcome = run_round(state, config, draw, task)
+                state, outcome = run_round(state, config, block, r, task)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(f"weights diverged at iteration {t}") from exc
-            loss = task_loss(task, state.weights, all_X, all_y)
+            loss = task_loss(task, state.weights, data.features, data.labels)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"loss diverged at iteration {t}")
             rows.append(
@@ -352,8 +398,8 @@ def run_training(config: SimConfig, task: Task) -> list[MetricsRow]:
                     iteration=t,
                     loss=loss,
                     grad_norm=float(np.linalg.norm(outcome.noisy_estimate)),
-                    participants=len(outcome.participants),
-                    sampled_elements=len(draw.labels),
+                    participants=block.pair_at[r + 1] - block.pair_at[r],
+                    sampled_elements=block.row_at[r + 1] - block.row_at[r],
                 )
             )
     return rows

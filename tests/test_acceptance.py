@@ -190,7 +190,7 @@ def test_criterion_10_simulator_statistics():
         N=30, d=10, p=0.2, q=0.3, C=1.0, sigma=0.5, T=1, eta=0.1, m=4, seed=11
     )
     streams = make_streams(cfg.seed, cfg.N)
-    datasets, _ = make_synthetic_datasets(cfg, Task.LINEAR_REGRESSION, streams.data)
+    data, _ = make_synthetic_datasets(cfg, Task.LINEAR_REGRESSION, streams.data)
     state = ModelState(weights=np.zeros(cfg.m), iteration=0)
 
     rounds = 10_000
@@ -198,10 +198,12 @@ def test_criterion_10_simulator_statistics():
     elements = np.empty(rounds)
     clip_ok = True
     # blocks of rounds' draws give the same values as one-round draws
-    block = 1_000
-    for first in range(0, rounds, block):
-        for t, draw in enumerate(draw_rounds(cfg, datasets, streams, block), first):
-            _, outcome = run_round(state, cfg, draw, Task.LINEAR_REGRESSION)
+    block_rounds = 1_000
+    for first in range(0, rounds, block_rounds):
+        block = draw_rounds(cfg, data, streams, block_rounds)
+        for r in range(block_rounds):
+            t = first + r
+            _, outcome = run_round(state, cfg, block, r, Task.LINEAR_REGRESSION)
             participants[t] = len(outcome.participants)
             elements[t] = sum(len(s) for s in outcome.sampled_elements.values())
             assert outcome.max_clipped_norm is not None
@@ -221,17 +223,18 @@ def test_criterion_10_simulator_statistics():
     w = rng.standard_normal(cfg.m) * 0.3
     fixed_state = ModelState(weights=w, iteration=0)
     expected = np.zeros(cfg.m)
-    for ds in datasets:
-        grads = task_sample_grads(Task.LINEAR_REGRESSION, w, ds.features, ds.labels)
+    for lo, hi in zip(data.offsets[:-1], data.offsets[1:]):
+        grads = task_sample_grads(Task.LINEAR_REGRESSION, w, data.features[lo:hi], data.labels[lo:hi])
         norms = np.linalg.norm(grads, axis=1)
         expected += (grads / np.maximum(1.0, norms / cfg.C)[:, None]).sum(axis=0)
     expected /= cfg.N * cfg.d
 
     estimates = np.empty((fixed_rounds, cfg.m))
-    for first in range(0, fixed_rounds, block):
-        for t, draw in enumerate(draw_rounds(cfg, datasets, streams, block), first):
-            _, outcome = run_round(fixed_state, cfg, draw, Task.LINEAR_REGRESSION)
-            estimates[t] = outcome.noisy_estimate
+    for first in range(0, fixed_rounds, block_rounds):
+        block = draw_rounds(cfg, data, streams, block_rounds)
+        for r in range(block_rounds):
+            _, outcome = run_round(fixed_state, cfg, block, r, Task.LINEAR_REGRESSION)
+            estimates[first + r] = outcome.noisy_estimate
     se_coord = estimates.std(axis=0, ddof=1) / math.sqrt(fixed_rounds)
     bias_z = np.abs(estimates.mean(axis=0) - expected) / se_coord
 

@@ -1,25 +1,27 @@
 import csv
 import io
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.special import expit
 
 from fedamp import simulator
 from fedamp.accountant import Scheme, calibrate_sigma
 from fedamp.cli import main
 from fedamp.numerics import DomainError
 from fedamp.simulator import (
-    ClientDataset,
+    ClientData,
     MetricsRow,
     ModelState,
-    RoundDraw,
     SimConfig,
     Task,
     TrainingDivergedError,
     _clip_rows,
+    _row_norms,
     draw_rounds,
     make_streams,
     make_synthetic_datasets,
@@ -53,14 +55,20 @@ def simulate_rows(cfg: SimConfig, *flags: str) -> list[dict]:
 
 def fresh_world(cfg: SimConfig, task: Task = Task.LINEAR_REGRESSION):
     streams = make_streams(cfg.seed, cfg.N)
-    datasets, w_star = make_synthetic_datasets(cfg, task, streams.data)
-    return streams, datasets, w_star
+    data, w_star = make_synthetic_datasets(cfg, task, streams.data)
+    return streams, data, w_star
 
 
-def one_round(state, cfg, datasets, streams, task=Task.LINEAR_REGRESSION):
+def client(data: ClientData, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Client i's features and labels."""
+    rows = slice(data.offsets[i], data.offsets[i + 1])
+    return data.features[rows], data.labels[rows]
+
+
+def one_round(state, cfg, data, streams, task=Task.LINEAR_REGRESSION):
     """One protocol round on a one-round draw."""
-    (draw,) = draw_rounds(cfg, datasets, streams, 1)
-    return run_round(state, cfg, draw, task)
+    block = draw_rounds(cfg, data, streams, 1)
+    return run_round(state, cfg, block, 0, task)
 
 
 def stream_states(streams) -> list:
@@ -69,21 +77,41 @@ def stream_states(streams) -> list:
 
 
 def with_extra_element(
-    datasets: list[ClientDataset],
-    client: int,
+    data: ClientData,
+    i: int,
     feature: np.ndarray,
     label: float,
-) -> list[ClientDataset]:
-    """Copy of the dataset list with one element appended to one client."""
-    out = list(datasets)
-    out[client] = ClientDataset(
-        features=np.vstack([out[client].features, np.asarray(feature, float)]),
-        labels=np.append(out[client].labels, float(label)),
+) -> ClientData:
+    """Copy of the data with one element appended to client i."""
+    end = data.offsets[i + 1]
+    offsets = data.offsets.copy()
+    offsets[i + 1:] += 1
+    return ClientData(
+        features=np.insert(data.features, end, np.asarray(feature, float), axis=0),
+        labels=np.insert(data.labels, end, float(label)),
+        offsets=offsets,
     )
-    return out
 
 
-def reference_round(state, config, datasets, streams, task):
+def reference_datasets(config: SimConfig, task: Task, rng: np.random.Generator):
+    """The per-client construction that `make_synthetic_datasets` replaced,
+    kept as an independent reference: one features array, one margin
+    product and one label array per client."""
+    w_star = rng.standard_normal(config.m) * (2.0 / math.sqrt(config.m))
+    features, labels = [], []
+    for _ in range(config.N):
+        X = rng.standard_normal((config.d, config.m))
+        margins = X @ w_star
+        if task is Task.LINEAR_REGRESSION:
+            y = margins + 0.1 * rng.standard_normal(config.d)
+        else:
+            y = np.where(rng.uniform(size=config.d) < expit(margins), 1.0, -1.0)
+        features.append(X)
+        labels.append(y)
+    return features, labels, w_star
+
+
+def reference_round(state, config, data, streams, task):
     """The per-participant round loop that `run_round` replaced, kept as an
     independent reference: one uniform draw, one index tuple and one boolean
     row selection per participant, and norms through `np.linalg.norm`."""
@@ -92,14 +120,16 @@ def reference_round(state, config, datasets, streams, task):
     participants = tuple(np.flatnonzero(part_u < config.p).tolist())
 
     sampled = {}
+    masks = [np.empty(0, bool)]
     features = [np.empty((0, config.m))]
     labels = [np.empty(0)]
     for i in participants:
-        ds = datasets[i]
-        mask = streams.elements[i].uniform(size=len(ds)) < config.q
+        X, y = client(data, i)
+        mask = streams.elements[i].uniform(size=len(y)) < config.q
         sampled[i] = tuple(np.flatnonzero(mask).tolist())
-        features.append(ds.features[mask])
-        labels.append(ds.labels[mask])
+        masks.append(mask)
+        features.append(X[mask])
+        labels.append(y[mask])
     grads = task_sample_grads(
         task, state.weights, np.concatenate(features), np.concatenate(labels)
     )
@@ -111,7 +141,8 @@ def reference_round(state, config, datasets, streams, task):
     estimate = (total + config.sigma * noise) / scale
     new_weights = state.weights - config.eta * estimate
     max_norm = float(np.linalg.norm(clipped, axis=1).max(initial=0.0))
-    return new_weights, participants, sampled, estimate, total, max_norm
+    return (new_weights, participants, sampled, np.concatenate(masks),
+            estimate, total, max_norm)
 
 
 class TestClipGradient:
@@ -169,46 +200,73 @@ class TestSimConfig:
 class TestSyntheticData:
     def test_shapes_and_determinism(self):
         cfg = config(N=7, d=4, m=3)
-        _, datasets, w_star = fresh_world(cfg)
-        assert len(datasets) == 7
-        assert all(ds.features.shape == (4, 3) for ds in datasets)
+        _, data, w_star = fresh_world(cfg)
+        assert data.sizes.tolist() == [4] * 7
+        assert data.features.shape == (28, 3)
         assert w_star.shape == (3,)
         _, again, w_again = fresh_world(cfg)
-        np.testing.assert_array_equal(datasets[3].features, again[3].features)
+        np.testing.assert_array_equal(client(data, 3)[0], client(again, 3)[0])
         np.testing.assert_array_equal(w_star, w_again)
+
+    @pytest.mark.parametrize("task", list(Task))
+    @pytest.mark.parametrize(
+        "N, d, m", [(1, 1, 1), (6, 1, 4), (5, 7, 1), (12, 30, 20), (3, 200, 9)]
+    )
+    def test_matches_per_client_reference(self, task, N, d, m):
+        cfg = config(N=N, d=d, m=m, seed=N + d + m)
+        streams, data, w_star = fresh_world(cfg, task)
+        ref_rng = make_streams(cfg.seed, cfg.N).data
+        features, labels, ref_w_star = reference_datasets(cfg, task, ref_rng)
+        for got, want in ((data.features, np.concatenate(features)),
+                          (data.labels, np.concatenate(labels)),
+                          (w_star, ref_w_star)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        assert data.offsets.tolist() == list(range(0, N * d + 1, d))
+        assert streams.data.bit_generator.state == ref_rng.bit_generator.state
 
     def test_logistic_labels_are_signs(self):
         cfg = config(N=5, d=6, m=3)
-        _, datasets, _ = fresh_world(cfg, Task.LOGISTIC_REGRESSION)
-        for ds in datasets:
-            assert set(np.unique(ds.labels)) <= {-1.0, 1.0}
+        _, data, _ = fresh_world(cfg, Task.LOGISTIC_REGRESSION)
+        assert set(np.unique(data.labels)) <= {-1.0, 1.0}
 
     def test_arrays_are_read_only(self):
-        _, datasets, _ = fresh_world(config())
+        _, data, _ = fresh_world(config())
         with pytest.raises(ValueError):
-            datasets[0].features[0, 0] = 99.0
+            data.features[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            data.labels[0] = 99.0
+        with pytest.raises(ValueError):
+            data.offsets[1] = 0
 
     def test_dataset_validation(self):
         with pytest.raises(DomainError):
-            ClientDataset(features=np.zeros((3, 2)), labels=np.zeros(4))
+            ClientData(features=np.zeros((3, 2)), labels=np.zeros(4), offsets=np.array([0, 4]))
         with pytest.raises(DomainError):
-            ClientDataset(features=np.zeros(3), labels=np.zeros(3))
+            ClientData(features=np.zeros(3), labels=np.zeros(3), offsets=np.array([0, 3]))
+        for offsets in ([0, 2], [1, 3], [0, 2, 1, 3], [0.0, 3.0], [3], [[0, 3]]):
+            with pytest.raises(DomainError, match="offsets"):
+                ClientData(features=np.zeros((3, 2)), labels=np.zeros(3),
+                           offsets=np.array(offsets))
 
 
 class TestWithExtraElement:
     def test_appends_one_element(self):
-        _, datasets, _ = fresh_world(config(N=4, d=5, m=3))
-        grown = with_extra_element(datasets, 2, np.ones(3), 1.0)
-        assert len(grown[2]) == 6
-        assert len(datasets[2]) == 5  # original untouched
-        np.testing.assert_array_equal(grown[2].features[-1], np.ones(3))
-        assert grown[2].labels[-1] == 1.0
+        _, data, _ = fresh_world(config(N=4, d=5, m=3))
+        grown = with_extra_element(data, 2, np.ones(3), 1.0)
+        X, y = client(grown, 2)
+        assert len(y) == 6
+        assert len(client(data, 2)[1]) == 5  # original untouched
+        np.testing.assert_array_equal(X[-1], np.ones(3))
+        assert y[-1] == 1.0
 
     def test_other_clients_share_objects(self):
-        _, datasets, _ = fresh_world(config(N=4))
-        grown = with_extra_element(datasets, 1, np.zeros(3), -1.0)
-        assert grown[0] is datasets[0]
-        assert grown[3] is datasets[3]
+        # the other clients keep their elements, byte for byte
+        _, data, _ = fresh_world(config(N=4))
+        grown = with_extra_element(data, 1, np.zeros(3), -1.0)
+        for i in (0, 2, 3):
+            for got, want in zip(client(grown, i), client(data, i)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestTaskFunctions:
@@ -264,25 +322,25 @@ class TestTaskFunctions:
 class TestRunRound:
     def test_deterministic_across_stream_rebuilds(self):
         cfg = config()
-        streams_a, datasets, _ = fresh_world(cfg)
+        streams_a, data, _ = fresh_world(cfg)
         streams_b = make_streams(cfg.seed, cfg.N)
         make_synthetic_datasets(cfg, Task.LINEAR_REGRESSION, streams_b.data)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
-        _, out_a = one_round(state, cfg, datasets, streams_a)
-        _, out_b = one_round(state, cfg, datasets, streams_b)
+        _, out_a = one_round(state, cfg, data, streams_a)
+        _, out_b = one_round(state, cfg, data, streams_b)
         assert out_a.participants == out_b.participants
         assert out_a.sampled_elements == out_b.sampled_elements
         np.testing.assert_array_equal(out_a.noisy_estimate, out_b.noisy_estimate)
 
     def test_full_participation_noiseless_mean(self):
         cfg = config(p=1.0, q=1.0, sigma=0.0, N=6, d=4, m=3)
-        streams, datasets, _ = fresh_world(cfg)
+        streams, data, _ = fresh_world(cfg)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
-        new_state, outcome = one_round(state, cfg, datasets, streams)
+        new_state, outcome = one_round(state, cfg, data, streams)
         manual = np.zeros(cfg.m)
-        for ds in datasets:
+        for i in range(cfg.N):
             grads = task_sample_grads(
-                Task.LINEAR_REGRESSION, state.weights, ds.features, ds.labels
+                Task.LINEAR_REGRESSION, state.weights, *client(data, i)
             )
             norms = np.linalg.norm(grads, axis=1)
             manual += (grads / np.maximum(1.0, norms / cfg.C)[:, None]).sum(axis=0)
@@ -294,12 +352,12 @@ class TestRunRound:
 
     def test_only_participants_draw_element_masks(self):
         cfg = config(N=4, p=0.25)
-        streams, datasets, _ = fresh_world(cfg)
+        streams, data, _ = fresh_world(cfg)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
         empty_rounds = 0
         for _ in range(20):
             before = [g.bit_generator.state for g in streams.elements]
-            state, outcome = one_round(state, cfg, datasets, streams)
+            state, outcome = one_round(state, cfg, data, streams)
             for i, g in enumerate(streams.elements):
                 advanced = g.bit_generator.state != before[i]
                 assert advanced == (i in outcome.participants)
@@ -313,22 +371,22 @@ class TestRunRound:
 
     def test_clipping_invariant(self):
         cfg = config(C=0.3, T=1)
-        streams, datasets, _ = fresh_world(cfg)
+        streams, data, _ = fresh_world(cfg)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
         for _ in range(25):
-            state, outcome = one_round(state, cfg, datasets, streams)
+            state, outcome = one_round(state, cfg, data, streams)
             assert outcome.max_clipped_norm <= cfg.C + 1e-12
 
     def test_coupling_between_neighboring_datasets(self):
         # growing client 0 leaves every other client's round draws untouched
         cfg = config(N=8, q=0.4)
-        streams_a, datasets, _ = fresh_world(cfg)
+        streams_a, data, _ = fresh_world(cfg)
         streams_b = make_streams(cfg.seed, cfg.N)
         make_synthetic_datasets(cfg, Task.LINEAR_REGRESSION, streams_b.data)
-        grown = with_extra_element(datasets, 0, np.full(cfg.m, 0.1), 1.0)
+        grown = with_extra_element(data, 0, np.full(cfg.m, 0.1), 1.0)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
         for _ in range(10):
-            _, out_a = one_round(state, cfg, datasets, streams_a)
+            _, out_a = one_round(state, cfg, data, streams_a)
             _, out_b = one_round(state, cfg, grown, streams_b)
             assert out_a.participants == out_b.participants
             for i in out_a.participants:
@@ -341,30 +399,60 @@ class TestRoundReference:
     def test_matches_per_participant_loop(self, task):
         # ragged clients: three of them hold one or two extra elements
         cfg = config(N=12, d=6, p=0.5, q=0.4, C=0.5, sigma=0.7, eta=0.3, m=4, seed=5)
-        streams, datasets, _ = fresh_world(cfg, task)
+        streams, data, _ = fresh_world(cfg, task)
         ref_streams = make_streams(cfg.seed, cfg.N)
         make_synthetic_datasets(cfg, task, ref_streams.data)
         rng = np.random.default_rng(8)
-        for client in (0, 4, 4, 9):
-            datasets = with_extra_element(
-                datasets, client, rng.standard_normal(cfg.m), rng.choice([-1.0, 1.0])
+        for i in (0, 4, 4, 9):
+            data = with_extra_element(
+                data, i, rng.standard_normal(cfg.m), rng.choice([-1.0, 1.0])
             )
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
         ref_weights = state.weights
         for _ in range(60):
             ref_state = ModelState(weights=ref_weights, iteration=state.iteration)
-            ref = reference_round(ref_state, cfg, datasets, ref_streams, task)
-            state, outcome = one_round(state, cfg, datasets, streams, task)
-            ref_weights, participants, sampled, estimate, total, max_norm = ref
+            ref = reference_round(ref_state, cfg, data, ref_streams, task)
+            state, outcome = one_round(state, cfg, data, streams, task)
+            ref_weights, participants, sampled, mask, estimate, total, max_norm = ref
             assert outcome.participants == participants
+            assert outcome.client_sizes == tuple(len(client(data, i)[1]) for i in participants)
+            assert outcome.element_mask.tobytes() == mask.tobytes()
             assert outcome.sampled_elements == sampled
             assert outcome.raw_sum.tobytes() == total.tobytes()
             assert outcome.noisy_estimate.tobytes() == estimate.tobytes()
             assert outcome.max_clipped_norm.hex() == max_norm.hex()
             assert state.weights.tobytes() == ref_weights.tobytes()
-            for g, ref_g in zip(streams.elements, ref_streams.elements):
-                assert g.bit_generator.state == ref_g.bit_generator.state
-        assert {len(ds) for ds in datasets} == {6, 7, 8}
+            assert stream_states(streams) == stream_states(ref_streams)
+        assert set(data.sizes.tolist()) == {6, 7, 8}
+
+    def test_attributes_built_on_read_equal_eager_values(self):
+        # what run_training never reads is built from the block on first
+        # read; here each is built eagerly the way run_round once did
+        cfg = config(N=12, d=6, p=0.3, q=0.4, C=0.5, m=4, seed=3)
+        streams, data, _ = fresh_world(cfg)
+        data = with_extra_element(data, 4, np.ones(cfg.m), 1.0)
+        rounds = 30
+        block = draw_rounds(cfg, data, streams, rounds)
+        state = ModelState(weights=np.full(cfg.m, 0.2), iteration=0)
+        for r in range(rounds):
+            _, outcome = run_round(state, cfg, block, r, Task.LINEAR_REGRESSION)
+            rows = block.rows[block.row_at[r]:block.row_at[r + 1]]
+            grads = task_sample_grads(
+                Task.LINEAR_REGRESSION, state.weights, data.features[rows], data.labels[rows]
+            )
+            clipped = _clip_rows(grads, cfg.C)
+            assert outcome.clipped.tobytes() == clipped.tobytes()
+            eager_norm = float(_row_norms(clipped).max(initial=0.0))
+            assert outcome.max_clipped_norm.hex() == eager_norm.hex()
+            participants = outcome.participants
+            assert outcome.client_sizes == tuple(data.sizes[list(participants)].tolist())
+            # the mask picks, from the participants' rows, the rows gathered
+            element_rows = np.concatenate([np.empty(0, rows.dtype)] + [
+                np.arange(data.offsets[i], data.offsets[i + 1]) for i in participants
+            ])
+            assert not outcome.element_mask.flags.writeable
+            assert element_rows[outcome.element_mask].tobytes() == rows.tobytes()
+            assert outcome.participants is participants  # built once
 
     def test_metrics_count_matches_sampled_elements(self, monkeypatch):
         outcomes = []
@@ -385,8 +473,9 @@ class TestRoundReference:
 
 
 class TestDrawRounds:
-    """A block of R rounds' draws equals R one-round draws, field for field
-    and in the state of every stream it leaves behind."""
+    """Each round of an R-round block equals a one-round block, array for
+    array, and the block leaves every stream in the state R one-round
+    blocks leave."""
 
     @pytest.mark.parametrize(
         "overrides, rounds, kind",
@@ -398,36 +487,40 @@ class TestDrawRounds:
     )
     def test_block_equals_one_round_draws(self, overrides, rounds, kind):
         cfg = config(**overrides)
-        streams, datasets, _ = fresh_world(cfg)
+        streams, data, _ = fresh_world(cfg)
         one_streams, _, _ = fresh_world(cfg)
         rng = np.random.default_rng(8)
-        for client in (0, 1, 1):
-            datasets = with_extra_element(
-                datasets, client, rng.standard_normal(cfg.m), rng.choice([-1.0, 1.0])
+        for i in (0, 1, 1):
+            data = with_extra_element(
+                data, i, rng.standard_normal(cfg.m), rng.choice([-1.0, 1.0])
             )
-        block = draw_rounds(cfg, datasets, streams, rounds)
-        singles = [d for _ in range(rounds) for d in draw_rounds(cfg, datasets, one_streams, 1)]
-        assert len(block) == len(singles) == rounds
-        for a, b in zip(block, singles):
-            for field in fields(RoundDraw):
-                x, y = getattr(a, field.name), getattr(b, field.name)
-                if isinstance(x, np.ndarray):
-                    assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
-                    assert x.tobytes() == y.tobytes(), field.name
-                    assert not x.flags.writeable, field.name
-                else:
-                    assert x == y, field.name
+        block = draw_rounds(cfg, data, streams, rounds)
+        singles = [draw_rounds(cfg, data, one_streams, 1) for _ in range(rounds)]
+        assert block.noise.shape == (rounds, cfg.m)
+        assert not block.noise.flags.writeable
+        per_round = (("participants", "pair_at"), ("client_sizes", "pair_at"),
+                     ("element_mask", "element_at"), ("rows", "row_at"))
+        for r, single in enumerate(singles):
+            assert block.data is single.data is data
+            assert block.noise[r].tobytes() == single.noise[0].tobytes()
+            for name, at in per_round:
+                lo, hi = getattr(block, at)[r:r + 2]
+                x, y = getattr(block, name)[lo:hi], getattr(single, name)
+                assert getattr(single, at) == (0, len(y)), name
+                assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+                assert x.tobytes() == y.tobytes(), name
+                assert not (x.flags.writeable or y.flags.writeable), name
         assert stream_states(streams) == stream_states(one_streams)
 
-        assert {len(ds) for ds in datasets} == {cfg.d, cfg.d + 1, cfg.d + 2}
+        assert set(data.sizes.tolist()) == {cfg.d, cfg.d + 1, cfg.d + 2}
+        pairs = np.diff(block.pair_at)
         if kind == "empty rounds":
-            assert any(not d.participants for d in block)
-            assert any(d.participants for d in block)
+            assert (pairs == 0).any() and (pairs > 0).any()
         if kind == "p = q = 1":
-            for d in block:
-                assert d.participants == tuple(range(cfg.N))
-                assert d.element_mask.all()
-                assert len(d.labels) == sum(len(ds) for ds in datasets)
+            assert (pairs == cfg.N).all()
+            assert block.element_mask.all()
+            assert (np.diff(block.row_at) == data.labels.size).all()
+            assert block.rows.tobytes() == np.tile(np.arange(data.labels.size), rounds).tobytes()
 
     @pytest.mark.parametrize("task", list(Task))
     def test_run_training_blocks_equal_one_round_loop(self, task, monkeypatch):
@@ -435,24 +528,22 @@ class TestDrawRounds:
         cfg = config(N=100, d=1000, p=0.1, q=0.1, T=5, seed=4)
         blocks = []
 
-        def recording_draw(config, datasets, streams, rounds):
+        def recording_draw(config, data, streams, rounds):
             blocks.append(rounds)
-            return draw_rounds(config, datasets, streams, rounds)
+            return draw_rounds(config, data, streams, rounds)
 
         monkeypatch.setattr(simulator, "draw_rounds", recording_draw)
         rows = run_training(cfg, task)
         assert blocks == [2, 2, 1]
 
-        streams, datasets, _ = fresh_world(cfg, task)
-        X = np.vstack([ds.features for ds in datasets])
-        y = np.concatenate([ds.labels for ds in datasets])
+        streams, data, _ = fresh_world(cfg, task)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
         expected = []
         for t in range(cfg.T):
-            state, outcome = one_round(state, cfg, datasets, streams, task)
+            state, outcome = one_round(state, cfg, data, streams, task)
             expected.append(MetricsRow(
                 iteration=t,
-                loss=task_loss(task, state.weights, X, y),
+                loss=task_loss(task, state.weights, data.features, data.labels),
                 grad_norm=float(np.linalg.norm(outcome.noisy_estimate)),
                 participants=len(outcome.participants),
                 sampled_elements=sum(len(s) for s in outcome.sampled_elements.values()),
@@ -463,17 +554,18 @@ class TestDrawRounds:
 class TestRoundStatistics:
     def test_means_and_noise_independence(self):
         cfg = config(N=30, d=5, p=0.3, q=0.4, sigma=1.0, m=3)
-        streams, datasets, _ = fresh_world(cfg)
+        streams, data, _ = fresh_world(cfg)
         state = ModelState(weights=np.zeros(cfg.m), iteration=0)
-        rounds, block = 10_000, 1_000
+        rounds, block_rounds = 10_000, 1_000
         participant_counts = np.empty(rounds)
         element_counts = np.empty(rounds)
         noise_first = np.empty(rounds)
         scale = cfg.p * cfg.N * cfg.q * cfg.d
-        for start in range(0, rounds, block):
-            draws = draw_rounds(cfg, datasets, streams, block)
-            for t, draw in enumerate(draws, start):
-                _, outcome = run_round(state, cfg, draw, Task.LINEAR_REGRESSION)
+        for start in range(0, rounds, block_rounds):
+            block = draw_rounds(cfg, data, streams, block_rounds)
+            for r in range(block_rounds):
+                t = start + r
+                _, outcome = run_round(state, cfg, block, r, Task.LINEAR_REGRESSION)
                 participant_counts[t] = len(outcome.participants)
                 element_counts[t] = sum(
                     len(s) for s in outcome.sampled_elements.values()
@@ -507,13 +599,13 @@ class TestSensitivity:
         # so its stream only stays aligned with the base world within a round
         for seed in range(20):
             cfg = config(N=6, d=5, q=0.5, C=0.7, sigma=1.0, m=3, seed=seed)
-            streams_a, datasets, _ = fresh_world(cfg)
+            streams_a, data, _ = fresh_world(cfg)
             streams_b = make_streams(cfg.seed, cfg.N)
             make_synthetic_datasets(cfg, Task.LINEAR_REGRESSION, streams_b.data)
-            grown = with_extra_element(datasets, 0, np.full(cfg.m, 2.0), -3.0)
+            grown = with_extra_element(data, 0, np.full(cfg.m, 2.0), -3.0)
             rng = np.random.default_rng(seed)
             state = ModelState(weights=rng.standard_normal(cfg.m), iteration=0)
-            _, out_a = one_round(state, cfg, datasets, streams_a)
+            _, out_a = one_round(state, cfg, data, streams_a)
             _, out_b = one_round(state, cfg, grown, streams_b)
             shift = float(np.linalg.norm(out_b.raw_sum - out_a.raw_sum))
             assert shift <= cfg.C + 1e-12
@@ -594,6 +686,22 @@ class TestRunTraining:
     def test_sigma_none_without_targets_rejected(self):
         with pytest.raises(DomainError):
             run_training(config(sigma=None), Task.LINEAR_REGRESSION)
+
+    def test_peak_memory_does_not_grow_with_m(self):
+        # p = q = 1 samples every element of every round. A block keeps the
+        # sampled rows' stack indices, not their features, so its memory
+        # does not scale with the model dimension m.
+        peaks = {}
+        for m in (8, 64):
+            cfg = config(N=20, d=50, p=1.0, q=1.0, T=200, m=m)
+            tracemalloc.start()
+            try:
+                run_training(cfg, Task.LINEAR_REGRESSION)
+                peaks[m] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] < 16.0, peaks
+        assert peaks[64] - peaks[8] < 4.0, peaks
 
     def test_loss_divergence_is_reported(self):
         # clipping bounds each update, so the squared residual is what
