@@ -11,6 +11,9 @@ linking a mixture divergence to its conditional parts.
 Divergence quadrature runs at 1e-13 absolute tolerance, several orders
 below the delta magnitudes the accountant certifies. A pair's two
 densities come from one blocked kernel pass over the union of its means.
+The sign scan ahead of the quadrature is sized by sigma: its spacing is at
+most sigma / SCAN_POINTS_PER_SIGMA, on at most HOCKEY_STICK_SCAN_POINTS
+points.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ if TYPE_CHECKING:
 WEIGHT_DROP_THRESHOLD = 1e-300
 DEFAULT_ABS_TOL = 1e-13
 HOCKEY_STICK_SCAN_POINTS = 2048
+SCAN_POINTS_PER_SIGMA = 10
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Kernel block size in (z x component) terms: 256 KB of doubles per temporary.
@@ -339,20 +343,31 @@ def round_mixtures(
     return tuple(mixtures)
 
 
+def _scan_grid(query: HockeyStickQuery) -> np.ndarray:
+    """hockey_stick's sign-scan points over the mixtures' 12-sigma support,
+    whose ends are the first and last points. Spaced at most
+    sigma / SCAN_POINTS_PER_SIGMA apart, unless that takes more than
+    HOCKEY_STICK_SCAN_POINTS points; then exactly that many."""
+    sigma = query.numerator.sigma
+    pad = 12.0 * sigma
+    lo, hi = float(query.means[0]) - pad, float(query.means[-1]) + pad
+    points = 1 + math.ceil(SCAN_POINTS_PER_SIGMA * (hi - lo) / sigma)
+    return np.linspace(lo, hi, min(HOCKEY_STICK_SCAN_POINTS, points))
+
+
 def hockey_stick(query: HockeyStickQuery) -> float:
     """D_alpha(num || den) = integral of [num(z) - alpha * den(z)]_+ dz.
 
     The signed difference is scanned for sign changes over the mixtures'
-    12-sigma support, find_root_bracketed refines each boundary, and the
+    12-sigma support, at spacing sigma/10 or finer, on at most 2048 points
+    (_scan_grid); find_root_bracketed refines each boundary, and the
     clamped integrand is integrated piecewise so the quadrature only ever
     sees smooth pieces. Every component mean is a break point too, so no
     GK15 node set falls between narrow bumps (sigma far below their
     spacing); all break points come from the pair, none from find_z_star.
     Clamped to [0, 1].
     """
-    pad = 12.0 * query.numerator.sigma
-    lo, hi = float(query.means[0]) - pad, float(query.means[-1]) + pad
-    grid = np.linspace(lo, hi, HOCKEY_STICK_SCAN_POINTS)
+    grid = _scan_grid(query)
     positive = query.signed(grid) > 0.0
     flips = np.nonzero(positive[:-1] != positive[1:])[0]
     boundaries = [
@@ -364,7 +379,9 @@ def hockey_stick(query: HockeyStickQuery) -> float:
         return np.maximum(query.signed(z), 0.0)
 
     breaks = boundaries + query.means.tolist()
-    result = integrate_adaptive(clamped, lo, hi, abs_tol=DEFAULT_ABS_TOL, break_points=breaks)
+    result = integrate_adaptive(
+        clamped, float(grid[0]), float(grid[-1]), abs_tol=DEFAULT_ABS_TOL, break_points=breaks
+    )
     return min(1.0, max(0.0, result.value))
 
 

@@ -19,6 +19,8 @@ from fedamp.divergence import (
     _BAND_SIGMAS,
     _BLOCK_ELEMENTS,
     DEFAULT_ABS_TOL,
+    HOCKEY_STICK_SCAN_POINTS,
+    SCAN_POINTS_PER_SIGMA,
     SQRT_2PI,
     WEIGHT_DROP_THRESHOLD,
     GaussianMixture1D,
@@ -32,7 +34,12 @@ from fedamp.divergence import (
     weighted_normal_pdf,
     worst_case_pair,
 )
-from fedamp.numerics import DomainError, gaussian_mechanism_delta
+from fedamp.numerics import (
+    DomainError,
+    QuadratureResult,
+    find_root_bracketed,
+    gaussian_mechanism_delta,
+)
 
 TV_UNIT_SHIFT = 0.3829249225480262
 DELTA_HALF_EPS = 0.23842170813487663
@@ -270,6 +277,121 @@ class TestHockeyStick:
         num = single_gaussian(50.0, 0.1)
         den = single_gaussian(0.0, 0.1)
         assert hockey_stick(HockeyStickQuery(1.0, num, den)) == 1.0
+
+    def test_clamps_quadrature_outside_unit_interval(self, monkeypatch):
+        query = HockeyStickQuery(1.0, single_gaussian(1.0, 1.0), single_gaussian(0.0, 1.0))
+        for value, clamped in ((1.0 + 1e-9, 1.0), (-1e-9, 0.0)):
+            monkeypatch.setattr(
+                divergence,
+                "integrate_adaptive",
+                lambda *args, value=value, **kwargs: QuadratureResult(value, 0.0, 0),
+            )
+            assert hockey_stick(query) == clamped
+
+
+def verify_grid_queries(points):
+    """Main's pair and the constructed pair at each (params, eps) point."""
+    queries = []
+    for pr, eps in points:
+        xi, xi_prime = worst_case_pair(pr)
+        queries += [main_pair(pr, eps), HockeyStickQuery(math.exp(eps), xi, xi_prime)]
+    return queries
+
+
+def ajc_queries():
+    """Both sides' pairs of ajc_decompose on the 50 seeded triples."""
+    queries = []
+    for mu0, mu1, mu1p, gamma, alpha in seeded_ajc_triples(50):
+        alpha_prime = 1.0 + gamma * (alpha - 1.0)
+        beta = alpha_prime / alpha
+        queries += [
+            HockeyStickQuery(
+                alpha_prime,
+                mix([(1.0 - gamma, mu0), (gamma, mu1)]),
+                mix([(1.0 - gamma, mu0), (gamma, mu1p)]),
+            ),
+            HockeyStickQuery(alpha, mu1, mix([(1.0 - beta, mu0), (beta, mu1p)])),
+        ]
+    return queries
+
+
+class TestSignScan:
+    """hockey_stick's sign scan: spacing at most sigma/10, at most 2048 points."""
+
+    @staticmethod
+    def window(query):
+        pad = 12.0 * query.numerator.sigma
+        return float(query.means[0]) - pad, float(query.means[-1]) + pad
+
+    @staticmethod
+    def boundaries(query, grid):
+        positive = query.signed(grid) > 0.0
+        return [
+            find_root_bracketed(query.signed, float(grid[i]), float(grid[i + 1])).root
+            for i in np.nonzero(positive[:-1] != positive[1:])[0]
+        ]
+
+    @pytest.mark.parametrize(
+        "query, points",
+        [
+            # means 0, 1, 2 and sigma 5: a 122-wide window, 1 + 10 * 122 / 5 points
+            (HockeyStickQuery(math.exp(0.5), *worst_case_pair(
+                SamplingParams(p=0.1, q=0.1, d=1, C=1.0, sigma=5.0))), 245),
+            # means 0..101 and sigma 0.5: 1 + 10 * 113 / 0.5 = 2261 points, capped
+            (HockeyStickQuery(math.exp(0.5), *worst_case_pair(
+                SamplingParams(p=0.1, q=0.1, d=100, C=1.0, sigma=0.5))), 2048),
+            (HockeyStickQuery(1.0, single_gaussian(50.0, 0.1), single_gaussian(0.0, 0.1)), 2048),
+        ],
+    )
+    def test_point_count(self, query, points):
+        assert len(divergence._scan_grid(query)) == points
+
+    def test_spacing_and_cap(self):
+        grid_points = [
+            (SamplingParams(p=p, q=q, d=d, C=1.0, sigma=sigma), eps)
+            for p, q, d, sigma, eps in itertools.product(
+                VERIFY_GRID_P, VERIFY_GRID_Q, VERIFY_GRID_D, VERIFY_GRID_SIGMA, VERIFY_GRID_EPS
+            )
+        ]
+        capped = 0
+        for query in verify_grid_queries(grid_points) + ajc_queries():
+            lo, hi = self.window(query)
+            grid = divergence._scan_grid(query)
+            assert (grid[0], grid[-1]) == (lo, hi)
+            if len(grid) == HOCKEY_STICK_SCAN_POINTS:
+                # the cap keeps the fixed 2048-point scan, bit for bit
+                capped += 1
+                assert grid.tobytes() == np.linspace(lo, hi, HOCKEY_STICK_SCAN_POINTS).tobytes()
+            else:
+                sigma = query.numerator.sigma
+                assert len(grid) < HOCKEY_STICK_SCAN_POINTS
+                assert np.diff(grid).max() <= sigma / SCAN_POINTS_PER_SIGMA * (1.0 + 1e-12)
+        assert capped > 0
+
+    def test_brackets_every_boundary_of_the_fixed_scan(self):
+        queries = verify_grid_queries(verify_grid_sample(96, seed=21)) + ajc_queries()
+        counts = set()
+        for query in queries:
+            reference = self.boundaries(
+                query, np.linspace(*self.window(query), HOCKEY_STICK_SCAN_POINTS)
+            )
+            roots = self.boundaries(query, divergence._scan_grid(query))
+            assert len(roots) == len(reference)
+            np.testing.assert_allclose(roots, reference, rtol=0.0, atol=1e-11)
+            counts.add(len(roots))
+        assert {0, 1, 2} <= counts
+
+    @pytest.mark.parametrize("sigma", [0.05, 1.0, 20.0])
+    def test_planted_two_crossing_pair(self, sigma):
+        # num / den = e^{1/2} / cosh(z / sigma), so num > alpha * den
+        # exactly on (-sigma/4, sigma/4)
+        num = single_gaussian(0.0, sigma)
+        den = GaussianMixture1D(np.array([-sigma, sigma]), np.array([0.5, 0.5]), sigma)
+        query = HockeyStickQuery(math.exp(0.5) / math.cosh(0.25), num, den)
+        roots = self.boundaries(query, divergence._scan_grid(query))
+        np.testing.assert_allclose(roots, [-sigma / 4, sigma / 4], rtol=0.0, atol=1e-11)
+        exact = query.tail(-sigma / 4) - query.tail(sigma / 4)
+        assert hockey_stick(query) == pytest.approx(exact, abs=1e-13)
 
 
 def reference_terms(query: HockeyStickQuery, z: float) -> tuple[float, float]:
