@@ -232,9 +232,10 @@ def delta_main_quadrature(params: SamplingParams, eps: float) -> float:
     """Quadrature oracle for delta_main: pq * hockey_stick(main_pair).
 
     Shares only the pair with the closed form: hockey_stick finds its own
-    sign boundaries and integrates the clamped integrand, so neither
-    find_z_star nor the tail sums enter. Used by verification and the
-    acceptance suite.
+    sign boundaries and integrates the clamped integrand over the pieces
+    between them that its scan finds positive (the whole 12-sigma support
+    where its scan hits the point cap), so neither find_z_star nor the tail
+    sums enter. Used by verification and the acceptance suite.
     """
     return params.p * params.q * hockey_stick(main_pair(params, eps))
 

@@ -13,7 +13,9 @@ below the delta magnitudes the accountant certifies. A pair's two
 densities come from one blocked kernel pass over the union of its means.
 The sign scan ahead of the quadrature is sized by sigma: its spacing is at
 most sigma / SCAN_POINTS_PER_SIGMA, on at most HOCKEY_STICK_SCAN_POINTS
-points.
+points. The quadrature integrates only the pieces between sign boundaries
+that the scan finds positive, or the whole 12-sigma support where the
+point cap leaves the scan coarser than that spacing.
 """
 
 from __future__ import annotations
@@ -359,30 +361,56 @@ def hockey_stick(query: HockeyStickQuery) -> float:
     """D_alpha(num || den) = integral of [num(z) - alpha * den(z)]_+ dz.
 
     The signed difference is scanned for sign changes over the mixtures'
-    12-sigma support, at spacing sigma/10 or finer, on at most 2048 points
-    (_scan_grid); find_root_bracketed refines each boundary, and the
-    clamped integrand is integrated piecewise so the quadrature only ever
-    sees smooth pieces. Every component mean is a break point too, so no
-    GK15 node set falls between narrow bumps (sigma far below their
-    spacing); all break points come from the pair, none from find_z_star.
-    Clamped to [0, 1].
+    12-sigma support (_scan_grid), and find_root_bracketed refines each
+    boundary, starting from the scan's values at its bracket's ends. The
+    boundaries cut the support into pieces of alternating sign. The clamped
+    integrand is integrated only over the pieces the scan found positive,
+    each at its width's share of DEFAULT_ABS_TOL, so the error budgets sum
+    to DEFAULT_ABS_TOL; with no positive piece the result is 0 and no
+    quadrature runs.
+
+    That trusts a scan spaced sigma/10 or finer. A scan of
+    HOCKEY_STICK_SCAN_POINTS points may be coarser (9.06 points per sigma
+    at means 0..101, sigma 0.5), so there the whole support is one piece,
+    and each bracket's ends are evaluated afresh: scalar kernel rows can
+    differ from the scan's blocked ones in the last bit. Every boundary and
+    every component mean is a break point, so no GK15 node set falls
+    between narrow bumps (sigma far below their spacing); all break points
+    come from the pair, none from find_z_star. Clamped to [0, 1].
     """
     grid = _scan_grid(query)
-    positive = query.signed(grid) > 0.0
+    values = query.signed(grid)
+    positive = values > 0.0
     flips = np.nonzero(positive[:-1] != positive[1:])[0]
-    boundaries = [
-        find_root_bracketed(query.signed, float(grid[i]), float(grid[i + 1])).root
-        for i in flips
-    ]
+    capped = len(grid) == HOCKEY_STICK_SCAN_POINTS
+
+    def boundary(i: int) -> float:
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        known = {} if capped else {lo: float(values[i]), hi: float(values[i + 1])}
+        return find_root_bracketed(
+            lambda z: known[z] if z in known else query.signed(z), lo, hi
+        ).root
+
+    boundaries = [boundary(i) for i in flips]
+    if capped:
+        pieces = [(float(grid[0]), float(grid[-1]))]
+    else:
+        edges = [float(grid[0]), *boundaries, float(grid[-1])]
+        signs = positive[np.concatenate([[0], flips + 1])]
+        pieces = [(a, b) for a, b, up in zip(edges, edges[1:], signs) if up and a < b]
+    if not pieces:
+        return 0.0
 
     def clamped(z: np.ndarray) -> np.ndarray:
         return np.maximum(query.signed(z), 0.0)
 
     breaks = boundaries + query.means.tolist()
-    result = integrate_adaptive(
-        clamped, float(grid[0]), float(grid[-1]), abs_tol=DEFAULT_ABS_TOL, break_points=breaks
-    )
-    return min(1.0, max(0.0, result.value))
+    width = sum(b - a for a, b in pieces)
+    value = 0.0
+    for a, b in pieces:
+        tol = DEFAULT_ABS_TOL * (b - a) / width
+        value += integrate_adaptive(clamped, a, b, abs_tol=tol, break_points=breaks).value
+    return min(1.0, max(0.0, value))
 
 
 def ajc_decompose(

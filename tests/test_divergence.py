@@ -39,6 +39,7 @@ from fedamp.numerics import (
     QuadratureResult,
     find_root_bracketed,
     gaussian_mechanism_delta,
+    integrate_adaptive,
 )
 
 TV_UNIT_SHIFT = 0.3829249225480262
@@ -392,6 +393,84 @@ class TestSignScan:
         np.testing.assert_allclose(roots, [-sigma / 4, sigma / 4], rtol=0.0, atol=1e-11)
         exact = query.tail(-sigma / 4) - query.tail(sigma / 4)
         assert hockey_stick(query) == pytest.approx(exact, abs=1e-13)
+
+
+def whole_window_hockey_stick(query: HockeyStickQuery) -> float:
+    """hockey_stick as one quadrature of the clamped integrand over the whole
+    scan window, with every boundary and every mean as a break point."""
+    grid = divergence._scan_grid(query)
+    breaks = TestSignScan.boundaries(query, grid) + query.means.tolist()
+    result = integrate_adaptive(
+        lambda z: np.maximum(query.signed(z), 0.0),
+        float(grid[0]),
+        float(grid[-1]),
+        abs_tol=DEFAULT_ABS_TOL,
+        break_points=breaks,
+    )
+    return min(1.0, max(0.0, result.value))
+
+
+def two_tail_pair(sigma: float) -> HockeyStickQuery:
+    """num / den = e^{-1/2} cosh(z / sigma), so num > den exactly where
+    |z| > sigma * arccosh(e^{1/2}): two positive pieces, one per tail."""
+    num = GaussianMixture1D(np.array([-sigma, sigma]), np.array([0.5, 0.5]), sigma)
+    return HockeyStickQuery(1.0, num, single_gaussian(0.0, sigma))
+
+
+class TestPieces:
+    """hockey_stick integrates only the pieces its scan finds positive."""
+
+    @staticmethod
+    def recorded_tolerances(monkeypatch, query):
+        tolerances = []
+
+        def recording(*args, abs_tol, **kwargs):
+            tolerances.append(abs_tol)
+            return integrate_adaptive(*args, abs_tol=abs_tol, **kwargs)
+
+        monkeypatch.setattr(divergence, "integrate_adaptive", recording)
+        hockey_stick(query)
+        return tolerances
+
+    @pytest.mark.parametrize("sigma", [0.05, 1.0, 20.0])
+    def test_two_positive_pieces(self, monkeypatch, sigma):
+        query = two_tail_pair(sigma)
+        r = sigma * math.acosh(math.exp(0.5))
+        exact = query.tail(r) - query.tail(-r)
+        assert hockey_stick(query) == pytest.approx(exact, abs=1e-13)
+        assert len(self.recorded_tolerances(monkeypatch, query)) == 2
+
+    def test_nowhere_positive_pair_skips_quadrature(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("no positive piece, so no quadrature")
+
+        monkeypatch.setattr(divergence, "integrate_adaptive", unreachable)
+        num = single_gaussian(0.0, 1.0)
+        assert hockey_stick(HockeyStickQuery(2.0, num, num)) == 0.0
+
+    def test_tolerances_sum_to_default(self, monkeypatch):
+        queries = [two_tail_pair(1.0)] + verify_grid_queries(verify_grid_sample(8, seed=5))
+        for query in queries:
+            tolerances = self.recorded_tolerances(monkeypatch, query)
+            if tolerances:
+                assert math.fsum(tolerances) == pytest.approx(DEFAULT_ABS_TOL, rel=1e-15, abs=0.0)
+
+    def test_matches_whole_window_quadrature(self):
+        queries = verify_grid_queries(verify_grid_sample(96, seed=21)) + ajc_queries()
+        for query in queries:
+            assert hockey_stick(query) == pytest.approx(
+                whole_window_hockey_stick(query), rel=0.0, abs=1e-15
+            )
+
+    def test_capped_pairs_bit_identical(self):
+        capped = verify_grid_queries(
+            (SamplingParams(p=p, q=q, d=100, C=1.0, sigma=0.5), eps)
+            for p, q, eps in itertools.product(VERIFY_GRID_P, VERIFY_GRID_Q, VERIFY_GRID_EPS)
+        )
+        capped.append(HockeyStickQuery(1.0, single_gaussian(50.0, 0.1), single_gaussian(0.0, 0.1)))
+        for query in capped:
+            assert len(divergence._scan_grid(query)) == HOCKEY_STICK_SCAN_POINTS
+            assert hockey_stick(query).hex() == whole_window_hockey_stick(query).hex()
 
 
 def reference_terms(query: HockeyStickQuery, z: float) -> tuple[float, float]:
