@@ -12,10 +12,14 @@ Divergence quadrature runs at 1e-13 absolute tolerance, several orders
 below the delta magnitudes the accountant certifies. A pair's two
 densities come from one blocked kernel pass over the union of its means.
 The sign scan ahead of the quadrature is sized by sigma: its spacing is at
-most sigma / SCAN_POINTS_PER_SIGMA, on at most HOCKEY_STICK_SCAN_POINTS
-points. The quadrature integrates only the pieces between sign boundaries
-that the scan finds positive, or the whole 12-sigma support where the
-point cap leaves the scan coarser than that spacing.
+most sigma / SCAN_POINTS_PER_SIGMA. A pair whose means sit on one lattice
+k * s, as every round_mixtures pair does, is scanned on a lattice of its
+own by one Toeplitz product of its coefficients with precomputed Gaussian
+taps, with no point cap up to _LATTICE_MAX_POINTS points; small lattice
+pairs and all others take the kernel scan, on at most
+HOCKEY_STICK_SCAN_POINTS points. The quadrature integrates only the pieces
+between sign boundaries that the scan finds positive, or the whole 12-sigma
+support where the point cap leaves the scan coarser than that spacing.
 """
 
 from __future__ import annotations
@@ -45,6 +49,10 @@ _BAND_SIGMAS = 39.0
 _LOG_DBL_MIN = math.log(np.finfo(float).tiny)  # -708.40; exp is subnormal or 0 below
 _FLUSH_SIGMAS = math.sqrt(-2.0 * _LOG_DBL_MIN)  # 37.64; so is exp(-t * t / 2) beyond
 _FLUSH_FLOOR = 2.0**-900  # flushed rows below this times their weight sum are redone
+# Lattice sign scans: at most this many points, and only for pairs whose
+# kernel scan is capped or takes at least this many (point x mean) terms.
+_LATTICE_MAX_POINTS = 1 << 16
+_LATTICE_MIN_TERMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -77,7 +85,7 @@ class GaussianMixture1D:
             raise DomainError("component means must be strictly increasing")
         sigma = float(self.sigma)
         if not math.isfinite(sigma) or sigma <= 0.0:
-            raise DomainError(f"sigma must be positive, got {sigma}")
+            raise DomainError(f"sigma must be finite and positive, got {sigma}")
         total = float(weights.sum())
         if total <= 0.0:
             raise DomainError("mixture must carry positive total mass")
@@ -188,12 +196,10 @@ class HockeyStickQuery:
             )
         if abs(den.sigma - num.sigma) > 1e-12 * max(1.0, num.sigma):
             raise DomainError("numerator and denominator must share sigma")
-        means, slot = np.unique(
-            np.concatenate([num.means, den.means]), return_inverse=True
-        )
+        means = np.unique(np.concatenate([num.means, den.means]))
         weights = np.zeros((means.size, 2))
-        weights[slot[: num.means.size], 0] = num.weights
-        weights[slot[num.means.size :], 1] = alpha * den.weights
+        weights[np.searchsorted(means, num.means), 0] = num.weights
+        weights[np.searchsorted(means, den.means), 1] = alpha * den.weights
         for name, array in (("means", means), ("weights", weights)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -206,7 +212,7 @@ class HockeyStickQuery:
         A scalar z takes weighted_normal_pdf's one-row path, without its loop.
         """
         sigma = self.numerator.sigma
-        if np.ndim(z) == 0:
+        if type(z) is float or np.ndim(z) == 0:
             z = float(z)
             row = _band_rows(z, z, z, self.means, self.weights, sigma)
             row /= sigma * SQRT_2PI
@@ -345,23 +351,164 @@ def round_mixtures(
     return tuple(mixtures)
 
 
+def _window(query: HockeyStickQuery) -> tuple[float, float]:
+    """The mixtures' 12-sigma support, (lo, hi), that the sign scans span."""
+    pad = 12.0 * query.numerator.sigma
+    return float(query.means[0]) - pad, float(query.means[-1]) + pad
+
+
 def _scan_grid(query: HockeyStickQuery) -> np.ndarray:
-    """hockey_stick's sign-scan points over the mixtures' 12-sigma support,
-    whose ends are the first and last points. Spaced at most
-    sigma / SCAN_POINTS_PER_SIGMA apart, unless that takes more than
-    HOCKEY_STICK_SCAN_POINTS points; then exactly that many."""
-    sigma = query.numerator.sigma
-    pad = 12.0 * sigma
-    lo, hi = float(query.means[0]) - pad, float(query.means[-1]) + pad
-    points = 1 + math.ceil(SCAN_POINTS_PER_SIGMA * (hi - lo) / sigma)
+    """The kernel scan's points over _window, whose ends are the first and
+    last points. Spaced at most sigma / SCAN_POINTS_PER_SIGMA apart, unless
+    that takes more than HOCKEY_STICK_SCAN_POINTS points; then exactly that
+    many."""
+    lo, hi = _window(query)
+    points = 1 + math.ceil(SCAN_POINTS_PER_SIGMA * (hi - lo) / query.numerator.sigma)
     return np.linspace(lo, hi, min(HOCKEY_STICK_SCAN_POINTS, points))
+
+
+def _lattice(means: np.ndarray):
+    """(step, k) with means == k * step exactly for integers k, or None.
+
+    Means built as fl(k * C) give C back: with k from the smallest gap,
+    fl(fl(k C) / k) at the largest |k| lies within one ulp of C. A span of
+    more than 2^53 gaps is refused before any division: its k would not all
+    be exact in doubles."""
+    if means.size < 2:
+        return None
+    gap = float((means[1:] - means[:-1]).min())
+    if float(means[-1]) - float(means[0]) > 2.0**53 * gap:
+        return None
+    k = np.rint(means / gap)
+    top = 0 if -k[0] > k[-1] else -1
+    if k[top] == 0.0:
+        return None
+    first = float(means[top] / k[top])
+    for step in (first, math.nextafter(first, -math.inf), math.nextafter(first, math.inf)):
+        if (k * step == means).all():
+            return step, k.astype(np.int64)
+    return None
+
+
+def _lattice_scan(query: HockeyStickQuery):
+    """(grid, values): the sign scan of a pair whose means are exact
+    multiples k * s of one step s, or None for any other pair.
+
+    The grid is _window's ends lo and hi with the points j * h strictly
+    between them, h = s / r, r = ceil(SCAN_POINTS_PER_SIGMA * s / sigma),
+    so the spacing is at most sigma / SCAN_POINTS_PER_SIGMA. There the
+    kernel term of point j and mean k is g(j - k r), g(n) = exp(-(n h /
+    sigma)^2 / 2), so the interior values are one Toeplitz product
+    (_lattice_product) of the coefficients c_k, num minus alpha * den
+    weight, with r decimated tap columns g(u r + phase): one exp per tap,
+    not one per term. Taps past _FLUSH_SIGMAS, subnormal or 0, are 0.
+    Points whose value is below _FLUSH_FLOOR * sum |c_k|, both ends of
+    every sign flip, lo, hi and the neighbours of each take exact `signed`
+    values in one call, repeated only while a flip has an end without one.
+
+    A scan of more than _LATTICE_MAX_POINTS points returns None, so no
+    array here holds more than about 2 * _LATTICE_MAX_POINTS doubles,
+    whatever the means and sigma.
+    """
+    lattice = _lattice(query.means)
+    if lattice is None:
+        return None
+    step, k = lattice
+    sigma = query.numerator.sigma
+    lo, hi = _window(query)
+    # the scan has fewer points than this; it also keeps r finite
+    if SCAN_POINTS_PER_SIGMA * (hi - lo) / sigma + (hi - lo) / step > _LATTICE_MAX_POINTS:
+        return None
+    r = math.ceil(SCAN_POINTS_PER_SIGMA * step / sigma)
+    h = step / r
+    j_lo, j_hi = math.floor(lo / h), math.ceil(hi / h)
+    while j_lo * h <= lo:
+        j_lo += 1
+    while j_hi * h >= hi:
+        j_hi -= 1
+    inner = j_hi - j_lo + 1
+    rows = -(-inner // r)  # interior point j_lo + row * r + phase
+    c = np.zeros(int(k[-1] - k[0]) + 1)
+    c[k - k[0]] = query.weights[:, 0] - query.weights[:, 1]
+    # tap (u, phase) is g(offset + u r + phase); rows and c indices meet
+    # only for u in [1 - c.size, rows - 1], and terms only within the band
+    offset = j_lo - int(k[0]) * r
+    band = _FLUSH_SIGMAS * sigma / h
+    u_lo = max(1 - c.size, math.ceil((-band - offset - (r - 1)) / r))
+    u_hi = min(rows - 1, math.floor((band - offset) / r))
+    taps = (offset + u_lo * r + np.arange((u_hi - u_lo + 1) * r)) * (h / sigma)
+    taps *= taps
+    taps *= -0.5
+    far = taps < _LOG_DBL_MIN
+    np.copyto(np.exp(taps, out=taps), 0.0, where=far)
+
+    grid = np.empty(inner + 2)
+    grid[0], grid[-1] = lo, hi
+    np.multiply(np.arange(j_lo, j_hi + 1), h, out=grid[1:-1])
+    values = np.empty(inner + 2)
+    product = _lattice_product(c, taps.reshape(-1, r), u_lo, rows)
+    np.divide(product.ravel()[:inner], sigma * SQRT_2PI, out=values[1:-1])
+    values[0], values[-1] = values[1], values[-2]
+    need = np.abs(values) < _FLUSH_FLOOR * np.abs(c).sum() / (sigma * SQRT_2PI)
+    need[0] = need[-1] = True
+    flips = _flips(values)
+    need[flips] = need[flips + 1] = True
+    need[1:-1] |= need[:-2] | need[2:]
+    exact = np.zeros(inner + 2, dtype=bool)
+    while need.any():
+        values[need] = query.signed(grid[need])
+        exact |= need
+        flips = _flips(values)
+        need[:] = False
+        need[flips] = need[flips + 1] = True
+        need &= ~exact
+    return grid, values
+
+
+def _lattice_product(c: np.ndarray, taps: np.ndarray, u_lo: int, rows: int) -> np.ndarray:
+    """out[q, phase] = sum over k of c[k] * taps[q - k - u_lo, phase] (0
+    outside taps), for q in [0, rows): the Toeplitz product of _lattice_scan.
+
+    One matrix product, O(rows * r * min(c.size, len(taps))) multiply-adds,
+    of the reversed taps with a strided view of the 0-padded c whose row q
+    is c[q - u_hi : q - u_lo + 1]; the view copies nothing."""
+    rows_t = len(taps)
+    u_hi = u_lo + rows_t - 1
+    padded = np.zeros(rows + rows_t - 1)
+    first, last = max(0, -u_hi), min(c.size, len(padded) - u_hi)
+    padded[first + u_hi : last + u_hi] = c[first:last]
+    window = np.ndarray((rows, rows_t), float, padded, 0, (padded.itemsize,) * 2)
+    return window @ taps[::-1]
+
+
+def _flips(values: np.ndarray) -> np.ndarray:
+    """Indices i where values[i] > 0 and values[i + 1] > 0 differ."""
+    positive = values > 0.0
+    return np.flatnonzero(positive[:-1] != positive[1:])
+
+
+def _sign_scan(query: HockeyStickQuery):
+    """hockey_stick's sign scan: (grid, values, capped).
+
+    A lattice pair gets _lattice_scan where the kernel scan over _scan_grid
+    would be capped or take at least _LATTICE_MIN_TERMS (point x mean)
+    terms; below that the kernel scan is the cheaper one. Every other pair,
+    and a lattice scan over _LATTICE_MAX_POINTS points, gets `signed` on
+    _scan_grid, capped when that has HOCKEY_STICK_SCAN_POINTS points."""
+    grid = _scan_grid(query)
+    capped = len(grid) == HOCKEY_STICK_SCAN_POINTS
+    if capped or len(grid) * query.means.size >= _LATTICE_MIN_TERMS:
+        scan = _lattice_scan(query)
+        if scan is not None:
+            return (*scan, False)
+    return grid, query.signed(grid), capped
 
 
 def hockey_stick(query: HockeyStickQuery) -> float:
     """D_alpha(num || den) = integral of [num(z) - alpha * den(z)]_+ dz.
 
     The signed difference is scanned for sign changes over the mixtures'
-    12-sigma support (_scan_grid), and find_root_bracketed refines each
+    12-sigma support (_sign_scan), and find_root_bracketed refines each
     boundary, starting from the scan's values at its bracket's ends. The
     boundaries cut the support into pieces of alternating sign. The clamped
     integrand is integrated only over the pieces the scan found positive,
@@ -369,20 +516,20 @@ def hockey_stick(query: HockeyStickQuery) -> float:
     to DEFAULT_ABS_TOL; with no positive piece the result is 0 and no
     quadrature runs.
 
-    That trusts a scan spaced sigma/10 or finer. A scan of
-    HOCKEY_STICK_SCAN_POINTS points may be coarser (9.06 points per sigma
-    at means 0..101, sigma 0.5), so there the whole support is one piece,
-    and each bracket's ends are evaluated afresh: scalar kernel rows can
-    differ from the scan's blocked ones in the last bit. Every boundary and
-    every component mean is a break point, so no GK15 node set falls
+    That trusts a scan spaced sigma/10 or finer. Lattice pairs (means k * s,
+    as round_mixtures builds them) get one with no point cap wherever the
+    kernel scan would be capped or costlier (_sign_scan), up to
+    _LATTICE_MAX_POINTS points. Other pairs, and lattice pairs past that,
+    get the kernel scan of at most HOCKEY_STICK_SCAN_POINTS points. Where
+    that cap binds, the scan may be coarser, so the whole support is one
+    piece, and each bracket's ends are evaluated afresh: scalar kernel rows
+    can differ from the scan's blocked ones in the last bit. Every boundary
+    and every component mean is a break point, so no GK15 node set falls
     between narrow bumps (sigma far below their spacing); all break points
     come from the pair, none from find_z_star. Clamped to [0, 1].
     """
-    grid = _scan_grid(query)
-    values = query.signed(grid)
-    positive = values > 0.0
-    flips = np.nonzero(positive[:-1] != positive[1:])[0]
-    capped = len(grid) == HOCKEY_STICK_SCAN_POINTS
+    grid, values, capped = _sign_scan(query)
+    flips = _flips(values)
 
     def boundary(i: int) -> float:
         lo, hi = float(grid[i]), float(grid[i + 1])
@@ -396,7 +543,7 @@ def hockey_stick(query: HockeyStickQuery) -> float:
         pieces = [(float(grid[0]), float(grid[-1]))]
     else:
         edges = [float(grid[0]), *boundaries, float(grid[-1])]
-        signs = positive[np.concatenate([[0], flips + 1])]
+        signs = values[np.concatenate([[0], flips + 1])] > 0.0
         pieces = [(a, b) for a, b, up in zip(edges, edges[1:], signs) if up and a < b]
     if not pieces:
         return 0.0
@@ -404,7 +551,7 @@ def hockey_stick(query: HockeyStickQuery) -> float:
     def clamped(z: np.ndarray) -> np.ndarray:
         return np.maximum(query.signed(z), 0.0)
 
-    breaks = boundaries + query.means.tolist()
+    breaks = np.concatenate([boundaries, query.means])
     width = sum(b - a for a, b in pieces)
     value = 0.0
     for a, b in pieces:

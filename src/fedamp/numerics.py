@@ -152,7 +152,9 @@ def find_root_bracketed(
             last_step = step = half
         prev, f_prev = best, f_best
         best += step if abs(step) > tol else math.copysign(tol, half)
-        f_best = _require_finite(f"f({best})", f(best))
+        f_best = float(f(best))
+        if not math.isfinite(f_best):  # the message is built only on failure
+            _require_finite(f"f({best})", f_best)
     raise RuntimeError(f"no root within {ROOT_MAX_STEPS} steps on [{lo}, {hi}]")
 
 
@@ -222,7 +224,7 @@ def _evaluate_batch(f, lows: np.ndarray, highs: np.ndarray):
         raise DomainError(
             f"integrand returned shape {values.shape} for input shape {flat.shape}"
         )
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DomainError("integrand returned non-finite values")
     values = values.reshape(points.shape)
     kronrod = half_widths * (values @ _GK_WEIGHTS)
@@ -259,28 +261,28 @@ def integrate_adaptive(
     if abs_tol <= 0.0:
         raise DomainError(f"abs_tol must be positive, got {abs_tol}")
 
-    edges = [lo, hi]
+    edges = np.array([lo, hi])
     if break_points is not None:
         points = np.asarray(break_points, dtype=float)
         finite = np.isfinite(points)
         if not finite.all():
             _require_finite("break point", points[~finite][0])
-        edges += points[(lo < points) & (points < hi)].tolist()
-    edges = sorted(set(edges))
+        edges = np.concatenate([edges, points[(lo < points) & (points < hi)]])
+    edges = np.unique(edges)
 
-    lows = np.array(edges[:-1])
-    highs = np.array(edges[1:])
+    lows = edges[:-1]
+    highs = edges[1:]
     values, errors = _evaluate_batch(f, lows, highs)
     evaluations = 15 * len(lows)
     total_width = hi - lo
 
     while True:
-        total_error = float(np.sum(errors))
+        total_error = float(errors.sum())
         if total_error <= abs_tol:
-            return QuadratureResult(float(np.sum(values)), total_error, evaluations)
+            return QuadratureResult(float(values.sum()), total_error, evaluations)
         budgets = abs_tol * (highs - lows) / total_width
         split = errors > budgets
-        if not np.any(split):
+        if not split.any():
             split = errors >= errors.max()
         if evaluations + 30 * int(np.count_nonzero(split)) > max_evals:
             raise AccuracyError(

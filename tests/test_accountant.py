@@ -373,7 +373,7 @@ class TestDeltaMain:
         pr = params(p=0.02592, q=0.01713, d=20, sigma=0.0142)
         closed = delta_main(pr, 0.02835).delta
         quad = delta_main_quadrature(pr, 0.02835)
-        assert closed == pytest.approx(9.650086933666891e-05, rel=1e-12)
+        assert closed == pytest.approx(9.650086933666891e-05, rel=1e-12, abs=0.0)
         assert abs(closed - quad) <= 1e-10
         assert abs(closed - quad) <= 1e-6 * closed
 
@@ -502,7 +502,7 @@ class TestDeltaLowerBound:
         for p, q in [(0.1, 0.1), (0.5, 0.01), (0.2, 1.0)]:
             lb = delta_lower_bound(params(p=p, q=q, sigma=1.0), 0.3).delta
             ols = delta_only_local(p * q, 1.0, 1.0, 0.3).delta
-            assert lb == pytest.approx(ols, rel=1e-14)
+            assert lb == pytest.approx(ols, rel=1e-14, abs=0.0)
 
     def test_below_main_at_moderate_eps(self):
         pr = params(p=0.1, q=0.1, d=1, sigma=1.0)

@@ -80,6 +80,11 @@ class TestGaussianMixture1D:
         with pytest.raises(DomainError):
             GaussianMixture1D(np.array([0.0]), np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_message(self, sigma):
+        with pytest.raises(DomainError, match="^sigma must be finite and positive, got"):
+            GaussianMixture1D(np.array([0.0]), np.array([1.0]), sigma)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
             GaussianMixture1D(np.array([0.0, 1.0]), np.array([1.0]), 1.0)
@@ -253,10 +258,10 @@ class TestHockeyStick:
             math.exp(0.5), single_gaussian(1.0, 1.0), single_gaussian(0.0, 1.0)
         )
         a, b = query.terms(1.0)
-        assert a == pytest.approx(b, rel=1e-15)
+        assert a == pytest.approx(b, rel=1e-15, abs=0.0)
         assert query.signed(1.0) == a - b
         assert query.log_ratio(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert query.tail(1.0) == pytest.approx(DELTA_HALF_EPS, rel=1e-13)
+        assert query.tail(1.0) == pytest.approx(DELTA_HALF_EPS, rel=1e-13, abs=0.0)
 
     def test_monotone_in_alpha(self):
         num = single_gaussian(1.0, 1.0)
@@ -290,6 +295,16 @@ class TestHockeyStick:
             assert hockey_stick(query) == clamped
 
 
+def all_verify_grid_points():
+    """Every (params, eps) point of fedamp verify's built-in grid."""
+    return [
+        (SamplingParams(p=p, q=q, d=d, C=1.0, sigma=sigma), eps)
+        for p, q, d, sigma, eps in itertools.product(
+            VERIFY_GRID_P, VERIFY_GRID_Q, VERIFY_GRID_D, VERIFY_GRID_SIGMA, VERIFY_GRID_EPS
+        )
+    ]
+
+
 def verify_grid_queries(points):
     """Main's pair and the constructed pair at each (params, eps) point."""
     queries = []
@@ -317,7 +332,7 @@ def ajc_queries():
 
 
 class TestSignScan:
-    """hockey_stick's sign scan: spacing at most sigma/10, at most 2048 points."""
+    """The kernel sign scan: spacing at most sigma/10, at most 2048 points."""
 
     @staticmethod
     def window(query):
@@ -395,6 +410,14 @@ class TestSignScan:
         assert hockey_stick(query) == pytest.approx(exact, abs=1e-13)
 
 
+def capped_grid_queries():
+    """The 72 grid pairs at d=100, sigma=0.5, whose kernel scan is capped."""
+    return verify_grid_queries(
+        (SamplingParams(p=p, q=q, d=100, C=1.0, sigma=0.5), eps)
+        for p, q, eps in itertools.product(VERIFY_GRID_P, VERIFY_GRID_Q, VERIFY_GRID_EPS)
+    )
+
+
 def whole_window_hockey_stick(query: HockeyStickQuery) -> float:
     """hockey_stick as one quadrature of the clamped integrand over the whole
     scan window, with every boundary and every mean as a break point."""
@@ -457,20 +480,156 @@ class TestPieces:
 
     def test_matches_whole_window_quadrature(self):
         queries = verify_grid_queries(verify_grid_sample(96, seed=21)) + ajc_queries()
+        queries += capped_grid_queries()
         for query in queries:
             assert hockey_stick(query) == pytest.approx(
                 whole_window_hockey_stick(query), rel=0.0, abs=1e-15
             )
 
     def test_capped_pairs_bit_identical(self):
-        capped = verify_grid_queries(
-            (SamplingParams(p=p, q=q, d=100, C=1.0, sigma=0.5), eps)
-            for p, q, eps in itertools.product(VERIFY_GRID_P, VERIFY_GRID_Q, VERIFY_GRID_EPS)
-        )
-        capped.append(HockeyStickQuery(1.0, single_gaussian(50.0, 0.1), single_gaussian(0.0, 0.1)))
-        for query in capped:
+        # a component at pi takes each capped pair off the lattice, so its
+        # scan stays the capped kernel scan over the whole window: the 72
+        # grid pairs at d=100, sigma=0.5 and the far-tail pair of
+        # test_clamped_to_unit_interval
+        far_tail = HockeyStickQuery(1.0, single_gaussian(50.0, 0.1), single_gaussian(0.0, 0.1))
+        queries = [
+            HockeyStickQuery(
+                query.alpha,
+                mix([(0.999, query.numerator), (0.001, single_gaussian(math.pi, query.numerator.sigma))]),
+                query.denominator,
+            )
+            for query in capped_grid_queries() + [far_tail]
+        ]
+        for query in queries:
+            assert divergence._lattice(query.means) is None
             assert len(divergence._scan_grid(query)) == HOCKEY_STICK_SCAN_POINTS
             assert hockey_stick(query).hex() == whole_window_hockey_stick(query).hex()
+
+
+def scan_boundaries(query, grid, values):
+    """The boundaries as hockey_stick refines them: Brent from the scan's
+    values at each bracket's ends."""
+    roots = []
+    for i in divergence._flips(values):
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        known = {lo: float(values[i]), hi: float(values[i + 1])}
+        roots.append(
+            find_root_bracketed(lambda z: known[z] if z in known else query.signed(z), lo, hi).root
+        )
+    return roots
+
+
+class TestLatticeScan:
+    """Pairs on the lattice k * s take one Toeplitz product instead of an
+    exp per kernel term; their scan must read the signs `signed` reads."""
+
+    def test_signs_match_signed_on_verify_grid(self):
+        # values within 1e-12 of num + alpha * den of `signed` (2.4e-13
+        # measured: a tap sees n h where the kernel sees fl(z) - m), and
+        # the same sign at every point
+        for query in verify_grid_queries(all_verify_grid_points()):
+            grid, values = divergence._lattice_scan(query)
+            assert (grid[0], grid[-1]) == TestSignScan.window(query)
+            sigma = query.numerator.sigma
+            assert np.diff(grid).max() <= sigma / SCAN_POINTS_PER_SIGMA * (1.0 + 1e-12)
+            a, b = query.terms(grid)
+            assert ((values > 0.0) == (a - b > 0.0)).all()
+            assert (np.abs(values - (a - b)) <= 1e-12 * (a + b)).all()
+
+    def test_boundaries_match_exact_scan(self):
+        counts = set()
+        for query in verify_grid_queries(all_verify_grid_points()):
+            grid, values = divergence._lattice_scan(query)
+            roots = scan_boundaries(query, grid, values)
+            reference = TestSignScan.boundaries(query, grid)
+            assert len(roots) == len(reference)
+            np.testing.assert_allclose(roots, reference, rtol=0.0, atol=1e-11)
+            counts.add(len(roots))
+        assert {0, 1} <= counts
+
+    def test_brackets_every_boundary_of_the_fixed_scan(self):
+        for query in verify_grid_queries(verify_grid_sample(96, seed=21)):
+            reference = TestSignScan.boundaries(
+                query, np.linspace(*TestSignScan.window(query), HOCKEY_STICK_SCAN_POINTS)
+            )
+            roots = scan_boundaries(query, *divergence._lattice_scan(query))
+            assert len(roots) == len(reference)
+            np.testing.assert_allclose(roots, reference, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("sigma", [0.05, 1.0, 20.0])
+    def test_planted_pairs(self, monkeypatch, sigma):
+        # means -sigma, 0, sigma: negative k, and r = 200, 10 and 1 points
+        # per step; the lattice scan is forced for pairs this small
+        monkeypatch.setattr(divergence, "_LATTICE_MIN_TERMS", 0)
+        crossing, tail = sigma / 4, sigma * math.acosh(math.exp(0.5))
+        two_crossing = HockeyStickQuery(
+            math.exp(0.5) / math.cosh(0.25),
+            single_gaussian(0.0, sigma),
+            GaussianMixture1D(np.array([-sigma, sigma]), np.array([0.5, 0.5]), sigma),
+        )
+        two_tail = two_tail_pair(sigma)
+        cases = [
+            (two_crossing, [-crossing, crossing], (-crossing, crossing)),
+            (two_tail, [-tail, tail], (tail, -tail)),
+        ]
+        for query, roots, (a, b) in cases:
+            exact = query.tail(a) - query.tail(b)
+            step, k = divergence._lattice(query.means)
+            assert step == sigma and k.tolist() == [-1, 0, 1]
+            grid, values = divergence._lattice_scan(query)
+            assert divergence._sign_scan(query)[0].tobytes() == grid.tobytes()
+            np.testing.assert_allclose(
+                scan_boundaries(query, grid, values), roots, rtol=0.0, atol=1e-11
+            )
+            assert hockey_stick(query) == pytest.approx(exact, abs=1e-13)
+
+    def test_far_tail_pair(self):
+        # between the bumps every term underflows and the product reads 0;
+        # the exact values below the flush floor put the one flip where
+        # `signed` puts it: where the density of N(50, 0.1^2) first rises
+        # above 0 (2e-323 at z = 46.14), beyond the taps' flush band
+        query = HockeyStickQuery(1.0, single_gaussian(50.0, 0.1), single_gaussian(0.0, 0.1))
+        grid, values, capped = divergence._sign_scan(query)
+        assert not capped and len(grid) > HOCKEY_STICK_SCAN_POINTS
+        assert ((values > 0.0) == (query.signed(grid) > 0.0)).all()
+        assert len(divergence._flips(values)) == 1
+        assert hockey_stick(query) == pytest.approx(
+            whole_window_hockey_stick(query), rel=0.0, abs=1e-15
+        )
+
+    def test_off_lattice_pairs_keep_the_kernel_scan(self):
+        for query in ajc_queries():
+            assert divergence._lattice(query.means) is None
+            grid, values, capped = divergence._sign_scan(query)
+            kernel = divergence._scan_grid(query)
+            assert not capped
+            assert grid.tobytes() == kernel.tobytes()
+            assert values.tobytes() == query.signed(kernel).tobytes()
+
+    @pytest.mark.parametrize("C", [0.1, 0.3, 1.7])
+    @pytest.mark.parametrize("d, q", [(30, 0.1), (10**5, 0.5)])
+    def test_step_recovered(self, C, d, q):
+        # at d = 1e5 the smallest nonzero k is 44,156: the step comes back
+        # from fl(k C) / k, not from a mean at k = 1
+        pair = worst_case_pair(SamplingParams(p=0.1, q=q, d=d, C=C, sigma=1.0))
+        query = HockeyStickQuery(1.5, *pair)
+        step, k = divergence._lattice(query.means)
+        assert step == C
+        assert (k * C == query.means).all()
+
+    def test_span_of_inexact_k_refused(self):
+        # k = 1e10 / 5e-324 would overflow; no division is made
+        assert divergence._lattice(np.array([0.0, 5e-324, 1e10])) is None
+
+    def test_point_bound(self):
+        # sigma/10 spacing over means 0..13,687 would take 1.4e7 points:
+        # the scan falls back to the capped kernel scan
+        pair = worst_case_pair(SamplingParams(p=0.1, q=0.1, d=10**5, C=1.0, sigma=0.01))
+        query = HockeyStickQuery(1.5, *pair)
+        assert divergence._lattice(query.means) is not None
+        assert divergence._lattice_scan(query) is None
+        grid, _, capped = divergence._sign_scan(query)
+        assert capped and len(grid) == HOCKEY_STICK_SCAN_POINTS
 
 
 def reference_terms(query: HockeyStickQuery, z: float) -> tuple[float, float]:

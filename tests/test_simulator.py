@@ -155,7 +155,7 @@ class TestClipGradient:
     def test_long_vector_scaled_to_norm_c(self):
         g = np.array([[3.0, 4.0]])
         clipped = _clip_rows(g, 1.0)
-        assert np.linalg.norm(clipped[0]) == pytest.approx(1.0, rel=1e-15)
+        assert np.linalg.norm(clipped[0]) == pytest.approx(1.0, rel=1e-15, abs=0.0)
         np.testing.assert_allclose(clipped, g / 5.0)
 
     def test_zero_vector(self):
