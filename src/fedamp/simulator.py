@@ -25,12 +25,14 @@ streams by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
 from .numerics import DomainError
@@ -80,6 +82,9 @@ class SimConfig:
             raise DomainError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not math.isfinite(self.eta) or self.eta <= 0.0:
             raise DomainError(f"eta must be finite and positive, got {self.eta}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,8 @@ class Streams:
     one coin per client per round and does not depend on the data. Each
     client owns a generator for its element masks, drawn from only in the
     rounds it takes part in, so one client's dataset growing by an element
-    leaves every other client's draws untouched in every round.
+    leaves every other client's draws untouched in every round. Client i's
+    stream gives the values of `PCG64(SeedSequence(seed).spawn(4)[2].spawn(N)[i])`.
     """
 
     data: np.random.Generator
@@ -134,12 +140,64 @@ class Streams:
     noise: np.random.Generator
 
 
+# SeedSequence's hash constants (numpy's bit_generator, after O'Neill's seed_seq_fe)
+_MASK32, _POOL_SIZE = 0xFFFFFFFF, 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix; each call advances the hash constant."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _MASK32
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _spawned_states(seed: int, key: int, n: int) -> np.ndarray:
+    """generate_state(4, uint64) of each of SeedSequence(seed, spawn_key=(key,)).spawn(n),
+    one row per child. A word is a Python int while it is the same for all
+    children and a uint32 array once it is not."""
+    def mix(x, y):
+        value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return value ^ (value >> 16)
+
+    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    # the seed's words, zero-padded to the pool size, then the spawn key
+    entropy = words + [0] * (_POOL_SIZE - len(words)) + [key, np.arange(n, dtype=np.uint32)]
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src, dst in itertools.permutations(range(_POOL_SIZE), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in itertools.product(entropy[_POOL_SIZE:], range(_POOL_SIZE)):
+        pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    state = np.array([hashmix(pool[k % _POOL_SIZE]) for k in range(2 * _POOL_SIZE)], np.uint64)
+    # uint32 words pair up little-endian into uint64 words
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << 32)).T)
+
+
+@dataclass
+class _GeneratedState(ISeedSequence):
+    """A seed sequence whose generate_state(4, uint64) is already known."""
+    state: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (4, np.uint64), "only (4, uint64) is known"
+        return self.state
+
+
 def make_streams(seed: int, n_clients: int) -> Streams:
+    """The run's streams. The element streams equal those `SeedSequence.spawn`
+    gives (see `Streams`), their seeds hashed for all clients in one vectorized pass."""
     root = np.random.SeedSequence(seed)
-    data_ss, part_ss, elem_ss, noise_ss = root.spawn(4)
+    data_ss, part_ss, _, noise_ss = root.spawn(4)
     element_generators = [
-        np.random.Generator(np.random.PCG64(child))
-        for child in elem_ss.spawn(n_clients)
+        np.random.Generator(np.random.PCG64(_GeneratedState(state)))
+        for state in _spawned_states(int(seed), 2, n_clients)
     ]
     return Streams(
         data=np.random.Generator(np.random.PCG64(data_ss)),
@@ -319,7 +377,8 @@ def draw_rounds(
     position = np.arange(first[-1])
     mask = masks[np.repeat(mask_start - first[:-1], lengths) + position]
     sampled = np.flatnonzero(mask)
-    rows = np.repeat(data.offsets[client] - first[:-1], lengths)[sampled] + sampled
+    pair = np.searchsorted(first, sampled, side="right") - 1  # the last to start at or before
+    rows = (data.offsets[client] - first[:-1])[pair] + sampled
 
     pair_at = _offsets(np.count_nonzero(coins, axis=1))
     element_at = first[pair_at]
@@ -393,11 +452,12 @@ def run_training(config: SimConfig, task: Task) -> list[MetricsRow]:
             loss = task_loss(task, state.weights, data.features, data.labels)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"loss diverged at iteration {t}")
+            # grad_norm: np.linalg.norm's formula for a 1-d float vector, without its wrapper
             rows.append(
                 MetricsRow(
                     iteration=t,
                     loss=loss,
-                    grad_norm=float(np.linalg.norm(outcome.noisy_estimate)),
+                    grad_norm=math.sqrt(outcome.noisy_estimate.dot(outcome.noisy_estimate)),
                     participants=block.pair_at[r + 1] - block.pair_at[r],
                     sampled_elements=block.row_at[r + 1] - block.row_at[r],
                 )

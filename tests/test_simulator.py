@@ -196,6 +196,46 @@ class TestSimConfig:
         with pytest.raises(DomainError, match=f"^{name} must be finite and positive, got"):
             config(**{name: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(DomainError, match="^seed must be a non-negative integer, got"):
+            config(seed=seed)
+
+    def test_negative_seed_is_usage_error(self):
+        result = CliRunner().invoke(main, [
+            "simulate", "--task", "linear_regression", "--N", "3", "--d", "2", "--p", "1",
+            "--q", "1", "--C", "1", "--T", "1", "--eta", "0.1", "--m", "2", "--seed", "-1",
+            "--sigma", "0",
+        ])
+        assert result.exit_code == 2
+        assert "Usage:" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
+class TestMakeStreams:
+    """The element streams are derived in one pass for all clients, and
+    equal those of `SeedSequence.spawn`, state for state."""
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 1000])
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3, 2**200]
+    )
+    def test_equals_seed_sequence_spawn(self, seed, n):
+        streams = make_streams(seed, n)
+        children = np.random.SeedSequence(seed).spawn(4)
+        reference = [np.random.PCG64(child) for child in children[2].spawn(n)]
+        assert len(streams.elements) == n
+        for generator, bit_generator in zip(streams.elements, reference):
+            assert generator.bit_generator.state == bit_generator.state
+            expected = np.random.Generator(bit_generator).integers(0, 2**63, 64)
+            assert generator.integers(0, 2**63, 64).tobytes() == expected.tobytes()
+            assert generator.bit_generator.state == bit_generator.state
+        for generator, child in zip(
+            (streams.data, streams.participation, streams.noise), children[:2] + children[3:]
+        ):
+            assert generator.bit_generator.seed_seq.spawn_key == child.spawn_key
+            assert generator.bit_generator.state == np.random.PCG64(child).state
+
 
 class TestSyntheticData:
     def test_shapes_and_determinism(self):
@@ -521,6 +561,23 @@ class TestDrawRounds:
             assert block.element_mask.all()
             assert (np.diff(block.row_at) == data.labels.size).all()
             assert block.rows.tobytes() == np.tile(np.arange(data.labels.size), rounds).tobytes()
+
+    def test_rows_with_empty_clients_equal_repeat_formula(self):
+        sizes = np.array([3, 0, 5, 0, 0, 2, 4, 0, 1, 0, 0])
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        rng = np.random.default_rng(3)
+        data = ClientData(features=rng.standard_normal((offsets[-1], 3)),
+                          labels=rng.standard_normal(offsets[-1]), offsets=offsets)
+        cfg = config(N=sizes.size, p=0.7, q=0.6)
+        block = draw_rounds(cfg, data, make_streams(cfg.seed, cfg.N), 25)
+        # the element-length repeat that draw_rounds replaced
+        first = np.concatenate([[0], np.cumsum(block.client_sizes)])
+        sampled = np.flatnonzero(block.element_mask)
+        expected = np.repeat(
+            data.offsets[block.participants] - first[:-1], block.client_sizes
+        )[sampled] + sampled
+        assert block.rows.tobytes() == expected.tobytes()
+        assert (block.client_sizes == 0).any() and block.rows.size > 0
 
     @pytest.mark.parametrize("task", list(Task))
     def test_run_training_blocks_equal_one_round_loop(self, task, monkeypatch):
