@@ -383,13 +383,15 @@ def calibrate_sigma(
     Solves delta(sigma) = delta_target in log sigma with Brent's method,
     on the empirically verified monotone nonincrease of delta in sigma; one
     step below the answer, sigma / (1 + SIGMA_REL_TOL), misses the target.
-    Raises CalibrationError if the target is unreachable at the top of the
-    bracket or the endpoints are not ordered.
+    Raises DomainError on an empty bracket, and CalibrationError if the
+    target is unreachable at its top or its endpoints are not ordered.
     """
     if not (math.isfinite(eps_target) and eps_target > 0.0):
         raise DomainError(f"eps_target must be positive, got {eps_target}")
     if not (math.isfinite(delta_target) and 0.0 < delta_target < 1.0):
         raise DomainError(f"delta_target must lie in (0, 1), got {delta_target}")
+    if not sigma_bracket[0] <= sigma_bracket[1]:
+        raise DomainError(f"sigma bracket [{sigma_bracket[0]}, {sigma_bracket[1]}] is empty")
 
     def delta_at(sigma: float) -> float:
         params = SamplingParams(p=p, q=q, d=d, C=C, sigma=sigma)

@@ -370,6 +370,9 @@ def simulate(task_name, sigma, eps, delta, scheme_name, out_path, **protocol):
         raise click.UsageError("either --sigma or both --eps and --delta are required")
     if sigma is not None and (eps is not None or delta is not None):
         raise click.UsageError("--sigma conflicts with --eps/--delta calibration")
+    scheme_source = click.get_current_context().get_parameter_source("scheme_name")
+    if sigma is not None and scheme_source is ParameterSource.COMMANDLINE:
+        raise click.UsageError("--sigma conflicts with --scheme, which only calibrates")
     certified = None
     if sigma is None:
         scheme = Scheme(scheme_name)

@@ -204,27 +204,18 @@ class HockeyStickQuery:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
-    def terms(self, z):
-        """(num(z), alpha * den(z)), from one density pass over both.
-
-        Their difference is the signed integrand; their sum is the local
-        magnitude that cancellation noise in the difference scales with.
-        A scalar z takes weighted_normal_pdf's one-row path, without its loop.
-        """
+    def signed(self, z):
+        """num(z) - alpha * den(z), before the positive-part clamp; a scalar z
+        takes weighted_normal_pdf's one-row path, without its loop."""
         sigma = self.numerator.sigma
         if type(z) is float or np.ndim(z) == 0:
             z = float(z)
             row = _band_rows(z, z, z, self.means, self.weights, sigma)
             row /= sigma * SQRT_2PI
-            return float(row[0, 0]), float(row[0, 1])
+            return float(row[0, 0]) - float(row[0, 1])
         z_arr = np.atleast_1d(np.asarray(z, dtype=float))
         out = weighted_normal_pdf(z_arr, self.means, self.weights, sigma)
-        return out[:, 0], out[:, 1]
-
-    def signed(self, z):
-        """num(z) - alpha * den(z), before the positive-part clamp."""
-        a, b = self.terms(z)
-        return a - b
+        return out[:, 0] - out[:, 1]
 
     def log_ratio(self, z: float) -> float:
         """log num(z) - log den(z) - log alpha at a scalar z: the signed
@@ -618,13 +609,13 @@ def worst_case_pair(
     return round_mixtures(params, (1.0 - p, p * (1.0 - q), p * q), (1.0 - p, p, 0.0))
 
 
-def seeded_ajc_triples(count: int, seed: int = 7):
+def seeded_ajc_triples(count: int):
     """Random (mu0, mu1, mu1p, gamma, alpha) cases for identity checks.
 
-    Deterministic for a given seed; shared by the test suite and the
+    Drawn from seed 7, so deterministic; shared by the test suite and the
     verification command so both exercise the same cases.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     cases = []
     for _ in range(count):
         sigma = float(rng.uniform(0.5, 2.0))

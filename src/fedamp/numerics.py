@@ -6,8 +6,8 @@ is pure and reentrant; no global mutable state.
 
 Accuracy targets are inherited from the accountant, which checks closed-form
 delta values against quadrature at the 1e-10 level. The primitives therefore
-aim roughly two orders tighter: quadrature abs_tol defaults to 1e-14, and
-roots are located to 2e-12 absolute plus four machine epsilons relative.
+aim tighter: hockey_stick integrates to 1e-13 absolute, and roots are
+located to 2e-12 absolute plus four machine epsilons relative.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from scipy.special import log_ndtr, ndtr
 ROOT_XTOL = 2e-12
 ROOT_RTOL = 4.0 * sys.float_info.epsilon
 ROOT_MAX_STEPS = 100
+QUADRATURE_MAX_EVALS = 1_000_000  # integrand evaluations per integrate_adaptive call
 
 
 class DomainError(ValueError):
@@ -218,8 +219,6 @@ def _evaluate_batch(f, lows: np.ndarray, highs: np.ndarray):
     points = centers[:, None] + half_widths[:, None] * _GK_NODES[None, :]
     flat = points.reshape(-1)
     values = np.asarray(f(flat), dtype=float)
-    if values.ndim == 0:
-        values = np.full(flat.shape, float(values))
     if values.shape != flat.shape:
         raise DomainError(
             f"integrand returned shape {values.shape} for input shape {flat.shape}"
@@ -237,21 +236,19 @@ def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    abs_tol: float = 1e-14,
-    max_evals: int = 1_000_000,
-    break_points: Sequence[float] | None = None,
+    abs_tol: float,
+    break_points: Sequence[float] | None,
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integration of f over [lo, hi].
 
     The integrand must accept a numpy array of evaluation points and return
-    an array of the same shape (a scalar return is broadcast, so constants
-    work). The error estimate is the summed |K15 - G7| difference over the
-    final subdivision; intervals are split in batches until the estimate
-    drops below abs_tol. Optional break_points seed the initial subdivision,
-    which pays off for integrands with known kinks.
+    an array of the same shape. The error estimate is the summed |K15 - G7|
+    difference over the final subdivision; intervals are split in batches
+    until the estimate drops below abs_tol. break_points, if not None, seed
+    the initial subdivision, which pays off for integrands with known kinks.
 
-    Raises AccuracyError if the tolerance is not certified within max_evals
-    evaluations.
+    Raises AccuracyError if the tolerance is not certified within
+    QUADRATURE_MAX_EVALS evaluations.
     """
     lo = _require_finite("lo", lo)
     hi = _require_finite("hi", hi)
@@ -284,7 +281,7 @@ def integrate_adaptive(
         split = errors > budgets
         if not split.any():
             split = errors >= errors.max()
-        if evaluations + 30 * int(np.count_nonzero(split)) > max_evals:
+        if evaluations + 30 * int(np.count_nonzero(split)) > QUADRATURE_MAX_EVALS:
             raise AccuracyError(
                 f"error estimate {total_error:.3e} above abs_tol {abs_tol:.3e} "
                 f"after {evaluations} evaluations"

@@ -15,7 +15,8 @@ elements themselves, so its memory does not grow with the model dimension.
 A PCG64 stream gives the same values however its draws are split into
 calls, so a block's draws, and the stream states it leaves, are those of
 drawing one round at a time. A round gathers its rows and takes the
-gradient step; what only inspection reads of it is built on first read.
+gradient step. It keeps only the noisy estimate it releases; what only
+inspection reads of it is built from the block on first read.
 
 Synthetic linear and logistic regression stand in for real workloads;
 everything is driven by seeded generator streams so that runs are
@@ -115,11 +116,10 @@ class ClientData:
 @dataclass(frozen=True)
 class ModelState:
     weights: np.ndarray
-    iteration: int
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.weights).all():
-            raise TrainingDivergedError(f"non-finite weights at iteration {self.iteration}")
+            raise TrainingDivergedError("non-finite weights")
 
 
 @dataclass
@@ -207,29 +207,25 @@ def make_streams(seed: int, n_clients: int) -> Streams:
     )
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # np.linalg.norm's own formula for axis=1, without its wrapper's cost
-    return np.sqrt(np.add.reduce(rows * rows, axis=1))
-
-
 def _mean(values: np.ndarray) -> np.floating:
     # np.mean's own two steps on a float64 vector, without its wrapper's cost
     return np.add.reduce(values) / values.size
 
 
 def _clip_rows(rows: np.ndarray, C: float) -> np.ndarray:
-    norms = _row_norms(rows)
+    # np.linalg.norm's own formula for axis=1, without its wrapper's cost
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
     scale = np.maximum(1.0, norms / C)
     return rows / scale[:, None]
 
 
 def make_synthetic_datasets(
     config: SimConfig, task: Task, rng: np.random.Generator
-) -> tuple[ClientData, np.ndarray]:
-    """Seeded datasets for N clients of d elements, stacked, plus the
-    planted parameter vector. Each client draws its features and then its
-    label noise; its margins are its own matrix-vector product, since one
-    product over the whole stack can differ from them in the last bit."""
+) -> ClientData:
+    """Seeded datasets for N clients of d elements, stacked, labelled through
+    a planted parameter vector drawn first. Each client draws its features
+    and then its label noise; its margins are its own matrix-vector product,
+    since one product over the whole stack can differ from them in the last bit."""
     N, d, m = config.N, config.d, config.m
     w_star = rng.standard_normal(m) * (2.0 / math.sqrt(m))
     X = np.empty((N * d, m))
@@ -251,7 +247,7 @@ def make_synthetic_datasets(
     y.setflags(write=False)
     offsets = np.arange(0, N * d + 1, d)
     offsets.setflags(write=False)
-    return ClientData(features=X, labels=y, offsets=offsets), w_star
+    return ClientData(features=X, labels=y, offsets=offsets)
 
 
 def task_loss(task: Task, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -281,34 +277,28 @@ def task_sample_grads(
 class RoundBlock:
     """The draws of a block of rounds, read-only, over one ClientData.
 
-    The flat arrays list the rounds in order. Per (round, participant)
-    pair: the client and its size. Per element of those pairs: the mask.
-    Per sampled element: its row in the stack. Round r owns entries
-    pair_at[r] to pair_at[r + 1] of the pair arrays, and likewise with
-    element_at and row_at; noise[r] is its standard normal noise row.
+    The flat arrays list the rounds in order: the client of each (round,
+    participant) pair, and the stack row of each sampled element. Round r
+    owns entries pair_at[r] to pair_at[r + 1] of participants and row_at[r]
+    to row_at[r + 1] of rows; noise[r] is its standard normal noise row.
     """
 
     data: ClientData
     participants: np.ndarray
-    client_sizes: np.ndarray
-    element_mask: np.ndarray
     rows: np.ndarray
     noise: np.ndarray
     pair_at: tuple[int, ...]
-    element_at: tuple[int, ...]
     row_at: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class RoundOutcome:
-    """What round `index` of `block` computed. The attributes that only
-    inspection reads are built on first read."""
+    """What round `index` of `block` released. The attributes that only
+    inspection reads are built from the block on first read."""
 
     block: RoundBlock
     index: int
-    clipped: np.ndarray
     noisy_estimate: np.ndarray
-    raw_sum: np.ndarray
 
     @cached_property
     def participants(self) -> tuple[int, ...]:
@@ -316,23 +306,15 @@ class RoundOutcome:
         return tuple(self.block.participants[at[self.index]:at[self.index + 1]].tolist())
 
     @cached_property
-    def client_sizes(self) -> tuple[int, ...]:
-        at = self.block.pair_at
-        return tuple(self.block.client_sizes[at[self.index]:at[self.index + 1]].tolist())
-
-    @cached_property
-    def element_mask(self) -> np.ndarray:
-        at = self.block.element_at
-        return self.block.element_mask[at[self.index]:at[self.index + 1]]
-
-    @cached_property
-    def max_clipped_norm(self) -> float:
-        return float(_row_norms(self.clipped).max(initial=0.0))
-
-    @cached_property
     def sampled_elements(self) -> dict[int, tuple[int, ...]]:
-        blocks = np.split(self.element_mask, np.cumsum(self.client_sizes)[:-1])
-        return {i: tuple(np.flatnonzero(b).tolist()) for i, b in zip(self.participants, blocks)}
+        """Per participant, the indices of its sampled elements in its own data."""
+        at, offsets = self.block.row_at, self.block.data.offsets
+        rows = self.block.rows[at[self.index]:at[self.index + 1]]
+        # a round's rows ascend, so its owners do; every owner is a participant
+        owners = np.searchsorted(offsets, rows, side="right") - 1
+        elements = (rows - offsets[owners]).tolist()
+        cuts = [*np.searchsorted(owners, self.participants).tolist(), len(elements)]
+        return {i: tuple(elements[a:b]) for i, a, b in zip(self.participants, cuts, cuts[1:])}
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -381,19 +363,15 @@ def draw_rounds(
     rows = (data.offsets[client] - first[:-1])[pair] + sampled
 
     pair_at = _offsets(np.count_nonzero(coins, axis=1))
-    element_at = first[pair_at]
-    row_at = np.searchsorted(sampled, element_at)
-    for array in (client, lengths, mask, rows, noise):
+    row_at = np.searchsorted(sampled, first[pair_at])
+    for array in (client, rows, noise):
         array.setflags(write=False)
     return RoundBlock(
         data=data,
         participants=client,
-        client_sizes=lengths,
-        element_mask=mask,
         rows=rows,
         noise=noise,
         pair_at=tuple(pair_at.tolist()),
-        element_at=tuple(element_at.tolist()),
         row_at=tuple(row_at.tolist()),
     )
 
@@ -415,11 +393,7 @@ def run_round(
     with np.errstate(over="ignore"):
         estimate = (total + config.sigma * block.noise[r]) / scale
         new_weights = state.weights - config.eta * estimate
-    new_state = ModelState(weights=new_weights, iteration=state.iteration + 1)
-    outcome = RoundOutcome(
-        block=block, index=r, clipped=clipped, noisy_estimate=estimate, raw_sum=total
-    )
-    return new_state, outcome
+    return ModelState(weights=new_weights), RoundOutcome(block, r, estimate)
 
 
 @dataclass(frozen=True)
@@ -434,11 +408,11 @@ class MetricsRow:
 def run_training(config: SimConfig, task: Task) -> list[MetricsRow]:
     """Full training run at config.sigma, one metrics row per iteration."""
     streams = make_streams(config.seed, config.N)
-    data, _ = make_synthetic_datasets(config, task, streams.data)
+    data = make_synthetic_datasets(config, task, streams.data)
 
     # a block of rounds holds at most about _DRAW_BLOCK mask and noise draws
     block_rounds = max(1, _DRAW_BLOCK // (data.labels.size + config.m))
-    state = ModelState(weights=np.zeros(config.m), iteration=0)
+    state = ModelState(weights=np.zeros(config.m))
     rows = []
     for start in range(0, config.T, block_rounds):
         rounds = min(block_rounds, config.T - start)

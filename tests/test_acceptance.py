@@ -42,6 +42,7 @@ from fedamp.simulator import (
     ModelState,
     SimConfig,
     Task,
+    _clip_rows,
     draw_rounds,
     make_streams,
     make_synthetic_datasets,
@@ -190,8 +191,9 @@ def test_criterion_10_simulator_statistics():
         N=30, d=10, p=0.2, q=0.3, C=1.0, sigma=0.5, T=1, eta=0.1, m=4, seed=11
     )
     streams = make_streams(cfg.seed, cfg.N)
-    data, _ = make_synthetic_datasets(cfg, Task.LINEAR_REGRESSION, streams.data)
-    state = ModelState(weights=np.zeros(cfg.m), iteration=0)
+    data = make_synthetic_datasets(cfg, Task.LINEAR_REGRESSION, streams.data)
+    state = ModelState(weights=np.zeros(cfg.m))
+    scale = cfg.p * cfg.N * cfg.q * cfg.d
 
     rounds = 10_000
     participants = np.empty(rounds)
@@ -206,8 +208,18 @@ def test_criterion_10_simulator_statistics():
             _, outcome = run_round(state, cfg, block, r, Task.LINEAR_REGRESSION)
             participants[t] = len(outcome.participants)
             elements[t] = sum(len(s) for s in outcome.sampled_elements.values())
-            assert outcome.max_clipped_norm is not None
-            clip_ok = clip_ok and outcome.max_clipped_norm <= cfg.C + 1e-12
+            # the round's gathered rows, clipped again: their sum is what
+            # the round released, and no clipped row exceeds C
+            rows = block.rows[block.row_at[r]:block.row_at[r + 1]]
+            clipped = _clip_rows(task_sample_grads(
+                Task.LINEAR_REGRESSION, state.weights, data.features[rows], data.labels[rows]
+            ), cfg.C)
+            release = (clipped.sum(axis=0) + cfg.sigma * block.noise[r]) / scale
+            clip_ok = (
+                clip_ok
+                and outcome.noisy_estimate.tobytes() == release.tobytes()
+                and np.linalg.norm(clipped, axis=1).max(initial=0.0) <= cfg.C + 1e-12
+            )
 
     se_part = math.sqrt(cfg.N * cfg.p * (1 - cfg.p) / rounds)
     part_dev = abs(participants.mean() - cfg.N * cfg.p)
@@ -221,7 +233,7 @@ def test_criterion_10_simulator_statistics():
     fixed_rounds = 100_000
     rng = np.random.default_rng(5)
     w = rng.standard_normal(cfg.m) * 0.3
-    fixed_state = ModelState(weights=w, iteration=0)
+    fixed_state = ModelState(weights=w)
     expected = np.zeros(cfg.m)
     for lo, hi in zip(data.offsets[:-1], data.offsets[1:]):
         grads = task_sample_grads(Task.LINEAR_REGRESSION, w, data.features[lo:hi], data.labels[lo:hi])

@@ -49,6 +49,7 @@ from fedamp.divergence import (
     GaussianMixture1D,
     HockeyStickQuery,
     hockey_stick,
+    weighted_normal_pdf,
     worst_case_pair,
 )
 from fedamp.numerics import DomainError, gaussian_mechanism_delta
@@ -107,18 +108,18 @@ class TestDeriveConstants:
     alpha' and denominator split of main_pair."""
 
     def test_reference_eps_prime(self):
-        assert amplified_eps(0.015, 0.001 * 0.1) == pytest.approx(EPS_PRIME_REF, rel=1e-13)
+        assert amplified_eps(0.015, 0.001 * 0.1) == pytest.approx(EPS_PRIME_REF, rel=1e-13, abs=0.0)
 
     def test_amplification_identity(self):
         for p, q, eps in [(0.1, 0.1, 0.5), (0.01, 0.5, 1.0), (0.9, 0.9, 0.015)]:
             expected = 1.0 + (math.exp(eps) - 1.0) / (p * q)
-            assert math.exp(amplified_eps(eps, p * q)) == pytest.approx(expected, rel=1e-12)
-            assert main_pair(params(p=p, q=q), eps).alpha == pytest.approx(expected, rel=1e-12)
+            assert math.exp(amplified_eps(eps, p * q)) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert main_pair(params(p=p, q=q), eps).alpha == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_round_trip_through_eps_prime(self):
         for p, q, eps in [(0.1, 0.1, 0.015), (0.001, 0.1, 0.5), (0.5, 0.9, 2.0)]:
             back = math.log1p(p * q * math.expm1(amplified_eps(eps, p * q)))
-            assert back == pytest.approx(eps, rel=1e-12)
+            assert back == pytest.approx(eps, rel=1e-12, abs=0.0)
 
     def test_tilted_split_sums_to_one(self):
         for p, q, eps in [(0.1, 0.1, 0.5), (0.01, 0.9, 0.1), (0.99, 0.01, 1.5)]:
@@ -194,7 +195,8 @@ class TestMainIntegrand:
 
         def linspace_count(pr, eps):
             grid = np.linspace(*_scan_window(pr, eps), LINSPACE_POINTS)
-            a, b = main_pair(pr, eps).terms(grid)
+            pair = main_pair(pr, eps)
+            a, b = weighted_normal_pdf(grid, pair.means, pair.weights, pair.numerator.sigma).T
             values = a - b
             signs = np.sign(values[np.abs(values) > np.maximum(1e-13 * (a + b), 1e-300)])
             return int(np.count_nonzero(signs[:-1] != signs[1:]))
@@ -245,7 +247,7 @@ class TestMainIntegrand:
             pair = HockeyStickQuery(alpha, mixture(), mixture())
             monkeypatch.setattr(accountant, "main_pair", lambda pr, eps: pair)
             grid = np.linspace(-20.0 * sigma, 8.0 * C + 20.0 * sigma, 20_001)
-            a, b = pair.terms(grid)
+            a, b = weighted_normal_pdf(grid, pair.means, pair.weights, sigma).T
             values = a - b
             signs = np.sign(values[np.abs(values) > np.maximum(1e-13 * (a + b), 1e-300)])
             scan = int(np.count_nonzero(signs[:-1] != signs[1:]))
@@ -300,7 +302,7 @@ class TestFindZStar:
         ]:
             pr = params(p=p, q=q, d=0, C=C, sigma=sigma)
             expected = C / 2.0 + sigma**2 * amplified_eps(eps, p * q) / C
-            assert main_z_star(pr, eps).root == pytest.approx(expected, rel=1e-12)
+            assert main_z_star(pr, eps).root == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_brute_force_scan_oracle(self):
         pr = params(p=0.1, q=0.1, d=30, C=1.0, sigma=1.0)
@@ -477,7 +479,7 @@ class TestDeltaUpperBound:
         ]:
             ub = delta_upper_bound(params(p=p, q=q, sigma=sigma), eps).delta
             ols = delta_only_local(q, sigma, 1.0, eps).delta
-            assert ub == pytest.approx(p * ols, rel=1e-12)
+            assert ub == pytest.approx(p * ols, rel=1e-12, abs=0.0)
 
     def test_reference_value(self):
         pr = params(p=0.001, q=0.1, d=30, sigma=7.65)
@@ -547,19 +549,19 @@ class TestCalibrateSigma:
         assert calibrate_sigma(
             Scheme.UPPER_BOUND, p=0.001, q=0.1, d=30, C=1.0,
             eps_target=0.015, delta_target=1e-6,
-        ) == pytest.approx(SIGMA_UB_A, rel=1e-6)
+        ) == pytest.approx(SIGMA_UB_A, rel=1e-6, abs=0.0)
         assert calibrate_sigma(
             Scheme.ONLY_LOCAL, p=0.001, q=0.1, d=30, C=1.0,
             eps_target=0.015, delta_target=1e-6,
-        ) == pytest.approx(SIGMA_OLS_A, rel=1e-6)
+        ) == pytest.approx(SIGMA_OLS_A, rel=1e-6, abs=0.0)
         assert calibrate_sigma(
             Scheme.UPPER_BOUND, p=0.1, q=0.001, d=1000, C=1.0,
             eps_target=0.015, delta_target=1e-6,
-        ) == pytest.approx(SIGMA_UB_B, rel=1e-6)
+        ) == pytest.approx(SIGMA_UB_B, rel=1e-6, abs=0.0)
         assert calibrate_sigma(
             Scheme.ONLY_LOCAL, p=0.1, q=0.001, d=1000, C=1.0,
             eps_target=0.015, delta_target=1e-6,
-        ) == pytest.approx(SIGMA_OLS_B, rel=1e-6)
+        ) == pytest.approx(SIGMA_OLS_B, rel=1e-6, abs=0.0)
 
     def test_minimality(self):
         sigma = calibrate_sigma(
@@ -600,6 +602,17 @@ class TestCalibrateSigma:
                 Scheme.ONLY_LOCAL, p=0.001, q=0.1, d=30, C=1.0,
                 eps_target=0.015, delta_target=1e-6, sigma_bracket=(1e-3, 5.0),
             )
+
+    def test_empty_bracket(self):
+        # a cap below the floor is a domain error, not an unreachable target
+        args = dict(p=0.1, q=0.1, d=30, C=1.0, eps_target=0.015, delta_target=1e-6)
+        with pytest.raises(DomainError, match="empty"):
+            calibrate_sigma(Scheme.UPPER_BOUND, **args, sigma_bracket=(1e-3, 1e-4))
+        # a cap at the floor leaves one sigma to try
+        with pytest.raises(CalibrationError):
+            calibrate_sigma(Scheme.UPPER_BOUND, **args, sigma_bracket=(1e-3, 1e-3))
+        loose = dict(args, p=1.0, q=1e-9, d=0, eps_target=0.5, delta_target=1e-3)
+        assert calibrate_sigma(Scheme.ONLY_LOCAL, **loose, sigma_bracket=(1e-3, 1e-3)) == 1e-3
 
     def test_domain(self):
         with pytest.raises(DomainError):

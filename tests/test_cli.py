@@ -176,7 +176,7 @@ class TestCalibrate:
         assert header_of(result.stdout) == CALIBRATE_HEADER
         row = rows_of(result.stdout)[0]
         assert row["scheme"] == "ub"
-        assert float(row["sigma"]) == pytest.approx(0.8738670372456214, rel=1e-9)
+        assert float(row["sigma"]) == pytest.approx(0.8738670372456214, rel=1e-9, abs=0.0)
 
     def test_matches_library_call(self):
         result = runner.invoke(main, [
@@ -328,6 +328,19 @@ class TestSimulate:
             result = runner.invoke(main, self.BASE + ["--sigma", "1"] + targets)
             assert result.exit_code == 2, targets
 
+    def test_sigma_conflicts_with_scheme(self, tmp_path):
+        # --scheme only picks the calibrating scheme, so beside a set sigma
+        # it would be dropped; a manifest key for it is ignored, like the
+        # other keys a run does not read
+        result = runner.invoke(main, self.BASE + ["--sigma", "1", "--scheme", "main"])
+        assert result.exit_code == 2
+        assert "--sigma conflicts with --scheme" in result.stderr
+        assert result.stdout == ""
+        fixed = runner.invoke(main, self.BASE + ["--sigma", "1"])
+        cfg = write_manifest(tmp_path, [], "scheme main\n")
+        from_file = runner.invoke(main, ["simulate", "--config", cfg] + self.BASE[1:] + ["--sigma", "1"])
+        assert (from_file.exit_code, from_file.stdout) == (0, fixed.stdout)
+
     def test_needs_noise_specification(self):
         result = runner.invoke(main, self.BASE)
         assert result.exit_code == 2
@@ -367,9 +380,12 @@ class TestDomainErrors:
         (CALIBRATE + ["--eps", "800", "--scheme", "lb"], "overflows (e^eps - 1)/rate"),
         (SIMULATE + ["--eps", "800", "--delta", "1e-6"], "overflows (e^eps - 1)/rate"),
         (CALIBRATE + ["--scheme", "main", "--sigma-cap", "1e200"], "sigma**2 overflows"),
+        (CALIBRATE + ["--sigma-cap", "1e-4"], "sigma bracket [0.001, 0.0001] is empty"),
+        (SIMULATE + ["--sigma", "1", "--scheme", "ub"], "--sigma conflicts with --scheme"),
     ], ids=["calibrate-p", "calibrate-delta", "simulate-N", "simulate-N-calibrated", "simulate-eps",
             "curve-targets", "verify-targets", "calibrate-eps-ub", "calibrate-eps-main",
-            "calibrate-eps-lb", "simulate-eps-overflow", "calibrate-sigma-cap"])
+            "calibrate-eps-lb", "simulate-eps-overflow", "calibrate-sigma-cap",
+            "calibrate-sigma-cap-below-floor", "simulate-sigma-scheme"])
     def test_usage_error(self, args, reason):
         result = runner.invoke(main, args)
         assert result.exit_code == 2

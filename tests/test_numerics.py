@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from fedamp import numerics
 from fedamp.numerics import (
     AccuracyError,
     BracketError,
@@ -50,7 +51,7 @@ class TestGaussianMechanismDelta:
             den = np.exp(-0.5 * (z / sigma) ** 2)
             return np.maximum(num - alpha * den, 0.0) / (sigma * math.sqrt(2 * math.pi))
 
-        result = integrate_adaptive(integrand, -10.0, 11.0, abs_tol=1e-13)
+        result = integrate_adaptive(integrand, -10.0, 11.0, abs_tol=1e-13, break_points=None)
         assert gaussian_mechanism_delta(eps, sigma, c) == pytest.approx(
             result.value, abs=1e-12
         )
@@ -100,7 +101,7 @@ class TestFindRootBracketed:
         result = find_root_bracketed(lambda x: x**3 - 2.0, 0.0, 4.0)
         lo, hi = result.bracket
         assert lo <= result.root <= hi
-        assert result.root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+        assert result.root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12, abs=0.0)
 
     def test_same_root_as_scipy_brentq(self):
         # same steps and tolerances; at the 1e-200 scale the interpolation
@@ -139,15 +140,24 @@ class TestFindRootBracketed:
 
 class TestIntegrateAdaptive:
     def test_constant(self):
-        result = integrate_adaptive(lambda z: 1.0, 0.0, 1.0)
+        result = integrate_adaptive(np.ones_like, 0.0, 1.0, abs_tol=1e-14, break_points=None)
         assert result.value == pytest.approx(1.0, abs=1e-15)
         assert result.evaluations > 0
+
+    def test_integrand_shape_checked(self):
+        # one value per evaluation point: a scalar is not broadcast
+        for f in (lambda z: 1.0, lambda z: z[:-1], lambda z: z.reshape(-1, 15)):
+            with pytest.raises(DomainError, match="integrand returned shape"):
+                integrate_adaptive(f, 0.0, 1.0, abs_tol=1e-14, break_points=None)
+        with pytest.raises(DomainError, match="non-finite"):
+            integrate_adaptive(lambda z: np.full_like(z, np.inf), 0.0, 1.0, abs_tol=1e-14,
+                               break_points=None)
 
     def test_gaussian_normalization(self):
         def pdf(z):
             return np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
-        result = integrate_adaptive(pdf, -8.0, 8.0, abs_tol=1e-13)
+        result = integrate_adaptive(pdf, -8.0, 8.0, abs_tol=1e-13, break_points=None)
         expected = 1.0 - 2.0 * float(ndtr(-8.0))
         assert result.value == pytest.approx(expected, abs=1e-12)
         assert result.error_estimate <= 1e-13
@@ -160,23 +170,25 @@ class TestIntegrateAdaptive:
 
     def test_break_points_outside_range_ignored(self):
         result = integrate_adaptive(
-            lambda z: 1.0, 0.0, 1.0, break_points=[-5.0, 0.5, 7.0]
+            np.ones_like, 0.0, 1.0, abs_tol=1e-14, break_points=[-5.0, 0.5, 7.0]
         )
         assert result.value == pytest.approx(1.0, abs=1e-14)
 
-    def test_accuracy_error_when_budget_too_small(self):
-        with pytest.raises(AccuracyError):
+    def test_accuracy_error_when_budget_too_small(self, monkeypatch):
+        monkeypatch.setattr(numerics, "QUADRATURE_MAX_EVALS", 200)
+        # 15, 45 and 105 evaluations; splitting all four intervals would pass 200
+        with pytest.raises(AccuracyError, match="after 105 evaluations"):
             integrate_adaptive(
-                lambda z: np.sin(1000.0 * z), 0.0, 1.0, abs_tol=1e-16, max_evals=200
+                lambda z: np.sin(1000.0 * z), 0.0, 1.0, abs_tol=1e-16, break_points=None
             )
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
-            integrate_adaptive(lambda z: 1.0, 1.0, 0.0)
+            integrate_adaptive(np.ones_like, 1.0, 0.0, abs_tol=1e-14, break_points=None)
 
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
-            integrate_adaptive(lambda z: 1.0, 0.0, 1.0, abs_tol=0.0)
+            integrate_adaptive(np.ones_like, 0.0, 1.0, abs_tol=0.0, break_points=None)
 
 
 class TestBreakPoints:
@@ -191,7 +203,7 @@ class TestBreakPoints:
             seen.append(z.copy())
             return np.zeros_like(z)
 
-        integrate_adaptive(f, lo, hi, break_points=break_points)
+        integrate_adaptive(f, lo, hi, abs_tol=1e-14, break_points=break_points)
         return seen[0]
 
     @staticmethod
@@ -224,4 +236,4 @@ class TestBreakPoints:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected(self, bad):
         with pytest.raises(DomainError, match=f"break point must be finite, got {bad!r}"):
-            integrate_adaptive(lambda z: z, 0.0, 1.0, break_points=[0.5, bad, 2.0])
+            integrate_adaptive(lambda z: z, 0.0, 1.0, abs_tol=1e-14, break_points=[0.5, bad, 2.0])

@@ -21,7 +21,6 @@ from fedamp.simulator import (
     Task,
     TrainingDivergedError,
     _clip_rows,
-    _row_norms,
     draw_rounds,
     make_streams,
     make_synthetic_datasets,
@@ -55,8 +54,7 @@ def simulate_rows(cfg: SimConfig, *flags: str) -> list[dict]:
 
 def fresh_world(cfg: SimConfig, task: Task = Task.LINEAR_REGRESSION):
     streams = make_streams(cfg.seed, cfg.N)
-    data, w_star = make_synthetic_datasets(cfg, task, streams.data)
-    return streams, data, w_star
+    return streams, make_synthetic_datasets(cfg, task, streams.data)
 
 
 def client(data: ClientData, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,6 +67,35 @@ def one_round(state, cfg, data, streams, task=Task.LINEAR_REGRESSION):
     """One protocol round on a one-round draw."""
     block = draw_rounds(cfg, data, streams, 1)
     return run_round(state, cfg, block, 0, task)
+
+
+def gathered_clipped(state, cfg, outcome, task=Task.LINEAR_REGRESSION) -> np.ndarray:
+    """The clipped per-sample gradients of the outcome's round at the state
+    it started from, recomputed by `_clip_rows` on the rows its block gathers."""
+    block, r = outcome.block, outcome.index
+    rows = block.rows[block.row_at[r]:block.row_at[r + 1]]
+    grads = task_sample_grads(task, state.weights, block.data.features[rows],
+                              block.data.labels[rows])
+    return _clip_rows(grads, cfg.C)
+
+
+def released(cfg, outcome, total) -> np.ndarray:
+    """The noisy estimate run_round releases from the clipped sum `total`."""
+    scale = cfg.p * cfg.N * cfg.q * cfg.d
+    return (total + cfg.sigma * outcome.block.noise[outcome.index]) / scale
+
+
+def mask_draws(cfg, data, streams, rounds) -> list:
+    """Per round, its participants and their concatenated element masks,
+    drawn one round and one participant at a time."""
+    draws = []
+    for _ in range(rounds):
+        coins = streams.participation.uniform(size=cfg.N) < cfg.p
+        participants = tuple(np.flatnonzero(coins).tolist())
+        streams.noise.standard_normal(cfg.m)
+        masks = [streams.elements[i].uniform(size=data.sizes[i]) < cfg.q for i in participants]
+        draws.append((participants, np.concatenate([np.empty(0, bool), *masks])))
+    return draws
 
 
 def stream_states(streams) -> list:
@@ -95,8 +122,8 @@ def with_extra_element(
 
 def reference_datasets(config: SimConfig, task: Task, rng: np.random.Generator):
     """The per-client construction that `make_synthetic_datasets` replaced,
-    kept as an independent reference: one features array, one margin
-    product and one label array per client."""
+    kept as an independent reference: the planted vector, then one features
+    array, one margin product and one label array per client."""
     w_star = rng.standard_normal(config.m) * (2.0 / math.sqrt(config.m))
     features, labels = [], []
     for _ in range(config.N):
@@ -108,7 +135,7 @@ def reference_datasets(config: SimConfig, task: Task, rng: np.random.Generator):
             y = np.where(rng.uniform(size=config.d) < expit(margins), 1.0, -1.0)
         features.append(X)
         labels.append(y)
-    return features, labels, w_star
+    return features, labels
 
 
 def reference_round(state, config, data, streams, task):
@@ -120,14 +147,12 @@ def reference_round(state, config, data, streams, task):
     participants = tuple(np.flatnonzero(part_u < config.p).tolist())
 
     sampled = {}
-    masks = [np.empty(0, bool)]
     features = [np.empty((0, config.m))]
     labels = [np.empty(0)]
     for i in participants:
         X, y = client(data, i)
         mask = streams.elements[i].uniform(size=len(y)) < config.q
         sampled[i] = tuple(np.flatnonzero(mask).tolist())
-        masks.append(mask)
         features.append(X[mask])
         labels.append(y[mask])
     grads = task_sample_grads(
@@ -140,9 +165,7 @@ def reference_round(state, config, data, streams, task):
     scale = config.p * config.N * config.q * config.d
     estimate = (total + config.sigma * noise) / scale
     new_weights = state.weights - config.eta * estimate
-    max_norm = float(np.linalg.norm(clipped, axis=1).max(initial=0.0))
-    return (new_weights, participants, sampled, np.concatenate(masks),
-            estimate, total, max_norm)
+    return new_weights, participants, sampled, clipped, estimate
 
 
 class TestClipGradient:
@@ -240,13 +263,13 @@ class TestMakeStreams:
 class TestSyntheticData:
     def test_shapes_and_determinism(self):
         cfg = config(N=7, d=4, m=3)
-        _, data, w_star = fresh_world(cfg)
+        _, data = fresh_world(cfg)
         assert data.sizes.tolist() == [4] * 7
         assert data.features.shape == (28, 3)
-        assert w_star.shape == (3,)
-        _, again, w_again = fresh_world(cfg)
+        assert data.labels.shape == (28,)
+        _, again = fresh_world(cfg)
         np.testing.assert_array_equal(client(data, 3)[0], client(again, 3)[0])
-        np.testing.assert_array_equal(w_star, w_again)
+        np.testing.assert_array_equal(data.labels, again.labels)
 
     @pytest.mark.parametrize("task", list(Task))
     @pytest.mark.parametrize(
@@ -254,12 +277,12 @@ class TestSyntheticData:
     )
     def test_matches_per_client_reference(self, task, N, d, m):
         cfg = config(N=N, d=d, m=m, seed=N + d + m)
-        streams, data, w_star = fresh_world(cfg, task)
+        # the labels carry the planted vector through the margins
+        streams, data = fresh_world(cfg, task)
         ref_rng = make_streams(cfg.seed, cfg.N).data
-        features, labels, ref_w_star = reference_datasets(cfg, task, ref_rng)
+        features, labels = reference_datasets(cfg, task, ref_rng)
         for got, want in ((data.features, np.concatenate(features)),
-                          (data.labels, np.concatenate(labels)),
-                          (w_star, ref_w_star)):
+                          (data.labels, np.concatenate(labels))):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
         assert data.offsets.tolist() == list(range(0, N * d + 1, d))
@@ -267,11 +290,11 @@ class TestSyntheticData:
 
     def test_logistic_labels_are_signs(self):
         cfg = config(N=5, d=6, m=3)
-        _, data, _ = fresh_world(cfg, Task.LOGISTIC_REGRESSION)
+        _, data = fresh_world(cfg, Task.LOGISTIC_REGRESSION)
         assert set(np.unique(data.labels)) <= {-1.0, 1.0}
 
     def test_arrays_are_read_only(self):
-        _, data, _ = fresh_world(config())
+        _, data = fresh_world(config())
         with pytest.raises(ValueError):
             data.features[0, 0] = 99.0
         with pytest.raises(ValueError):
@@ -292,7 +315,7 @@ class TestSyntheticData:
 
 class TestWithExtraElement:
     def test_appends_one_element(self):
-        _, data, _ = fresh_world(config(N=4, d=5, m=3))
+        _, data = fresh_world(config(N=4, d=5, m=3))
         grown = with_extra_element(data, 2, np.ones(3), 1.0)
         X, y = client(grown, 2)
         assert len(y) == 6
@@ -302,7 +325,7 @@ class TestWithExtraElement:
 
     def test_other_clients_share_objects(self):
         # the other clients keep their elements, byte for byte
-        _, data, _ = fresh_world(config(N=4))
+        _, data = fresh_world(config(N=4))
         grown = with_extra_element(data, 1, np.zeros(3), -1.0)
         for i in (0, 2, 3):
             for got, want in zip(client(grown, i), client(data, i)):
@@ -362,10 +385,10 @@ class TestTaskFunctions:
 class TestRunRound:
     def test_deterministic_across_stream_rebuilds(self):
         cfg = config()
-        streams_a, data, _ = fresh_world(cfg)
+        streams_a, data = fresh_world(cfg)
         streams_b = make_streams(cfg.seed, cfg.N)
         make_synthetic_datasets(cfg, Task.LINEAR_REGRESSION, streams_b.data)
-        state = ModelState(weights=np.zeros(cfg.m), iteration=0)
+        state = ModelState(weights=np.zeros(cfg.m))
         _, out_a = one_round(state, cfg, data, streams_a)
         _, out_b = one_round(state, cfg, data, streams_b)
         assert out_a.participants == out_b.participants
@@ -374,8 +397,8 @@ class TestRunRound:
 
     def test_full_participation_noiseless_mean(self):
         cfg = config(p=1.0, q=1.0, sigma=0.0, N=6, d=4, m=3)
-        streams, data, _ = fresh_world(cfg)
-        state = ModelState(weights=np.zeros(cfg.m), iteration=0)
+        streams, data = fresh_world(cfg)
+        state = ModelState(weights=np.zeros(cfg.m))
         new_state, outcome = one_round(state, cfg, data, streams)
         manual = np.zeros(cfg.m)
         for i in range(cfg.N):
@@ -392,39 +415,48 @@ class TestRunRound:
 
     def test_only_participants_draw_element_masks(self):
         cfg = config(N=4, p=0.25)
-        streams, data, _ = fresh_world(cfg)
-        state = ModelState(weights=np.zeros(cfg.m), iteration=0)
+        streams, data = fresh_world(cfg)
+        state = ModelState(weights=np.zeros(cfg.m))
         empty_rounds = 0
         for _ in range(20):
             before = [g.bit_generator.state for g in streams.elements]
+            start = state
             state, outcome = one_round(state, cfg, data, streams)
             for i, g in enumerate(streams.elements):
                 advanced = g.bit_generator.state != before[i]
                 assert advanced == (i in outcome.participants)
-            assert outcome.raw_sum.shape == (cfg.m,)
-            assert 0.0 <= outcome.max_clipped_norm <= cfg.C + 1e-12
+            clipped = gathered_clipped(start, cfg, outcome)
+            total = clipped.sum(axis=0)
+            assert total.shape == (cfg.m,)
+            assert outcome.noisy_estimate.tobytes() == released(cfg, outcome, total).tobytes()
+            max_norm = np.linalg.norm(clipped, axis=1).max(initial=0.0)
+            assert 0.0 <= max_norm <= cfg.C + 1e-12
             if not outcome.participants:
                 empty_rounds += 1
-                np.testing.assert_array_equal(outcome.raw_sum, np.zeros(cfg.m))
-                assert outcome.max_clipped_norm == 0.0
+                np.testing.assert_array_equal(total, np.zeros(cfg.m))
+                assert max_norm == 0.0
         assert 0 < empty_rounds < 20
 
     def test_clipping_invariant(self):
         cfg = config(C=0.3, T=1)
-        streams, data, _ = fresh_world(cfg)
-        state = ModelState(weights=np.zeros(cfg.m), iteration=0)
+        streams, data = fresh_world(cfg)
+        state = ModelState(weights=np.zeros(cfg.m))
         for _ in range(25):
+            start = state
             state, outcome = one_round(state, cfg, data, streams)
-            assert outcome.max_clipped_norm <= cfg.C + 1e-12
+            clipped = gathered_clipped(start, cfg, outcome)
+            released_total = released(cfg, outcome, clipped.sum(axis=0))
+            assert outcome.noisy_estimate.tobytes() == released_total.tobytes()
+            assert np.linalg.norm(clipped, axis=1).max(initial=0.0) <= cfg.C + 1e-12
 
     def test_coupling_between_neighboring_datasets(self):
         # growing client 0 leaves every other client's round draws untouched
         cfg = config(N=8, q=0.4)
-        streams_a, data, _ = fresh_world(cfg)
+        streams_a, data = fresh_world(cfg)
         streams_b = make_streams(cfg.seed, cfg.N)
         make_synthetic_datasets(cfg, Task.LINEAR_REGRESSION, streams_b.data)
         grown = with_extra_element(data, 0, np.full(cfg.m, 0.1), 1.0)
-        state = ModelState(weights=np.zeros(cfg.m), iteration=0)
+        state = ModelState(weights=np.zeros(cfg.m))
         for _ in range(10):
             _, out_a = one_round(state, cfg, data, streams_a)
             _, out_b = one_round(state, cfg, grown, streams_b)
@@ -439,7 +471,7 @@ class TestRoundReference:
     def test_matches_per_participant_loop(self, task):
         # ragged clients: three of them hold one or two extra elements
         cfg = config(N=12, d=6, p=0.5, q=0.4, C=0.5, sigma=0.7, eta=0.3, m=4, seed=5)
-        streams, data, _ = fresh_world(cfg, task)
+        streams, data = fresh_world(cfg, task)
         ref_streams = make_streams(cfg.seed, cfg.N)
         make_synthetic_datasets(cfg, task, ref_streams.data)
         rng = np.random.default_rng(8)
@@ -447,52 +479,41 @@ class TestRoundReference:
             data = with_extra_element(
                 data, i, rng.standard_normal(cfg.m), rng.choice([-1.0, 1.0])
             )
-        state = ModelState(weights=np.zeros(cfg.m), iteration=0)
+        state = ModelState(weights=np.zeros(cfg.m))
         ref_weights = state.weights
         for _ in range(60):
-            ref_state = ModelState(weights=ref_weights, iteration=state.iteration)
-            ref = reference_round(ref_state, cfg, data, ref_streams, task)
+            ref = reference_round(ModelState(weights=ref_weights), cfg, data, ref_streams, task)
+            start = state
             state, outcome = one_round(state, cfg, data, streams, task)
-            ref_weights, participants, sampled, mask, estimate, total, max_norm = ref
+            ref_weights, participants, sampled, ref_clipped, estimate = ref
             assert outcome.participants == participants
-            assert outcome.client_sizes == tuple(len(client(data, i)[1]) for i in participants)
-            assert outcome.element_mask.tobytes() == mask.tobytes()
             assert outcome.sampled_elements == sampled
-            assert outcome.raw_sum.tobytes() == total.tobytes()
+            assert gathered_clipped(start, cfg, outcome, task).tobytes() == ref_clipped.tobytes()
             assert outcome.noisy_estimate.tobytes() == estimate.tobytes()
-            assert outcome.max_clipped_norm.hex() == max_norm.hex()
             assert state.weights.tobytes() == ref_weights.tobytes()
             assert stream_states(streams) == stream_states(ref_streams)
         assert set(data.sizes.tolist()) == {6, 7, 8}
 
     def test_attributes_built_on_read_equal_eager_values(self):
         # what run_training never reads is built from the block on first
-        # read; here each is built eagerly the way run_round once did
+        # read: each participant's sampled elements, placed at its own
+        # rows of the stack, are the rows the round gathered
         cfg = config(N=12, d=6, p=0.3, q=0.4, C=0.5, m=4, seed=3)
-        streams, data, _ = fresh_world(cfg)
+        streams, data = fresh_world(cfg)
         data = with_extra_element(data, 4, np.ones(cfg.m), 1.0)
         rounds = 30
         block = draw_rounds(cfg, data, streams, rounds)
-        state = ModelState(weights=np.full(cfg.m, 0.2), iteration=0)
+        state = ModelState(weights=np.full(cfg.m, 0.2))
         for r in range(rounds):
             _, outcome = run_round(state, cfg, block, r, Task.LINEAR_REGRESSION)
             rows = block.rows[block.row_at[r]:block.row_at[r + 1]]
-            grads = task_sample_grads(
-                Task.LINEAR_REGRESSION, state.weights, data.features[rows], data.labels[rows]
-            )
-            clipped = _clip_rows(grads, cfg.C)
-            assert outcome.clipped.tobytes() == clipped.tobytes()
-            eager_norm = float(_row_norms(clipped).max(initial=0.0))
-            assert outcome.max_clipped_norm.hex() == eager_norm.hex()
             participants = outcome.participants
-            assert outcome.client_sizes == tuple(data.sizes[list(participants)].tolist())
-            # the mask picks, from the participants' rows, the rows gathered
-            element_rows = np.concatenate([np.empty(0, rows.dtype)] + [
-                np.arange(data.offsets[i], data.offsets[i + 1]) for i in participants
-            ])
-            assert not outcome.element_mask.flags.writeable
-            assert element_rows[outcome.element_mask].tobytes() == rows.tobytes()
+            sampled = outcome.sampled_elements
+            assert tuple(sampled) == participants
+            element_rows = [data.offsets[i] + e for i in participants for e in sampled[i]]
+            assert element_rows == rows.tolist()
             assert outcome.participants is participants  # built once
+            assert outcome.sampled_elements is sampled
 
     def test_metrics_count_matches_sampled_elements(self, monkeypatch):
         outcomes = []
@@ -512,6 +533,71 @@ class TestRoundReference:
             assert row.participants == len(outcome.sampled_elements)
 
 
+class TestInspectionAttributes:
+    """A round's participants and sampled elements, built from its block's
+    rows, equal the mask-based construction they replaced: the round's flat
+    element mask split by client size, one block per participant."""
+
+    @staticmethod
+    def mask_based(cfg, data, streams, rounds) -> list:
+        expected = []
+        for participants, mask in mask_draws(cfg, data, streams, rounds):
+            sizes = data.sizes[list(participants)]
+            blocks = np.split(mask, np.cumsum(sizes)[:-1])
+            expected.append((participants, {
+                i: tuple(np.flatnonzero(b).tolist()) for i, b in zip(participants, blocks)
+            }))
+        return expected
+
+    def test_equal_mask_based_construction(self, monkeypatch):
+        outcomes = []
+
+        def recording_round(*args):
+            new_state, outcome = run_round(*args)
+            outcomes.append(outcome)
+            return new_state, outcome
+
+        monkeypatch.setattr(simulator, "run_round", recording_round)
+        empty_rounds = empty_participants = 0
+        for seed in range(30):
+            # ragged clients, some of them empty, and rounds nobody joins
+            rng = np.random.default_rng(seed)
+            sizes = rng.integers(0, 6, size=12)
+            sizes[seed % 12] = 0
+            offsets = np.concatenate([[0], np.cumsum(sizes)])
+            data = ClientData(features=rng.standard_normal((offsets[-1], 3)),
+                              labels=rng.standard_normal(offsets[-1]), offsets=offsets)
+            cfg = config(N=12, p=0.15, q=0.5, T=40, m=3, seed=seed)
+            expected = self.mask_based(cfg, data, make_streams(cfg.seed, cfg.N), cfg.T)
+
+            # the rounds of run_training, whose rows count what it measured
+            monkeypatch.setattr(simulator, "make_synthetic_datasets", lambda *args: data)
+            outcomes.clear()
+            rows = run_training(cfg, Task.LINEAR_REGRESSION)
+            for row, outcome, (participants, sampled) in zip(rows, outcomes, expected, strict=True):
+                assert outcome.participants == participants
+                assert outcome.sampled_elements == sampled
+                assert row.participants == len(sampled)
+                assert row.sampled_elements == sum(len(s) for s in sampled.values())
+
+            # blocks of other lengths over the same draws
+            streams = make_streams(cfg.seed, cfg.N)
+            state = ModelState(weights=np.zeros(cfg.m))
+            got = []
+            for rounds in (1, 7, 32):
+                block = draw_rounds(cfg, data, streams, rounds)
+                for r in range(rounds):
+                    _, outcome = run_round(state, cfg, block, r, Task.LINEAR_REGRESSION)
+                    got.append((outcome.participants, outcome.sampled_elements))
+            assert got == expected
+
+            empty_rounds += sum(not participants for participants, _ in expected)
+            empty_participants += sum(
+                sizes[i] == 0 for participants, _ in expected for i in participants
+            )
+        assert empty_rounds > 0 and empty_participants > 0
+
+
 class TestDrawRounds:
     """Each round of an R-round block equals a one-round block, array for
     array, and the block leaves every stream in the state R one-round
@@ -527,8 +613,8 @@ class TestDrawRounds:
     )
     def test_block_equals_one_round_draws(self, overrides, rounds, kind):
         cfg = config(**overrides)
-        streams, data, _ = fresh_world(cfg)
-        one_streams, _, _ = fresh_world(cfg)
+        streams, data = fresh_world(cfg)
+        one_streams, _ = fresh_world(cfg)
         rng = np.random.default_rng(8)
         for i in (0, 1, 1):
             data = with_extra_element(
@@ -538,8 +624,7 @@ class TestDrawRounds:
         singles = [draw_rounds(cfg, data, one_streams, 1) for _ in range(rounds)]
         assert block.noise.shape == (rounds, cfg.m)
         assert not block.noise.flags.writeable
-        per_round = (("participants", "pair_at"), ("client_sizes", "pair_at"),
-                     ("element_mask", "element_at"), ("rows", "row_at"))
+        per_round = (("participants", "pair_at"), ("rows", "row_at"))
         for r, single in enumerate(singles):
             assert block.data is single.data is data
             assert block.noise[r].tobytes() == single.noise[0].tobytes()
@@ -558,7 +643,6 @@ class TestDrawRounds:
             assert (pairs == 0).any() and (pairs > 0).any()
         if kind == "p = q = 1":
             assert (pairs == cfg.N).all()
-            assert block.element_mask.all()
             assert (np.diff(block.row_at) == data.labels.size).all()
             assert block.rows.tobytes() == np.tile(np.arange(data.labels.size), rounds).tobytes()
 
@@ -570,14 +654,18 @@ class TestDrawRounds:
                           labels=rng.standard_normal(offsets[-1]), offsets=offsets)
         cfg = config(N=sizes.size, p=0.7, q=0.6)
         block = draw_rounds(cfg, data, make_streams(cfg.seed, cfg.N), 25)
+        draws = mask_draws(cfg, data, make_streams(cfg.seed, cfg.N), 25)
+        participants = np.array([i for pairs, _ in draws for i in pairs], dtype=int)
+        assert block.participants.tolist() == participants.tolist()
         # the element-length repeat that draw_rounds replaced
-        first = np.concatenate([[0], np.cumsum(block.client_sizes)])
-        sampled = np.flatnonzero(block.element_mask)
+        client_sizes = data.sizes[participants]
+        first = np.concatenate([[0], np.cumsum(client_sizes)])
+        sampled = np.flatnonzero(np.concatenate([mask for _, mask in draws]))
         expected = np.repeat(
-            data.offsets[block.participants] - first[:-1], block.client_sizes
+            data.offsets[participants] - first[:-1], client_sizes
         )[sampled] + sampled
         assert block.rows.tobytes() == expected.tobytes()
-        assert (block.client_sizes == 0).any() and block.rows.size > 0
+        assert (client_sizes == 0).any() and block.rows.size > 0
 
     @pytest.mark.parametrize("task", list(Task))
     def test_run_training_blocks_equal_one_round_loop(self, task, monkeypatch):
@@ -593,8 +681,8 @@ class TestDrawRounds:
         rows = run_training(cfg, task)
         assert blocks == [2, 2, 1]
 
-        streams, data, _ = fresh_world(cfg, task)
-        state = ModelState(weights=np.zeros(cfg.m), iteration=0)
+        streams, data = fresh_world(cfg, task)
+        state = ModelState(weights=np.zeros(cfg.m))
         expected = []
         for t in range(cfg.T):
             state, outcome = one_round(state, cfg, data, streams, task)
@@ -611,8 +699,8 @@ class TestDrawRounds:
 class TestRoundStatistics:
     def test_means_and_noise_independence(self):
         cfg = config(N=30, d=5, p=0.3, q=0.4, sigma=1.0, m=3)
-        streams, data, _ = fresh_world(cfg)
-        state = ModelState(weights=np.zeros(cfg.m), iteration=0)
+        streams, data = fresh_world(cfg)
+        state = ModelState(weights=np.zeros(cfg.m))
         rounds, block_rounds = 10_000, 1_000
         participant_counts = np.empty(rounds)
         element_counts = np.empty(rounds)
@@ -627,8 +715,9 @@ class TestRoundStatistics:
                 element_counts[t] = sum(
                     len(s) for s in outcome.sampled_elements.values()
                 )
+                total = gathered_clipped(state, cfg, outcome).sum(axis=0)
                 noise_first[t] = (
-                    outcome.noisy_estimate[0] * scale - outcome.raw_sum[0]
+                    outcome.noisy_estimate[0] * scale - total[0]
                 ) / cfg.sigma
 
         se_participants = math.sqrt(cfg.N * cfg.p * (1.0 - cfg.p) / rounds)
@@ -656,15 +745,18 @@ class TestSensitivity:
         # so its stream only stays aligned with the base world within a round
         for seed in range(20):
             cfg = config(N=6, d=5, q=0.5, C=0.7, sigma=1.0, m=3, seed=seed)
-            streams_a, data, _ = fresh_world(cfg)
+            streams_a, data = fresh_world(cfg)
             streams_b = make_streams(cfg.seed, cfg.N)
             make_synthetic_datasets(cfg, Task.LINEAR_REGRESSION, streams_b.data)
             grown = with_extra_element(data, 0, np.full(cfg.m, 2.0), -3.0)
             rng = np.random.default_rng(seed)
-            state = ModelState(weights=rng.standard_normal(cfg.m), iteration=0)
+            state = ModelState(weights=rng.standard_normal(cfg.m))
             _, out_a = one_round(state, cfg, data, streams_a)
             _, out_b = one_round(state, cfg, grown, streams_b)
-            shift = float(np.linalg.norm(out_b.raw_sum - out_a.raw_sum))
+            sum_a, sum_b = (gathered_clipped(state, cfg, out).sum(axis=0) for out in (out_a, out_b))
+            for out, total in ((out_a, sum_a), (out_b, sum_b)):
+                assert out.noisy_estimate.tobytes() == released(cfg, out, total).tobytes()
+            shift = float(np.linalg.norm(sum_b - sum_a))
             assert shift <= cfg.C + 1e-12
 
 
