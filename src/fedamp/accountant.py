@@ -338,8 +338,11 @@ def _invert_monotone(
     in u = to_coord(x), reusing an endpoint's delta where from_coord(u) is it.
     The answer is the upper end of Brent's final bracket, the side where
     delta <= target, or the root at an exact hit (residual 0), which stops
-    Brent before the other end closes in. Raises CalibrationError if the
-    endpoints are not ordered or the target is unreachable at the top."""
+    Brent before the other end closes in. Raises DomainError unless
+    delta_target lies in (0, 1), and CalibrationError if the endpoints are
+    not ordered or the target is unreachable at the top."""
+    if not (math.isfinite(delta_target) and 0.0 < delta_target < 1.0):
+        raise DomainError(f"delta_target must lie in (0, 1), got {delta_target}")
     lo, hi = bracket
     delta_lo = delta_at(lo)
     delta_hi = delta_at(hi)
@@ -388,8 +391,6 @@ def calibrate_sigma(
     """
     if not (math.isfinite(eps_target) and eps_target > 0.0):
         raise DomainError(f"eps_target must be positive, got {eps_target}")
-    if not (math.isfinite(delta_target) and 0.0 < delta_target < 1.0):
-        raise DomainError(f"delta_target must lie in (0, 1), got {delta_target}")
     if not sigma_bracket[0] <= sigma_bracket[1]:
         raise DomainError(f"sigma bracket [{sigma_bracket[0]}, {sigma_bracket[1]}] is empty")
 
@@ -410,8 +411,6 @@ def eps_for_delta(
     Solves delta(eps) = delta_target with Brent's method; one step below
     the answer, eps - EPS_ABS_TOL, misses the target.
     """
-    if not (math.isfinite(delta_target) and 0.0 < delta_target < 1.0):
-        raise DomainError(f"delta_target must lie in (0, 1), got {delta_target}")
 
     def delta_at(eps: float) -> float:
         return delta_for_scheme(scheme, params, eps).delta

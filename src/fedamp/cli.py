@@ -366,12 +366,17 @@ def simulate(task_name, sigma, eps, delta, scheme_name, out_path, **protocol):
 
     A sigma calibrated here carries its (eps, delta) targets and whether the
     scheme certifies them into every row; a set --sigma claims neither."""
+    source = click.get_current_context().get_parameter_source
+    typed = {n for n in ("sigma", "eps", "delta") if source(n) is ParameterSource.COMMANDLINE}
+    if "sigma" in typed:  # a typed flag outranks a manifest key it conflicts with
+        eps, delta = (eps if "eps" in typed else None), (delta if "delta" in typed else None)
+    elif typed:
+        sigma = None
     if sigma is None and (eps is None or delta is None):
         raise click.UsageError("either --sigma or both --eps and --delta are required")
     if sigma is not None and (eps is not None or delta is not None):
         raise click.UsageError("--sigma conflicts with --eps/--delta calibration")
-    scheme_source = click.get_current_context().get_parameter_source("scheme_name")
-    if sigma is not None and scheme_source is ParameterSource.COMMANDLINE:
+    if sigma is not None and source("scheme_name") is ParameterSource.COMMANDLINE:
         raise click.UsageError("--sigma conflicts with --scheme, which only calibrates")
     certified = None
     if sigma is None:

@@ -9,8 +9,9 @@ densities, log likelihood ratio, exact tails and hockey-stick divergence
 linking a mixture divergence to its conditional parts.
 
 Divergence quadrature runs at 1e-13 absolute tolerance, several orders
-below the delta magnitudes the accountant certifies. A pair's two
-densities come from one blocked kernel pass over the union of its means.
+below the delta magnitudes the accountant certifies. A pair has one sigma
+and one table, num and alpha * den weights on the union of its means: its
+densities (one blocked kernel pass), scans and tails read the table.
 The sign scan ahead of the quadrature is sized by sigma: its spacing is at
 most sigma / SCAN_POINTS_PER_SIGMA. A pair whose means sit on one lattice
 k * s, as every round_mixtures pair does, is scanned on a lattice of its
@@ -172,13 +173,14 @@ class HockeyStickQuery:
     The numerator must be a probability mixture. The denominator may be
     sub-probability (mass in (0, alpha]): the bound derivations compare
     against composite denominators whose mass is below one, and
-    renormalizing would change the divergence. Both share sigma; weights
-    holds num and alpha * den weights at means, the union of their means.
+    renormalizing would change the divergence. Both share sigma exactly;
+    weights holds num and alpha * den weights at means, their union.
     """
 
     alpha: float
     numerator: GaussianMixture1D
     denominator: GaussianMixture1D
+    sigma: float = field(init=False, repr=False, compare=False)
     means: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -194,8 +196,9 @@ class HockeyStickQuery:
             raise DomainError(
                 f"denominator mass {den.total_mass} outside (0, alpha={alpha}]"
             )
-        if abs(den.sigma - num.sigma) > 1e-12 * max(1.0, num.sigma):
+        if den.sigma != num.sigma:
             raise DomainError("numerator and denominator must share sigma")
+        object.__setattr__(self, "sigma", num.sigma)
         means = np.unique(np.concatenate([num.means, den.means]))
         weights = np.zeros((means.size, 2))
         weights[np.searchsorted(means, num.means), 0] = num.weights
@@ -207,7 +210,7 @@ class HockeyStickQuery:
     def signed(self, z):
         """num(z) - alpha * den(z), before the positive-part clamp; a scalar z
         takes weighted_normal_pdf's one-row path, without its loop."""
-        sigma = self.numerator.sigma
+        sigma = self.sigma
         if type(z) is float or np.ndim(z) == 0:
             z = float(z)
             row = _band_rows(z, z, z, self.means, self.weights, sigma)
@@ -219,7 +222,9 @@ class HockeyStickQuery:
 
     def log_ratio(self, z: float) -> float:
         """log num(z) - log den(z) - log alpha at a scalar z: the signed
-        integrand's sign, without underflow far from the mixtures' means."""
+        integrand's sign, without underflow far from the mixtures' means.
+        Not on the table: its log-sum-exp would add the terms in another
+        order, moving find_z_star's root within its tolerance, and Main's delta."""
         return (
             self.numerator.log_pdf(z)
             - self.denominator.log_pdf(z)
@@ -227,22 +232,15 @@ class HockeyStickQuery:
         )
 
     def tail(self, z: float) -> float:
-        """Exact integral of num - alpha * den over [z, inf).
-
-        One compensated sum over the components' Gaussian survival terms;
-        ndtr's erfc backend keeps each term accurate deep in the tail.
-        """
-        num, den = self.numerator, self.denominator
-        return math.fsum(
-            np.concatenate([
-                num.weights * ndtr((num.means - z) / num.sigma),
-                -self.alpha * den.weights * ndtr((den.means - z) / den.sigma),
-            ])
-        )
+        """Exact integral of num - alpha * den over [z, inf): one fsum of
+        both table columns times the means' Gaussian survival terms, each
+        accurate deep in the tail by ndtr's erfc backend."""
+        s = ndtr((self.means - z) / self.sigma)
+        return math.fsum(np.concatenate([self.weights[:, 0] * s, -self.weights[:, 1] * s]))
 
 
 def mix(parts: Sequence[tuple[float, GaussianMixture1D]]) -> GaussianMixture1D:
-    """Convex (or conic) combination of mixtures sharing one sigma.
+    """Convex (or conic) combination of mixtures of exactly one sigma.
 
     Components at exactly equal means merge by weight addition, in the
     order the parts are given; zero-weight components are removed.
@@ -257,7 +255,7 @@ def mix(parts: Sequence[tuple[float, GaussianMixture1D]]) -> GaussianMixture1D:
             raise DomainError(f"mix coefficients must be nonnegative, got {coeff}")
         if coeff == 0.0:
             continue
-        if abs(mixture.sigma - sigma) > 1e-12 * max(1.0, sigma):
+        if mixture.sigma != sigma:
             raise DomainError("mixtures in a mix must share sigma")
         used.append((coeff, mixture))
     if not used:
@@ -344,7 +342,7 @@ def round_mixtures(
 
 def _window(query: HockeyStickQuery) -> tuple[float, float]:
     """The mixtures' 12-sigma support, (lo, hi), that the sign scans span."""
-    pad = 12.0 * query.numerator.sigma
+    pad = 12.0 * query.sigma
     return float(query.means[0]) - pad, float(query.means[-1]) + pad
 
 
@@ -354,7 +352,7 @@ def _scan_grid(query: HockeyStickQuery) -> np.ndarray:
     that takes more than HOCKEY_STICK_SCAN_POINTS points; then exactly that
     many."""
     lo, hi = _window(query)
-    points = 1 + math.ceil(SCAN_POINTS_PER_SIGMA * (hi - lo) / query.numerator.sigma)
+    points = 1 + math.ceil(SCAN_POINTS_PER_SIGMA * (hi - lo) / query.sigma)
     return np.linspace(lo, hi, min(HOCKEY_STICK_SCAN_POINTS, points))
 
 
@@ -405,7 +403,7 @@ def _lattice_scan(query: HockeyStickQuery):
     if lattice is None:
         return None
     step, k = lattice
-    sigma = query.numerator.sigma
+    sigma = query.sigma
     lo, hi = _window(query)
     # the scan has fewer points than this; it also keeps r finite
     if SCAN_POINTS_PER_SIGMA * (hi - lo) / sigma + (hi - lo) / step > _LATTICE_MAX_POINTS:

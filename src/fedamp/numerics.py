@@ -1,8 +1,9 @@
 """Numerical primitives for the privacy accounting stack.
 
 The Gaussian mechanism delta, a bracketed root finder (Brent's method, as
-in scipy's brentq), and an adaptive Gauss-Kronrod integrator. Everything
-is pure and reentrant; no global mutable state.
+in scipy's brentq), and an adaptive Gauss-Kronrod integrator whose caller
+always names the integrand's kinks as break points (an empty sequence if it
+has none). Everything is pure and reentrant; no global mutable state.
 
 Accuracy targets are inherited from the accountant, which checks closed-form
 delta values against quadrature at the 1e-10 level. The primitives therefore
@@ -42,7 +43,6 @@ class AccuracyError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
-    error_estimate: float
     evaluations: int
 
 
@@ -237,15 +237,14 @@ def integrate_adaptive(
     lo: float,
     hi: float,
     abs_tol: float,
-    break_points: Sequence[float] | None,
+    break_points: Sequence[float],
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integration of f over [lo, hi].
 
     The integrand must accept a numpy array of evaluation points and return
-    an array of the same shape. The error estimate is the summed |K15 - G7|
-    difference over the final subdivision; intervals are split in batches
-    until the estimate drops below abs_tol. break_points, if not None, seed
-    the initial subdivision, which pays off for integrands with known kinks.
+    an array of the same shape. break_points, all finite, seed the initial
+    subdivision where they fall inside (lo, hi); intervals are split in
+    batches until the summed |K15 - G7| difference drops below abs_tol.
 
     Raises AccuracyError if the tolerance is not certified within
     QUADRATURE_MAX_EVALS evaluations.
@@ -258,14 +257,11 @@ def integrate_adaptive(
     if abs_tol <= 0.0:
         raise DomainError(f"abs_tol must be positive, got {abs_tol}")
 
-    edges = np.array([lo, hi])
-    if break_points is not None:
-        points = np.asarray(break_points, dtype=float)
-        finite = np.isfinite(points)
-        if not finite.all():
-            _require_finite("break point", points[~finite][0])
-        edges = np.concatenate([edges, points[(lo < points) & (points < hi)]])
-    edges = np.unique(edges)
+    points = np.asarray(break_points, dtype=float)
+    finite = np.isfinite(points)
+    if not finite.all():
+        _require_finite("break point", points[~finite][0])
+    edges = np.unique(np.concatenate([[lo, hi], points[(lo < points) & (points < hi)]]))
 
     lows = edges[:-1]
     highs = edges[1:]
@@ -276,7 +272,7 @@ def integrate_adaptive(
     while True:
         total_error = float(errors.sum())
         if total_error <= abs_tol:
-            return QuadratureResult(float(values.sum()), total_error, evaluations)
+            return QuadratureResult(float(values.sum()), evaluations)
         budgets = abs_tol * (highs - lows) / total_width
         split = errors > budgets
         if not split.any():

@@ -482,6 +482,37 @@ class TestManifest:
         flagged = runner.invoke(main, ["verify", "--config", cfg, "--sigma", "7"])
         assert flagged.exit_code == 2
 
+    SIMULATE_TARGETS = ["--eps", "0.5", "--delta", "1e-5"]
+
+    @pytest.mark.parametrize("keys, typed", [
+        ("sigma 1\n", SIMULATE_TARGETS),
+        ("sigma 1\ndelta 1e-5\n", SIMULATE_TARGETS[:2]),
+    ], ids=["typed-targets", "typed-eps-manifest-delta"])
+    def test_typed_targets_outrank_manifest_sigma(self, tmp_path, keys, typed):
+        from_flags = runner.invoke(main, TestSimulate.BASE + self.SIMULATE_TARGETS)
+        cfg = write_manifest(tmp_path, [], keys)
+        from_file = runner.invoke(main, ["simulate", "--config", cfg] + TestSimulate.BASE[1:] + typed)
+        assert from_flags.exit_code == 0
+        assert (from_file.exit_code, from_file.stdout) == (0, from_flags.stdout)
+
+    def test_typed_sigma_outranks_manifest_targets(self, tmp_path):
+        from_flags = runner.invoke(main, TestSimulate.BASE + ["--sigma", "1"])
+        cfg = write_manifest(tmp_path, self.SIMULATE_TARGETS)
+        typed = TestSimulate.BASE[1:] + ["--sigma", "1"]
+        from_file = runner.invoke(main, ["simulate", "--config", cfg] + typed)
+        assert from_flags.exit_code == 0
+        assert (from_file.exit_code, from_file.stdout) == (0, from_flags.stdout)
+
+    @pytest.mark.parametrize("targets", [SIMULATE_TARGETS, SIMULATE_TARGETS[:2], SIMULATE_TARGETS[2:]],
+                             ids=["eps-delta", "eps", "delta"])
+    def test_manifest_sigma_and_targets_conflict(self, tmp_path, targets):
+        # with no typed flag to settle it, a manifest holding both is a usage error
+        cfg = write_manifest(tmp_path, TestSimulate.BASE[1:] + ["--sigma", "1"] + targets)
+        result = runner.invoke(main, ["simulate", "--config", cfg])
+        assert result.exit_code == 2
+        assert "--sigma conflicts with --eps/--delta calibration" in result.stderr
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("schemes", ["main,ub", "main ub", "main, ub"])
     def test_scheme_list(self, tmp_path, schemes):
         flags = self.VERIFY_SWEEP[:-2] + ["--eps", "0.5"]

@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 
 from fedamp import divergence
-from fedamp.accountant import SamplingParams, main_pair
+from fedamp.accountant import SamplingParams, delta_main, main_pair
 from fedamp.cli import (
     VERIFY_GRID_D,
     VERIFY_GRID_EPS,
@@ -243,6 +243,18 @@ class TestHockeyStick:
         with pytest.raises(DomainError):
             HockeyStickQuery(1.0, single_gaussian(0.0, 1.0), single_gaussian(0.0, 1.1))
 
+    @pytest.mark.parametrize("sigma", [1e-3, 0.5, 1.0, 7.0])
+    def test_sigma_one_ulp_apart_rejected(self, sigma):
+        # a pair has one sigma: a closed form and its oracle must not read
+        # two different pairs
+        num = single_gaussian(0.0, sigma)
+        for other in (math.nextafter(sigma, 0.0), math.nextafter(sigma, math.inf)):
+            with pytest.raises(DomainError, match="share sigma"):
+                HockeyStickQuery(1.0, num, single_gaussian(1.0, other))
+            with pytest.raises(DomainError, match="share sigma"):
+                mix([(0.5, num), (0.5, single_gaussian(1.0, other))])
+        assert HockeyStickQuery(1.0, num, single_gaussian(1.0, sigma)).sigma == sigma
+
     def test_identical_pair_is_zero(self):
         num = single_gaussian(0.0, 1.0)
         value = hockey_stick(HockeyStickQuery(1.0, num, num))
@@ -300,7 +312,7 @@ class TestHockeyStick:
             monkeypatch.setattr(
                 divergence,
                 "integrate_adaptive",
-                lambda *args, value=value, **kwargs: QuadratureResult(value, 0.0, 0),
+                lambda *args, value=value, **kwargs: QuadratureResult(value, 0),
             )
             assert hockey_stick(query) == clamped
 
@@ -339,6 +351,45 @@ def ajc_queries():
             HockeyStickQuery(alpha, mu1, mix([(1.0 - beta, mu0), (beta, mu1p)])),
         ]
     return queries
+
+
+def two_mixture_tail(query: HockeyStickQuery, z: float) -> float:
+    """tail as a sum over the two mixtures, each at its own sigma."""
+    num, den = query.numerator, query.denominator
+    return math.fsum(
+        np.concatenate([
+            num.weights * ndtr((num.means - z) / num.sigma),
+            -query.alpha * den.weights * ndtr((den.means - z) / den.sigma),
+        ])
+    )
+
+
+class TestTableTail:
+    """tail reads the pair's table, bit for bit the two-mixture sum."""
+
+    @staticmethod
+    def assert_tails_equal(query, z_values):
+        for z in z_values:
+            z = float(z)
+            assert query.tail(z).hex() == two_mixture_tail(query, z).hex(), z
+
+    @staticmethod
+    def probe_points(query, rng):
+        sigma = query.sigma
+        seeded = rng.uniform(query.means[0] - 15.0 * sigma, query.means[-1] + 15.0 * sigma, 8)
+        return np.concatenate([query.means, seeded])
+
+    def test_verify_grid_pairs_and_z_star(self):
+        rng = np.random.default_rng(28)
+        for pr, eps in all_verify_grid_points():
+            z_star = delta_main(pr, eps).z_star
+            for query in verify_grid_queries([(pr, eps)]):
+                self.assert_tails_equal(query, [*self.probe_points(query, rng), z_star])
+
+    def test_ajc_sides(self):
+        rng = np.random.default_rng(29)
+        for query in ajc_queries():
+            self.assert_tails_equal(query, self.probe_points(query, rng))
 
 
 class TestSignScan:
