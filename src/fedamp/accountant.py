@@ -379,18 +379,21 @@ def calibrate_sigma(
     C: float,
     eps_target: float,
     delta_target: float,
-    sigma_bracket: tuple[float, float] = SIGMA_BRACKET,
+    sigma_cap: float | None = None,
 ) -> float:
-    """Smallest sigma in the bracket certifying (eps_target, delta_target).
+    """Smallest sigma in [SIGMA_BRACKET[0], sigma_cap] certifying
+    (eps_target, delta_target); sigma_cap None means SIGMA_BRACKET[1].
 
     Solves delta(sigma) = delta_target in log sigma with Brent's method,
     on the empirically verified monotone nonincrease of delta in sigma; one
     step below the answer, sigma / (1 + SIGMA_REL_TOL), misses the target.
-    Raises DomainError on an empty bracket, and CalibrationError if the
-    target is unreachable at its top or its endpoints are not ordered.
+    Raises DomainError on an empty bracket (a cap below the floor), and
+    CalibrationError if the target is unreachable at the cap or the deltas
+    at the bracket's ends are not ordered.
     """
     if not (math.isfinite(eps_target) and eps_target > 0.0):
         raise DomainError(f"eps_target must be positive, got {eps_target}")
+    sigma_bracket = (SIGMA_BRACKET[0], SIGMA_BRACKET[1] if sigma_cap is None else sigma_cap)
     if not sigma_bracket[0] <= sigma_bracket[1]:
         raise DomainError(f"sigma bracket [{sigma_bracket[0]}, {sigma_bracket[1]}] is empty")
 

@@ -24,7 +24,6 @@ from click.core import ParameterSource
 
 from .accountant import (
     CERTIFIED_SCHEMES,
-    SIGMA_BRACKET,
     CalibrationError,
     SamplingParams,
     Scheme,
@@ -249,10 +248,8 @@ def curve(scheme_names, out_path, **grid):
 def calibrate(scheme_name, p, q, d, C, eps, delta, sigma_cap, out_path):
     """Smallest sigma meeting a per-round (eps, delta) target."""
     scheme = Scheme(scheme_name)
-    bracket = SIGMA_BRACKET if sigma_cap is None else (SIGMA_BRACKET[0], sigma_cap)
     sigma = calibrate_sigma(
-        scheme, p=p, q=q, d=d, C=C, eps_target=eps, delta_target=delta,
-        sigma_bracket=bracket,
+        scheme, p=p, q=q, d=d, C=C, eps_target=eps, delta_target=delta, sigma_cap=sigma_cap,
     )
     _write_csv(out_path, CALIBRATE_HEADER, [
         (scheme.value, p, q, d, C, eps, delta, sigma, scheme in CERTIFIED_SCHEMES)

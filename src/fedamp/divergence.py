@@ -13,11 +13,11 @@ below the delta magnitudes the accountant certifies. A pair has one sigma
 and one table, num and alpha * den weights on the union of its means: its
 densities (one blocked kernel pass), scans and tails read the table.
 The sign scan ahead of the quadrature is sized by sigma: its spacing is at
-most sigma / SCAN_POINTS_PER_SIGMA. A pair whose means sit on one lattice
-k * s, as every round_mixtures pair does, is scanned on a lattice of its
-own by one Toeplitz product of its coefficients with precomputed Gaussian
-taps, with no point cap up to _LATTICE_MAX_POINTS points; small lattice
-pairs and all others take the kernel scan, on at most
+most sigma / SCAN_POINTS_PER_SIGMA. round_mixtures records the lattice step
+C on every mixture it builds, so a pair of them is scanned on a lattice of
+its own by one Toeplitz product of its coefficients with precomputed
+Gaussian taps, with no point cap up to _LATTICE_MAX_POINTS points; small
+lattice pairs and all hand-built pairs take the kernel scan, on at most
 HOCKEY_STICK_SCAN_POINTS points. The quadrature integrates only the pieces
 between sign boundaries that the scan finds positive, or the whole 12-sigma
 support where the point cap leaves the scan coarser than that spacing.
@@ -64,12 +64,15 @@ class GaussianMixture1D:
     usually 1 but sub-probability mixtures are allowed, because the
     accounting bounds compare against denominators of mass below one.
     log_weights is log(weights), -inf at zero weights, computed once.
+    step is the lattice step C where round_mixtures built the mixture, so
+    means == k * step exactly for integers k; None for every other mixture.
     """
 
     means: np.ndarray
     weights: np.ndarray
     sigma: float
     log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    step: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         means = np.atleast_1d(np.asarray(self.means, dtype=float))
@@ -90,9 +93,9 @@ class GaussianMixture1D:
         total = float(weights.sum())
         if total <= 0.0:
             raise DomainError("mixture must carry positive total mass")
-        self._store(means.copy(), weights.copy(), sigma)
+        self._store(means.copy(), weights.copy(), sigma, None)
 
-    def _store(self, means: np.ndarray, weights: np.ndarray, sigma: float) -> None:
+    def _store(self, means: np.ndarray, weights: np.ndarray, sigma: float, step) -> None:
         """Set the fields from valid arrays that no one else holds."""
         with np.errstate(divide="ignore"):
             log_weights = np.log(weights)
@@ -100,6 +103,7 @@ class GaussianMixture1D:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "step", step)
 
     @property
     def total_mass(self) -> float:
@@ -120,12 +124,12 @@ def weighted_normal_pdf(
 ) -> np.ndarray:
     """sum_i weights[i] * N(z; means[i], sigma^2) at every z.
 
-    means must increase; weights of shape (k,) or (k, m) give a result of
-    shape (n,) or (n, m), one exp pass for m mixtures on shared means. z, in
-    any order, goes in blocks of at most _BLOCK_ELEMENTS terms over the
-    components within 39 sigma (the rest are exactly 0); _band_rows flushes
-    in-band terms below 2^-1022 only where they cannot move a rounded row."""
-    out = np.zeros((len(z),) + weights.shape[1:])
+    means must increase; weights of shape (k, m) give a result of shape
+    (n, m), one exp pass for m mixtures on shared means. z, in any order,
+    goes in blocks of at most _BLOCK_ELEMENTS terms over the components
+    within 39 sigma (the rest are exactly 0); _band_rows flushes in-band
+    terms below 2^-1022 only where they cannot move a rounded row."""
+    out = np.zeros((len(z), weights.shape[1]))
     rows = max(1, _BLOCK_ELEMENTS // len(means))
     for start in range(0, len(z), rows):
         block = z[start : start + rows]
@@ -160,7 +164,7 @@ def _band_rows(z, z_lo, z_hi, means, weights, sigma):
     np.copyto(t, 0.0, where=far)
     np.copyto(np.exp(t, out=t), 0.0, where=far)
     rows = t @ weights
-    low = (rows < _FLUSH_FLOOR * weights.sum(axis=0)).reshape(len(rows), -1).any(axis=1)
+    low = (rows < _FLUSH_FLOOR * weights.sum(axis=0)).any(axis=1)
     if low.any():
         rows[low] = (np.exp(-0.5 * ((z - means[None, :]) / sigma) ** 2) @ weights)[low]
     return rows
@@ -313,7 +317,8 @@ def round_mixtures(
     w_i is the Binom(d, q) probability that i of its d other elements are
     sampled. Weights below 1e-300 are dropped and the rest renormalized.
     Every branch sits on the lattice kC, so equal means coincide exactly;
-    zero-weight lattice points are removed. GaussianMixture1D's checks are
+    zero-weight lattice points are removed, and each mixture records C as
+    its step for the lattice sign scan. GaussianMixture1D's checks are
     skipped: given finite nonnegative triples and a finite top lattice
     point, sorted means and finite positive weights hold by construction.
     """
@@ -335,7 +340,7 @@ def round_mixtures(
         if not keep.any():
             raise DomainError("mixture needs at least one nonzero component")
         mixture = object.__new__(GaussianMixture1D)
-        mixture._store(means[keep], weights[keep], params.sigma)
+        mixture._store(means[keep], weights[keep], params.sigma, params.C)
         mixtures.append(mixture)
     return tuple(mixtures)
 
@@ -356,32 +361,9 @@ def _scan_grid(query: HockeyStickQuery) -> np.ndarray:
     return np.linspace(lo, hi, min(HOCKEY_STICK_SCAN_POINTS, points))
 
 
-def _lattice(means: np.ndarray):
-    """(step, k) with means == k * step exactly for integers k, or None.
-
-    Means built as fl(k * C) give C back: with k from the smallest gap,
-    fl(fl(k C) / k) at the largest |k| lies within one ulp of C. A span of
-    more than 2^53 gaps is refused before any division: its k would not all
-    be exact in doubles."""
-    if means.size < 2:
-        return None
-    gap = float((means[1:] - means[:-1]).min())
-    if float(means[-1]) - float(means[0]) > 2.0**53 * gap:
-        return None
-    k = np.rint(means / gap)
-    top = 0 if -k[0] > k[-1] else -1
-    if k[top] == 0.0:
-        return None
-    first = float(means[top] / k[top])
-    for step in (first, math.nextafter(first, -math.inf), math.nextafter(first, math.inf)):
-        if (k * step == means).all():
-            return step, k.astype(np.int64)
-    return None
-
-
 def _lattice_scan(query: HockeyStickQuery):
-    """(grid, values): the sign scan of a pair whose means are exact
-    multiples k * s of one step s, or None for any other pair.
+    """(grid, values): the sign scan of a pair whose mixtures record one
+    lattice step s (means k * s, from round_mixtures), or None for any other.
 
     The grid is _window's ends lo and hi with the points j * h strictly
     between them, h = s / r, r = ceil(SCAN_POINTS_PER_SIGMA * s / sigma),
@@ -399,10 +381,10 @@ def _lattice_scan(query: HockeyStickQuery):
     array here holds more than about 2 * _LATTICE_MAX_POINTS doubles,
     whatever the means and sigma.
     """
-    lattice = _lattice(query.means)
-    if lattice is None:
+    step = query.numerator.step
+    if step is None or step != query.denominator.step:
         return None
-    step, k = lattice
+    k = np.rint(query.means / step).astype(np.int64)  # exact: the means are fl(k * step)
     sigma = query.sigma
     lo, hi = _window(query)
     # the scan has fewer points than this; it also keeps r finite
@@ -479,11 +461,12 @@ def _flips(values: np.ndarray) -> np.ndarray:
 def _sign_scan(query: HockeyStickQuery):
     """hockey_stick's sign scan: (grid, values, capped).
 
-    A lattice pair gets _lattice_scan where the kernel scan over _scan_grid
-    would be capped or take at least _LATTICE_MIN_TERMS (point x mean)
-    terms; below that the kernel scan is the cheaper one. Every other pair,
-    and a lattice scan over _LATTICE_MAX_POINTS points, gets `signed` on
-    _scan_grid, capped when that has HOCKEY_STICK_SCAN_POINTS points."""
+    A pair whose mixtures record one lattice step gets _lattice_scan where
+    the kernel scan over _scan_grid would be capped or take at least
+    _LATTICE_MIN_TERMS (point x mean) terms; below that the kernel scan is
+    the cheaper one. Every other pair, and a lattice scan over
+    _LATTICE_MAX_POINTS points, gets `signed` on _scan_grid, capped when
+    that has HOCKEY_STICK_SCAN_POINTS points."""
     grid = _scan_grid(query)
     capped = len(grid) == HOCKEY_STICK_SCAN_POINTS
     if capped or len(grid) * query.means.size >= _LATTICE_MIN_TERMS:
@@ -505,10 +488,10 @@ def hockey_stick(query: HockeyStickQuery) -> float:
     to DEFAULT_ABS_TOL; with no positive piece the result is 0 and no
     quadrature runs.
 
-    That trusts a scan spaced sigma/10 or finer. Lattice pairs (means k * s,
-    as round_mixtures builds them) get one with no point cap wherever the
-    kernel scan would be capped or costlier (_sign_scan), up to
-    _LATTICE_MAX_POINTS points. Other pairs, and lattice pairs past that,
+    That trusts a scan spaced sigma/10 or finer. Pairs built by
+    round_mixtures, which carry their lattice step, get one with no point
+    cap wherever the kernel scan would be capped or costlier (_sign_scan),
+    up to _LATTICE_MAX_POINTS points. Other pairs, and lattice pairs past that,
     get the kernel scan of at most HOCKEY_STICK_SCAN_POINTS points. Where
     that cap binds, the scan may be coarser, so the whole support is one
     piece, and each bracket's ends are evaluated afresh: scalar kernel rows

@@ -251,16 +251,13 @@ def make_synthetic_datasets(
 
 
 def task_loss(task: Task, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    # Overflow to inf is legitimate here; run_training turns it into a
-    # divergence error rather than a warning.
-    with np.errstate(over="ignore"):
-        margins = X @ w
-        if task is Task.LINEAR_REGRESSION:
-            r = margins - y
-            return float(0.5 * _mean(r * r))
-        # npy_logaddexp's log(1 + e^z), on vector exp and log1p, not its scalar loop
-        z = -y * margins
-        return float(_mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
+    margins = X @ w
+    if task is Task.LINEAR_REGRESSION:
+        r = margins - y
+        return float(0.5 * _mean(r * r))
+    # npy_logaddexp's log(1 + e^z), on vector exp and log1p, not its scalar loop
+    z = -y * margins
+    return float(_mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
 
 
 def task_sample_grads(
@@ -389,10 +386,8 @@ def run_round(
     total = clipped.sum(axis=0)
 
     scale = config.p * config.N * config.q * config.d
-    # overflow here is legitimate; ModelState turns it into a divergence error
-    with np.errstate(over="ignore"):
-        estimate = (total + config.sigma * block.noise[r]) / scale
-        new_weights = state.weights - config.eta * estimate
+    estimate = (total + config.sigma * block.noise[r]) / scale
+    new_weights = state.weights - config.eta * estimate
     return ModelState(weights=new_weights), RoundOutcome(block, r, estimate)
 
 
@@ -414,26 +409,29 @@ def run_training(config: SimConfig, task: Task) -> list[MetricsRow]:
     block_rounds = max(1, _DRAW_BLOCK // (data.labels.size + config.m))
     state = ModelState(weights=np.zeros(config.m))
     rows = []
-    for start in range(0, config.T, block_rounds):
-        rounds = min(block_rounds, config.T - start)
-        block = draw_rounds(config, data, streams, rounds)
-        for r in range(rounds):
-            t = start + r
-            try:
-                state, outcome = run_round(state, config, block, r, task)
-            except TrainingDivergedError as exc:
-                raise TrainingDivergedError(f"weights diverged at iteration {t}") from exc
-            loss = task_loss(task, state.weights, data.features, data.labels)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(f"loss diverged at iteration {t}")
-            # grad_norm: np.linalg.norm's formula for a 1-d float vector, without its wrapper
-            rows.append(
-                MetricsRow(
-                    iteration=t,
-                    loss=loss,
-                    grad_norm=math.sqrt(outcome.noisy_estimate.dot(outcome.noisy_estimate)),
-                    participants=block.pair_at[r + 1] - block.pair_at[r],
-                    sampled_elements=block.row_at[r + 1] - block.row_at[r],
+    # Overflow to inf is legitimate in a round's step and loss: ModelState
+    # and the loss check below turn it into a divergence error, not a warning.
+    with np.errstate(over="ignore"):
+        for start in range(0, config.T, block_rounds):
+            rounds = min(block_rounds, config.T - start)
+            block = draw_rounds(config, data, streams, rounds)
+            for r in range(rounds):
+                t = start + r
+                try:
+                    state, outcome = run_round(state, config, block, r, task)
+                except TrainingDivergedError as exc:
+                    raise TrainingDivergedError(f"weights diverged at iteration {t}") from exc
+                loss = task_loss(task, state.weights, data.features, data.labels)
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(f"loss diverged at iteration {t}")
+                # grad_norm: np.linalg.norm's formula for a 1-d float vector, without its wrapper
+                rows.append(
+                    MetricsRow(
+                        iteration=t,
+                        loss=loss,
+                        grad_norm=math.sqrt(outcome.noisy_estimate.dot(outcome.noisy_estimate)),
+                        participants=block.pair_at[r + 1] - block.pair_at[r],
+                        sampled_elements=block.row_at[r + 1] - block.row_at[r],
+                    )
                 )
-            )
     return rows

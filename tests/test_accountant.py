@@ -600,19 +600,19 @@ class TestCalibrateSigma:
         with pytest.raises(CalibrationError):
             calibrate_sigma(
                 Scheme.ONLY_LOCAL, p=0.001, q=0.1, d=30, C=1.0,
-                eps_target=0.015, delta_target=1e-6, sigma_bracket=(1e-3, 5.0),
+                eps_target=0.015, delta_target=1e-6, sigma_cap=5.0,
             )
 
     def test_empty_bracket(self):
         # a cap below the floor is a domain error, not an unreachable target
         args = dict(p=0.1, q=0.1, d=30, C=1.0, eps_target=0.015, delta_target=1e-6)
         with pytest.raises(DomainError, match="empty"):
-            calibrate_sigma(Scheme.UPPER_BOUND, **args, sigma_bracket=(1e-3, 1e-4))
+            calibrate_sigma(Scheme.UPPER_BOUND, **args, sigma_cap=1e-4)
         # a cap at the floor leaves one sigma to try
         with pytest.raises(CalibrationError):
-            calibrate_sigma(Scheme.UPPER_BOUND, **args, sigma_bracket=(1e-3, 1e-3))
+            calibrate_sigma(Scheme.UPPER_BOUND, **args, sigma_cap=1e-3)
         loose = dict(args, p=1.0, q=1e-9, d=0, eps_target=0.5, delta_target=1e-3)
-        assert calibrate_sigma(Scheme.ONLY_LOCAL, **loose, sigma_bracket=(1e-3, 1e-3)) == 1e-3
+        assert calibrate_sigma(Scheme.ONLY_LOCAL, **loose, sigma_cap=1e-3) == 1e-3
 
     def test_domain(self):
         with pytest.raises(DomainError):

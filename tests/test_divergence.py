@@ -1,9 +1,12 @@
+import collections
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import gammaln, ndtr
 
 from fedamp import divergence
@@ -55,6 +58,14 @@ def kernel_columns(query: HockeyStickQuery, z: np.ndarray) -> tuple[np.ndarray, 
 
 def single_gaussian(mean: float, sigma: float) -> GaussianMixture1D:
     return GaussianMixture1D(np.array([float(mean)]), np.array([1.0]), sigma)
+
+
+def lattice_mixture(k, weights, step, sigma) -> GaussianMixture1D:
+    """The mixture on means k * step that records its step, built the way
+    round_mixtures builds one."""
+    mixture = object.__new__(GaussianMixture1D)
+    mixture._store(np.array(k) * step, np.array(weights, dtype=float), sigma, step)
+    return mixture
 
 
 def binomial_branch(d, q, C=1.0, shift=False) -> GaussianMixture1D:
@@ -136,7 +147,7 @@ class TestGaussianMixture1D:
             for mu, w in [(0.0, 0.4), (2.0, 0.6)]
         )
         np.testing.assert_allclose(
-            weighted_normal_pdf(z, m.means, m.weights, m.sigma), manual, rtol=1e-13
+            weighted_normal_pdf(z, m.means, m.weights[:, None], m.sigma)[:, 0], manual, rtol=1e-13
         )
 
     def test_log_pdf_matches_pdf_and_survives_underflow(self):
@@ -144,7 +155,7 @@ class TestGaussianMixture1D:
         m = GaussianMixture1D(np.array([0.0, 2.0, 5.0]), np.array([0.4, 0.6, 0.0]), 1.5)
 
         def pdf(z):
-            return weighted_normal_pdf(np.array([z]), m.means, m.weights, m.sigma)[0]
+            return weighted_normal_pdf(np.array([z]), m.means, m.weights[:, None], m.sigma)[0, 0]
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -494,6 +505,14 @@ def whole_window_hockey_stick(query: HockeyStickQuery) -> float:
     return min(1.0, max(0.0, result.value))
 
 
+def perturbed(query: HockeyStickQuery) -> HockeyStickQuery:
+    """query with 0.001 of its numerator's mass moved to N(pi, sigma^2)."""
+    bump = single_gaussian(math.pi, query.sigma)
+    return HockeyStickQuery(
+        query.alpha, mix([(0.999, query.numerator), (0.001, bump)]), query.denominator
+    )
+
+
 def two_tail_pair(sigma: float) -> HockeyStickQuery:
     """num / den = e^{-1/2} cosh(z / sigma), so num > den exactly where
     |z| > sigma * arccosh(e^{1/2}): two positive pieces, one per tail."""
@@ -548,21 +567,13 @@ class TestPieces:
             )
 
     def test_capped_pairs_bit_identical(self):
-        # a component at pi takes each capped pair off the lattice, so its
-        # scan stays the capped kernel scan over the whole window: the 72
-        # grid pairs at d=100, sigma=0.5 and the far-tail pair of
+        # a numerator mixed with a component at pi records no lattice step,
+        # so its scan stays the capped kernel scan over the whole window: the
+        # 72 grid pairs at d=100, sigma=0.5 and the far-tail pair of
         # test_clamped_to_unit_interval
         far_tail = HockeyStickQuery(1.0, single_gaussian(50.0, 0.1), single_gaussian(0.0, 0.1))
-        queries = [
-            HockeyStickQuery(
-                query.alpha,
-                mix([(0.999, query.numerator), (0.001, single_gaussian(math.pi, query.numerator.sigma))]),
-                query.denominator,
-            )
-            for query in capped_grid_queries() + [far_tail]
-        ]
-        for query in queries:
-            assert divergence._lattice(query.means) is None
+        for query in map(perturbed, capped_grid_queries() + [far_tail]):
+            assert query.numerator.step is None
             assert len(divergence._scan_grid(query)) == HOCKEY_STICK_SCAN_POINTS
             assert hockey_stick(query).hex() == whole_window_hockey_stick(query).hex()
 
@@ -625,18 +636,21 @@ class TestLatticeScan:
         crossing, tail = sigma / 4, sigma * math.acosh(math.exp(0.5))
         two_crossing = HockeyStickQuery(
             math.exp(0.5) / math.cosh(0.25),
-            single_gaussian(0.0, sigma),
-            GaussianMixture1D(np.array([-sigma, sigma]), np.array([0.5, 0.5]), sigma),
+            lattice_mixture([0], [1.0], sigma, sigma),
+            lattice_mixture([-1, 1], [0.5, 0.5], sigma, sigma),
         )
-        two_tail = two_tail_pair(sigma)
+        two_tail = HockeyStickQuery(
+            1.0,
+            lattice_mixture([-1, 1], [0.5, 0.5], sigma, sigma),
+            lattice_mixture([0], [1.0], sigma, sigma),
+        )
         cases = [
             (two_crossing, [-crossing, crossing], (-crossing, crossing)),
             (two_tail, [-tail, tail], (tail, -tail)),
         ]
         for query, roots, (a, b) in cases:
             exact = query.tail(a) - query.tail(b)
-            step, k = divergence._lattice(query.means)
-            assert step == sigma and k.tolist() == [-1, 0, 1]
+            assert query.means.tolist() == [-sigma, 0.0, sigma]
             grid, values = divergence._lattice_scan(query)
             assert divergence._sign_scan(query)[0].tobytes() == grid.tobytes()
             np.testing.assert_allclose(
@@ -649,7 +663,9 @@ class TestLatticeScan:
         # the exact values below the flush floor put the one flip where
         # `signed` puts it: where the density of N(50, 0.1^2) first rises
         # above 0 (2e-323 at z = 46.14), beyond the taps' flush band
-        query = HockeyStickQuery(1.0, single_gaussian(50.0, 0.1), single_gaussian(0.0, 0.1))
+        pr = SamplingParams(p=1.0, q=1.0, d=0, C=50.0, sigma=0.1)
+        query = HockeyStickQuery(1.0, *round_mixtures(pr, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)))
+        assert (query.numerator.means.tolist(), query.denominator.means.tolist()) == ([50.0], [0.0])
         grid, values, capped = divergence._sign_scan(query)
         assert not capped and len(grid) > HOCKEY_STICK_SCAN_POINTS
         assert ((values > 0.0) == (query.signed(grid) > 0.0)).all()
@@ -660,7 +676,7 @@ class TestLatticeScan:
 
     def test_off_lattice_pairs_keep_the_kernel_scan(self):
         for query in ajc_queries():
-            assert divergence._lattice(query.means) is None
+            assert query.numerator.step is None and query.denominator.step is None
             grid, values, capped = divergence._sign_scan(query)
             kernel = divergence._scan_grid(query)
             assert not capped
@@ -670,27 +686,113 @@ class TestLatticeScan:
     @pytest.mark.parametrize("C", [0.1, 0.3, 1.7])
     @pytest.mark.parametrize("d, q", [(30, 0.1), (10**5, 0.5)])
     def test_step_recovered(self, C, d, q):
-        # at d = 1e5 the smallest nonzero k is 44,156: the step comes back
-        # from fl(k C) / k, not from a mean at k = 1
+        # the step is recorded as C, and the scan's k = rint(means / C) is
+        # exact: at d = 1e5 the smallest nonzero k is 44,156
         pair = worst_case_pair(SamplingParams(p=0.1, q=q, d=d, C=C, sigma=1.0))
         query = HockeyStickQuery(1.5, *pair)
-        step, k = divergence._lattice(query.means)
-        assert step == C
+        assert pair[0].step == pair[1].step == C
+        k = np.rint(query.means / C).astype(np.int64)
         assert (k * C == query.means).all()
 
-    def test_span_of_inexact_k_refused(self):
-        # k = 1e10 / 5e-324 would overflow; no division is made
-        assert divergence._lattice(np.array([0.0, 5e-324, 1e10])) is None
+    def test_only_round_mixtures_record_a_step(self):
+        # the constructor and mix record no step, so a hand-built pair takes
+        # the kernel scan even where its means sit on a lattice whose scan
+        # would be the cheaper one
+        built = HockeyStickQuery(1.5, *worst_case_pair(
+            SamplingParams(p=0.1, q=0.1, d=30, C=1.0, sigma=1.0)))
+        num, den = (GaussianMixture1D(m.means, m.weights, m.sigma)
+                    for m in (built.numerator, built.denominator))
+        copied = HockeyStickQuery(built.alpha, num, den)
+        assert built.numerator.step == built.denominator.step == 1.0
+        assert num.step is None and den.step is None
+        assert mix([(1.0, built.numerator)]).step is None
+        with pytest.raises(TypeError):
+            GaussianMixture1D(num.means, num.weights, num.sigma, step=1.0)
+        kernel = divergence._scan_grid(copied)
+        assert len(kernel) * copied.means.size >= divergence._LATTICE_MIN_TERMS
+        grid, values, capped = divergence._sign_scan(copied)
+        assert not capped and grid.tobytes() == kernel.tobytes()
+        assert values.tobytes() == copied.signed(kernel).tobytes()
+        lattice = divergence._lattice_scan(built)[0]
+        assert divergence._sign_scan(built)[0].tobytes() == lattice.tobytes()
+
+    def test_scan_choice_on_verify_grid_and_ajc_sides(self, monkeypatch):
+        # every pair `fedamp verify --ajc` evaluates: the grid's pairs take
+        # the lattice scan where it gains, and no scan is capped
+        lattice_scan, found = divergence._lattice_scan, []
+
+        def recording(query):
+            scan = lattice_scan(query)
+            found.append(scan is not None)
+            return scan
+
+        monkeypatch.setattr(divergence, "_lattice_scan", recording)
+        counts = collections.Counter()
+        for query in verify_grid_queries(all_verify_grid_points()) + ajc_queries():
+            found.clear()
+            capped = divergence._sign_scan(query)[2]
+            counts["lattice" if any(found) else "capped" if capped else "kernel"] += 1
+        assert dict(counts) == {"lattice": 432, "kernel": 820}
 
     def test_point_bound(self):
         # sigma/10 spacing over means 0..13,687 would take 1.4e7 points:
         # the scan falls back to the capped kernel scan
         pair = worst_case_pair(SamplingParams(p=0.1, q=0.1, d=10**5, C=1.0, sigma=0.01))
         query = HockeyStickQuery(1.5, *pair)
-        assert divergence._lattice(query.means) is not None
+        assert query.numerator.step == query.denominator.step == 1.0
         assert divergence._lattice_scan(query) is None
         grid, _, capped = divergence._sign_scan(query)
         assert capped and len(grid) == HOCKEY_STICK_SCAN_POINTS
+
+
+def dense_hockey_stick(query: HockeyStickQuery) -> float:
+    """hockey_stick by brute force: boundaries from a 400,001-point scan of
+    the window, refined by brentq, and scipy's quad over each positive
+    piece, with the means inside it as break points."""
+    lo, hi = TestSignScan.window(query)
+    grid = np.linspace(lo, hi, 400_001)
+    values = query.signed(grid)
+    flips = np.flatnonzero((values[:-1] > 0.0) != (values[1:] > 0.0))
+    edges = [lo, *(brentq(query.signed, grid[i], grid[i + 1], xtol=1e-15) for i in flips), hi]
+    signs = values[np.concatenate([[0], flips + 1])] > 0.0
+    total = 0.0
+    for a, b, up in zip(edges, edges[1:], signs):
+        if up:
+            inner = [m for m in query.means.tolist() if a < m < b] or None
+            total += quad(lambda z: max(query.signed(z), 0.0), a, b,
+                          epsabs=1e-15, epsrel=0.0, limit=2000, points=inner)[0]
+    return total
+
+
+class TestDenseReference:
+    """Capped kernel scans integrate the whole window with every boundary
+    and mean as a break point; that must match a dense reference."""
+
+    @staticmethod
+    def rerouted_pair(sigma):
+        # the planted two-crossing pair with a far bump in the numerator:
+        # its means lie on multiples of sigma, but mix records no step, so
+        # its 325-sigma window takes the capped kernel scan
+        num = mix([(0.999, single_gaussian(0.0, sigma)),
+                   (0.001, single_gaussian(300.0 * sigma, sigma))])
+        den = GaussianMixture1D(np.array([-sigma, sigma]), np.array([0.5, 0.5]), sigma)
+        return HockeyStickQuery(math.exp(0.5) / math.cosh(0.25), num, den)
+
+    @pytest.mark.parametrize("sigma", [0.05, 1.0])
+    def test_rerouted_pair(self, sigma):
+        query = self.rerouted_pair(sigma)
+        assert divergence._sign_scan(query)[2]
+        assert hockey_stick(query) == pytest.approx(dense_hockey_stick(query), rel=0.0, abs=1e-13)
+
+    def test_perturbed_capped_grid_pairs(self):
+        # the three pairs that read 2.8e-11, 1.4e-10 and 4.6e-9 off the
+        # reference when the boundaries are dropped from the break points
+        queries = capped_grid_queries()
+        for query in (perturbed(queries[i]) for i in (35, 59, 66)):
+            assert divergence._sign_scan(query)[2]
+            assert hockey_stick(query) == pytest.approx(
+                dense_hockey_stick(query), rel=0.0, abs=1e-13
+            )
 
 
 def reference_terms(query: HockeyStickQuery, z: float) -> tuple[float, float]:
@@ -836,9 +938,9 @@ class TestSubnormalFlush:
         # denominator's mass far off, signed is the numerator alone
         far = HockeyStickQuery(1.0, num, single_gaussian(-100.0, 1.0))
         assert far.signed(38.2) == a[1]
-        # one mixture (1-d weights) takes the same path
-        pdf = weighted_normal_pdf(z, num.means, num.weights, num.sigma)
-        assert pdf.tolist() == a.tolist()
+        # one mixture (one weight column) takes the same path
+        pdf = weighted_normal_pdf(z, num.means, num.weights[:, None], num.sigma)
+        assert pdf[:, 0].tolist() == a.tolist()
 
     @pytest.mark.parametrize("z_row, near", [
         (math.sqrt(1202), 0.3),  # lanes e^-590.6 and e^-601
