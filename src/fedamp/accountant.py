@@ -122,15 +122,12 @@ class SamplingParams:
 
 @dataclass(frozen=True)
 class PrivacyPoint:
-    """A scheme's delta at eps; z_star is Main's crossing, None elsewhere."""
+    """A scheme's delta; z_star is Main's crossing, None elsewhere."""
 
-    eps: float
     delta: float
-    scheme: Scheme
     z_star: float | None = None
 
     def __post_init__(self) -> None:
-        # eps was checked where the delta was computed
         if not 0.0 <= self.delta <= 1.0:
             raise DomainError(f"delta must lie in [0, 1], got {self.delta}")
 
@@ -224,8 +221,7 @@ def delta_main(params: SamplingParams, eps: float) -> PrivacyPoint:
         raise DegenerateIntegrandError(
             f"Main tail {tail:.3e} above z*={z_star} is negative beyond rounding"
         )
-    delta = min(params.p * params.q * max(tail, 0.0), 1.0)
-    return PrivacyPoint(eps=float(eps), delta=delta, scheme=Scheme.MAIN, z_star=z_star)
+    return PrivacyPoint(min(params.p * params.q * max(tail, 0.0), 1.0), z_star)
 
 
 def delta_main_quadrature(params: SamplingParams, eps: float) -> float:
@@ -278,7 +274,7 @@ def delta_only_local(q: float, sigma: float, C: float, eps: float) -> PrivacyPoi
     if not math.isfinite(q) or not 0.0 < q <= 1.0:
         raise DomainError(f"q must lie in (0, 1], got {q}")
     delta = q * gaussian_mechanism_delta(amplified_eps(eps, q), sigma, C)
-    return PrivacyPoint(eps=float(eps), delta=min(delta, 1.0), scheme=Scheme.ONLY_LOCAL)
+    return PrivacyPoint(min(delta, 1.0))
 
 
 def delta_upper_bound(params: SamplingParams, eps: float) -> PrivacyPoint:
@@ -289,10 +285,7 @@ def delta_upper_bound(params: SamplingParams, eps: float) -> PrivacyPoint:
       e^{eps'} c2_bar = (e^{eps'} - e^eps) c2 + e^eps
                       = (e^eps - 1)(1 - q)/q + e^eps = 1 + (e^eps - 1)/q.
     """
-    local = delta_only_local(params.q, params.sigma, params.C, eps)
-    return PrivacyPoint(
-        eps=local.eps, delta=params.p * local.delta, scheme=Scheme.UPPER_BOUND
-    )
+    return PrivacyPoint(params.p * delta_only_local(params.q, params.sigma, params.C, eps).delta)
 
 
 def delta_lower_bound(params: SamplingParams, eps: float) -> PrivacyPoint:
@@ -301,8 +294,7 @@ def delta_lower_bound(params: SamplingParams, eps: float) -> PrivacyPoint:
     The protocol includes the differing element with probability pq, so no
     valid accounting can certify a smaller delta at the same eps.
     """
-    inner = delta_only_local(params.p * params.q, params.sigma, params.C, eps)
-    return PrivacyPoint(eps=inner.eps, delta=inner.delta, scheme=Scheme.LOWER_BOUND)
+    return delta_only_local(params.p * params.q, params.sigma, params.C, eps)
 
 
 def delta_for_scheme(
@@ -317,10 +309,7 @@ def delta_for_scheme(
     if scheme is Scheme.LOWER_BOUND:
         return delta_lower_bound(params, eps)
     if scheme is Scheme.GAUSSIAN_MECHANISM:
-        delta = gaussian_mechanism_delta(eps, params.sigma, params.C)
-        return PrivacyPoint(
-            eps=float(eps), delta=delta, scheme=Scheme.GAUSSIAN_MECHANISM
-        )
+        return PrivacyPoint(gaussian_mechanism_delta(eps, params.sigma, params.C))
     raise DomainError(f"unknown scheme {scheme!r}")
 
 
@@ -459,6 +448,8 @@ class SweepRow:
     error: str | None = None
 
 
+_COORDS = ("p", "q", "d", "C", "sigma")  # SamplingParams' fields
+
 _ROW_ERRORS = (
     DomainError,
     CalibrationError,
@@ -477,39 +468,19 @@ def _sweep_point(
     point = {**fixed, variable.parameter: value}
     if variable is SweepVariable.Q_FIXED_PQ:
         point["p"] = fixed["pq_product"] / value if value > 0 else math.inf
-    p, q, d, C, sigma, eps, delta = (
-        point.get(key) for key in ("p", "q", "d", "C", "sigma", "eps", "delta")
-    )
-
+    coords = {key: point.get(key) for key in _COORDS}
+    eps, delta = point.get("eps"), point.get("delta")
     try:
-        params = SamplingParams(p=p, q=q, d=d, C=C, sigma=sigma)
+        params = SamplingParams(**coords)
         if eps is None:
             eps = eps_for_delta(scheme, params, delta)
-        point = delta_for_scheme(scheme, params, eps)
-        return SweepRow(
-            scheme=scheme,
-            p=params.p,
-            q=params.q,
-            d=params.d,
-            C=params.C,
-            sigma=params.sigma,
-            eps=eps,
-            # an inverted row keeps its target, which the answer meets
-            delta=point.delta if delta is None else delta,
-            z_star=point.z_star,
-        )
+        result = delta_for_scheme(scheme, params, eps)
+        # a good row takes the normalized coordinates (int d); an inverted
+        # row keeps its target, which the answer meets
+        return SweepRow(scheme, **vars(params), eps=eps, z_star=result.z_star,
+                        delta=result.delta if delta is None else delta)
     except _ROW_ERRORS as exc:
-        return SweepRow(
-            scheme=scheme,
-            p=p,
-            q=q,
-            d=d,
-            C=C,
-            sigma=sigma,
-            eps=eps,
-            delta=delta,
-            error=str(exc),
-        )
+        return SweepRow(scheme, **coords, eps=eps, delta=delta, error=str(exc))
 
 
 def sweep(
@@ -521,9 +492,10 @@ def sweep(
     """Evaluate each scheme over a grid of one swept variable.
 
     The grid value replaces the fixed parameter variable.parameter; no value
-    in variable.supplies may be fixed. An eps or delta grid value is the
-    target; a sigma, d or q-fixed-pq sweep needs exactly one of eps/delta
-    fixed as its target. The other of eps/delta is computed.
+    in variable.supplies may be fixed, and each of p, q, d, C and sigma that
+    it does not list must be. An eps or delta grid value is the target; a
+    sigma, d or q-fixed-pq sweep needs exactly one of eps/delta fixed as its
+    target. The other of eps/delta is computed.
     Invalid grid points become rows with the error field set; the sweep
     continues. Rows are emitted scheme-major in grid order.
     """
@@ -532,6 +504,9 @@ def sweep(
     clashes = "/".join(sorted(n for n in variable.supplies if fixed.get(n) is not None))
     if clashes:
         raise DomainError(f"{variable.value} sweep supplies {clashes}; it must not be fixed")
+    unset = "/".join(n for n in _COORDS if n not in variable.supplies and fixed.get(n) is None)
+    if unset:
+        raise DomainError(f"{variable.value} sweep needs {unset} fixed")
     if variable not in (SweepVariable.EPS, SweepVariable.DELTA) and (
         (fixed.get("eps") is None) == (fixed.get("delta") is None)
     ):

@@ -184,8 +184,8 @@ _GRID_FLAGS = [
     click.option("--delta", type=float),
     click.option("--pq", "pq_product", type=float, help="fixed p*q product for the q-fixed-pq sweep"),
 ]
-# Grid values every sweep needs unless it supplies them itself.
-_GRID_NEEDED = {"start", "stop", "points", "p", "q", "d", "C", "sigma"}
+# The grid's own flags; `sweep` itself requires each coordinate it does not supply.
+_GRID_NEEDED = {"start", "stop", "points"}
 
 
 def _grid_flags(fn):

@@ -86,6 +86,10 @@ class SimConfig:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+        for name in ("N", "d", "T", "m"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("p", "q", "C", "sigma", "eta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)

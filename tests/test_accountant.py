@@ -8,7 +8,8 @@ boundary parameter values.
 
 import itertools
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fedamp.accountant import (
     SIGMA_REL_TOL,
     CalibrationError,
     DegenerateIntegrandError,
+    PrivacyPoint,
     SamplingParams,
     Scheme,
     SweepVariable,
@@ -44,6 +46,7 @@ from fedamp.cli import (
     VERIFY_GRID_P,
     VERIFY_GRID_Q,
     VERIFY_GRID_SIGMA,
+    _default_verify_points,
 )
 from fedamp.divergence import (
     GaussianMixture1D,
@@ -428,10 +431,11 @@ class TestDeltaMain:
         assert all(a >= b for a, b in zip(deltas, deltas[1:]))
 
     def test_point_metadata(self):
+        # a point is its delta and Main's crossing; eps and the scheme are
+        # the caller's inputs, not part of the result
         point = delta_main(params(), 0.25)
-        assert point.eps == 0.25
-        assert point.scheme is Scheme.MAIN
         assert 0.0 <= point.delta <= 1.0
+        assert [f.name for f in fields(PrivacyPoint)] == ["delta", "z_star"]
 
 
 class TestDeltaOnlyLocal:
@@ -537,6 +541,21 @@ class TestDeltaForScheme:
                 assert z_star == main_z_star(pr, 0.25).root
             else:
                 assert z_star is None
+
+    def test_closed_forms_exact_on_verify_grid(self):
+        # compared with ==, so a reordered float operation shows here
+        points = list(_default_verify_points())
+        assert len(points) == 576
+        for pr, eps in points:
+            assert delta_lower_bound(pr, eps).delta == delta_only_local(
+                pr.p * pr.q, pr.sigma, pr.C, eps
+            ).delta
+            assert delta_upper_bound(pr, eps).delta == pr.p * delta_only_local(
+                pr.q, pr.sigma, pr.C, eps
+            ).delta
+            assert delta_for_scheme(
+                Scheme.GAUSSIAN_MECHANISM, pr, eps
+            ).delta == gaussian_mechanism_delta(eps, pr.sigma, pr.C)
 
     def test_plain_mechanism_ignores_sampling(self):
         a = delta_for_scheme(Scheme.GAUSSIAN_MECHANISM, params(p=0.1, q=0.1), 0.3)
@@ -792,6 +811,7 @@ class TestSweep:
             p=0.1, q=0.1, C=1.0, sigma=1.0, eps=0.1,
         )
         assert [r.d for r in rows] == [1, 10]
+        assert all(type(r.d) is int for r in rows)
 
     def test_non_integer_d_is_an_error_row(self):
         fixed = dict(p=0.1, q=0.1, C=1.0, eps=0.1)
@@ -819,6 +839,24 @@ class TestSweep:
             fixed.pop(name, None)
         with pytest.raises(DomainError, match="must not be fixed"):
             sweep([Scheme.UPPER_BOUND], variable, [0.5], **fixed, **supplied)
+
+    @pytest.mark.parametrize("variable", list(SweepVariable), ids=lambda v: v.value)
+    def test_needed_value_required(self, variable):
+        # each of p, q, d, C and sigma that the sweep does not supply must be
+        # fixed; left out or None, it is a DomainError that names it
+        fixed = dict(p=0.1, q=0.1, d=1, C=1.0, sigma=1.0, eps=0.1, pq_product=1e-3)
+        for name in variable.supplies:
+            fixed.pop(name, None)
+        assert sweep([Scheme.UPPER_BOUND], variable, [0.5], **fixed)
+        needed = [n for n in ("p", "q", "d", "C", "sigma") if n not in variable.supplies]
+        assert len(needed) >= 3
+        for name in needed:
+            message = f"^{re.escape(variable.value)} sweep needs {name} fixed$"
+            left_out = {k: v for k, v in fixed.items() if k != name}
+            with pytest.raises(DomainError, match=message):
+                sweep([Scheme.UPPER_BOUND], variable, [0.5], **left_out)
+            with pytest.raises(DomainError, match=message):
+                sweep([Scheme.UPPER_BOUND], variable, [0.5], **left_out, **{name: None})
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -366,6 +366,9 @@ class TestDomainErrors:
             "--p", "0.1", "--q", "0.1", "--d", "1", "--C", "1"]
     CURVE = ["curve", "--scheme", "main", "--scheme", "ub"] + GRID
     VERIFY = ["verify"] + GRID
+    # `sweep` requires the coordinates that a sweep does not supply
+    NO_P = ["--sweep", "sigma", "--from", "1", "--to", "2", "--points", "2",
+            "--q", "0.1", "--d", "3", "--C", "1", "--eps", "0.1"]
 
     @pytest.mark.parametrize("args, reason", [
         (CALIBRATE + ["--p", "2"], "p must lie in (0, 1]"),
@@ -382,10 +385,13 @@ class TestDomainErrors:
         (CALIBRATE + ["--scheme", "main", "--sigma-cap", "1e200"], "sigma**2 overflows"),
         (CALIBRATE + ["--sigma-cap", "1e-4"], "sigma bracket [0.001, 0.0001] is empty"),
         (SIMULATE + ["--sigma", "1", "--scheme", "ub"], "--sigma conflicts with --scheme"),
+        (["curve", "--scheme", "ub"] + NO_P, "sigma sweep needs p fixed"),
+        (["verify"] + NO_P, "sigma sweep needs p fixed"),
     ], ids=["calibrate-p", "calibrate-delta", "simulate-N", "simulate-N-calibrated", "simulate-eps",
             "curve-targets", "verify-targets", "calibrate-eps-ub", "calibrate-eps-main",
             "calibrate-eps-lb", "simulate-eps-overflow", "calibrate-sigma-cap",
-            "calibrate-sigma-cap-below-floor", "simulate-sigma-scheme"])
+            "calibrate-sigma-cap-below-floor", "simulate-sigma-scheme", "curve-no-p",
+            "verify-no-p"])
     def test_usage_error(self, args, reason):
         result = runner.invoke(main, args)
         assert result.exit_code == 2

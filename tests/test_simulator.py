@@ -224,6 +224,20 @@ class TestSimConfig:
         with pytest.raises(DomainError, match="^seed must be a non-negative integer, got"):
             config(seed=seed)
 
+    def test_validated_values_stored_as_int_and_float(self):
+        # counts given as floats, rates as strings and scales as ints or
+        # numpy floats are stored as the int and float config, and train as it
+        typed = config(T=4)
+        loose = config(N=20.0, d=5.0, T=4.0, m=3.0, p="0.5", q="0.5", C=1, sigma=1,
+                       eta=np.float64(0.1))
+        for name in ("N", "d", "T", "m"):
+            assert type(getattr(loose, name)) is int
+        for name in ("p", "q", "C", "sigma", "eta"):
+            assert type(getattr(loose, name)) is float
+        assert loose == typed
+        for task in Task:
+            assert run_training(loose, task) == run_training(typed, task)
+
     def test_negative_seed_is_usage_error(self):
         result = CliRunner().invoke(main, [
             "simulate", "--task", "linear_regression", "--N", "3", "--d", "2", "--p", "1",
