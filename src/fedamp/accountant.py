@@ -44,6 +44,8 @@ from .numerics import (
     BracketError,
     DomainError,
     RootResult,
+    Rule,
+    checked,
     find_root_bracketed,
     gaussian_mechanism_delta,
     integrate_adaptive,  # noqa: F401  (only perfbench's tracer uses it here)
@@ -82,6 +84,10 @@ CERTIFIED_SCHEMES = frozenset(
 )
 
 
+_PARAM_RULES = {"p": Rule.PROBABILITY, "q": Rule.PROBABILITY, "d": Rule.COUNT,
+                "C": Rule.POSITIVE, "sigma": Rule.POSITIVE}
+
+
 @dataclass(frozen=True)
 class SamplingParams:
     """Protocol parameters for one round.
@@ -99,25 +105,8 @@ class SamplingParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        p = float(self.p)
-        q = float(self.q)
-        C = float(self.C)
-        sigma = float(self.sigma)
-        if not math.isfinite(p) or not 0.0 < p <= 1.0:
-            raise DomainError(f"p must lie in (0, 1], got {self.p}")
-        if not math.isfinite(q) or not 0.0 < q <= 1.0:
-            raise DomainError(f"q must lie in (0, 1], got {self.q}")
-        if isinstance(self.d, bool) or not 0 <= self.d < math.inf or int(self.d) != self.d:
-            raise DomainError(f"d must be a nonnegative integer, got {self.d!r}")
-        if not math.isfinite(C) or C <= 0.0:
-            raise DomainError(f"C must be finite and positive, got {self.C}")
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            raise DomainError(f"sigma must be finite and positive, got {self.sigma}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "sigma", sigma)
+        for name, rule in _PARAM_RULES.items():
+            object.__setattr__(self, name, checked(name, getattr(self, name), rule))
 
 
 @dataclass(frozen=True)
@@ -135,11 +124,11 @@ class PrivacyPoint:
 def amplified_eps(eps: float, rate: float) -> float:
     """The level eps' = log(1 + (e^eps - 1)/rate) at which a mechanism run on a
     rate-`rate` subsample meets eps overall (Balle, Barthe and Gaboardi 2018);
-    eps itself at rate 1. Raises DomainError unless eps is finite, >= 0 and
-    (e^eps - 1)/rate a finite double, which keeps e^{eps'} finite too."""
-    eps = float(eps)
-    if not math.isfinite(eps) or eps < 0.0:
-        raise DomainError(f"eps must be finite and >= 0, got {eps}")
+    eps itself at rate 1. Raises DomainError unless eps is NONNEGATIVE, rate
+    a PROBABILITY (Rule) and (e^eps - 1)/rate a finite double, which keeps
+    e^{eps'} finite too."""
+    eps = checked("eps", eps, Rule.NONNEGATIVE)
+    rate = checked("rate", rate, Rule.PROBABILITY)
     try:
         ratio = math.expm1(eps) / rate
     except OverflowError:
@@ -270,9 +259,7 @@ def delta_only_local(q: float, sigma: float, C: float, eps: float) -> PrivacyPoi
 
     delta = q * delta_G(amplified_eps(eps, q), sigma, C).
     """
-    q = float(q)
-    if not math.isfinite(q) or not 0.0 < q <= 1.0:
-        raise DomainError(f"q must lie in (0, 1], got {q}")
+    q = checked("q", q, Rule.PROBABILITY)
     delta = q * gaussian_mechanism_delta(amplified_eps(eps, q), sigma, C)
     return PrivacyPoint(min(delta, 1.0))
 

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 from scipy.special import gammaln, ndtr
 
-from .numerics import DomainError, find_root_bracketed, integrate_adaptive
+from .numerics import DomainError, Rule, checked, find_root_bracketed, integrate_adaptive
 
 if TYPE_CHECKING:
     from .accountant import SamplingParams
@@ -87,9 +87,7 @@ class GaussianMixture1D:
             raise DomainError("mixture weights must be nonnegative")
         if not (np.diff(means) > 0.0).all():
             raise DomainError("component means must be strictly increasing")
-        sigma = float(self.sigma)
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            raise DomainError(f"sigma must be finite and positive, got {sigma}")
+        sigma = checked("sigma", self.sigma, Rule.POSITIVE)
         total = float(weights.sum())
         if total <= 0.0:
             raise DomainError("mixture must carry positive total mass")
@@ -189,9 +187,7 @@ class HockeyStickQuery:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        alpha = float(self.alpha)
-        if not math.isfinite(alpha) or alpha < 1.0:
-            raise DomainError(f"alpha must be >= 1, got {alpha}")
+        alpha = checked("alpha", self.alpha, Rule.AT_LEAST_ONE)
         object.__setattr__(self, "alpha", alpha)
         num, den = self.numerator, self.denominator
         if abs(num.total_mass - 1.0) > 1e-12:
@@ -280,10 +276,12 @@ def binomial_log_weights(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     Returns (indices, log_weights) with entries below the representable
     density range removed. Evaluated through log-gamma, and only over the
     O(sqrt(d)) counts near dq that can clear the threshold, so d in the
-    millions is fine.
+    millions is fine. d must be below 2**53: the lattice counts up to d + 1
+    must be exact doubles, as _lattice_scan's rint(means / C) needs.
     """
-    if d < 0:
-        raise DomainError(f"d must be nonnegative, got {d}")
+    d = checked("d", d, Rule.COUNT)
+    if d + 1 > 2**53:
+        raise DomainError(f"d must be below 2**53 for exact lattice counts, got {d:.6g}")
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q must lie in [0, 1], got {q}")
     if d == 0 or q == 0.0:
@@ -549,12 +547,8 @@ def ajc_decompose(
     level sits on the mixture side here, matching the identity's statement;
     the accountant's epsilon'/epsilon convention is the inverse map.
     """
-    gamma = float(gamma)
-    alpha = float(alpha)
-    if not 0.0 < gamma <= 1.0:
-        raise DomainError(f"gamma must lie in (0, 1], got {gamma}")
-    if alpha < 1.0:
-        raise DomainError(f"alpha must be >= 1, got {alpha}")
+    gamma = checked("gamma", gamma, Rule.PROBABILITY)
+    alpha = checked("alpha", alpha, Rule.AT_LEAST_ONE)
     alpha_prime = 1.0 + gamma * (alpha - 1.0)
     beta = alpha_prime / alpha
     lhs = hockey_stick(

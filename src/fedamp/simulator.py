@@ -36,7 +36,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
-from .numerics import DomainError
+from .numerics import DomainError, Rule, checked
 
 
 # mask and noise draws per block of rounds in run_training: bounds its
@@ -51,6 +51,11 @@ class TrainingDivergedError(RuntimeError):
 class Task(Enum):
     LINEAR_REGRESSION = "linear_regression"
     LOGISTIC_REGRESSION = "logistic_regression"
+
+
+_CONFIG_RULES = {**dict.fromkeys(("N", "d", "T", "m"), Rule.POSITIVE_COUNT),
+                 "p": Rule.PROBABILITY, "q": Rule.PROBABILITY, "C": Rule.POSITIVE,
+                 "sigma": Rule.NONNEGATIVE, "eta": Rule.POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -69,27 +74,11 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("N", "d", "T", "m"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not 1 <= value < math.inf or int(value) != value:
-                raise DomainError(f"{name} must be a positive integer, got {value!r}")
-        for name in ("p", "q"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or not 0.0 < value <= 1.0:
-                raise DomainError(f"{name} must lie in (0, 1], got {value}")
-        if not math.isfinite(self.C) or self.C <= 0.0:
-            raise DomainError(f"C must be finite and positive, got {self.C}")
-        if self.sigma is None or not math.isfinite(self.sigma) or self.sigma < 0.0:
-            raise DomainError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if not math.isfinite(self.eta) or self.eta <= 0.0:
-            raise DomainError(f"eta must be finite and positive, got {self.eta}")
+        for name, rule in _CONFIG_RULES.items():
+            object.__setattr__(self, name, checked(name, getattr(self, name), rule))
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-        for name in ("N", "d", "T", "m"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("p", "q", "C", "sigma", "eta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,22 @@ class TestCurve:
         assert all("d must be a nonnegative integer" in r["error"] for r in rows)
         assert "warning: 3 of 3 grid points failed" in result.stderr
 
+    @pytest.mark.parametrize("top", ["1e154", "1e308"])
+    def test_main_d_sweep_past_exact_counts_gives_error_row(self, top):
+        # Main's lattice counts up to d + 1 must be exact doubles; past
+        # 2**53 the row fails closed before any binomial weight is computed
+        result = runner.invoke(main, [
+            "curve", "--scheme", "main", "--sweep", "d", "--from", "1", "--to", top,
+            "--points", "2", "--p", "0.1", "--q", "0.1", "--C", "1", "--sigma", "1",
+            "--eps", "0.5",
+        ])
+        assert result.exit_code == 0
+        first, last = rows_of(result.stdout)
+        assert first["error"] == "" and first["delta"] != ""
+        assert float(last["d"]) == float(top) and last["delta"] == ""
+        assert last["error"].startswith("d must be below 2**53")
+        assert "warning: 1 of 2 grid points failed" in result.stderr
+
     def test_scheme_required(self):
         result = runner.invoke(main, [
             "curve", "--sweep", "sigma", "--from", "1", "--to", "2",
@@ -401,6 +417,17 @@ class TestDomainErrors:
         usage, _, error = result.stderr.partition("\nError: ")
         assert usage.startswith(f"Usage: main {args[0]} [OPTIONS]\n")
         assert reason in error
+
+    def test_main_calibration_past_exact_counts(self):
+        # refused before numpy is asked for a lattice of 1e23 counts
+        args = ["calibrate", "--scheme", "main", "--p", "0.1", "--q", "0.1",
+                "--d", "100000000000000000000000", "--C", "1", "--eps", "0.5",
+                "--delta", "1e-6"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("Usage: main calibrate [OPTIONS]\n")
+        assert "Error: d must be below 2**53 for exact lattice counts, got 1e+23" in result.stderr
 
 
 class TestOutFile:

@@ -1,10 +1,11 @@
-"""Scalar primitives: the mechanism delta, roots, quadrature.
+"""Scalar primitives: the input rules, the mechanism delta, roots, quadrature.
 
 Reference values marked "mpmath" were frozen from 50-digit evaluations and
 are compared at tolerances the double-precision implementations must meet.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,18 +13,115 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from fedamp import numerics
+from fedamp.accountant import SamplingParams, amplified_eps, delta_only_local
+from fedamp.divergence import (
+    GaussianMixture1D,
+    HockeyStickQuery,
+    ajc_decompose,
+    binomial_log_weights,
+)
 from fedamp.numerics import (
     AccuracyError,
     BracketError,
     DomainError,
+    Rule,
+    checked,
     find_root_bracketed,
     gaussian_mechanism_delta,
     integrate_adaptive,
 )
+from fedamp.simulator import SimConfig
 
 TV_UNIT_SHIFT = 0.3829249225480262  # mpmath: delta at eps=0, sigma=1, C=1
 DELTA_HALF_EPS = 0.23842170813487663  # mpmath: delta at eps=0.5, sigma=1, C=1
 DELTA_SIGMA_100 = 2.9527154135473316e-4  # mpmath: delta at eps=0.015, sigma=100, C=1
+
+
+UNIT = GaussianMixture1D(np.array([0.0]), np.array([1.0]), 1.0)
+
+# (callable, valid keyword arguments, the counts among them): every argument
+# here is checked against one row of the rule table
+RULED = {
+    "SamplingParams": (SamplingParams, dict(p=0.1, q=0.1, d=3, C=1.0, sigma=1.0), {"d"}),
+    "SimConfig": (
+        SimConfig,
+        dict(N=3, d=2, p=0.5, q=0.5, C=1.0, sigma=1.0, T=2, eta=0.1, m=2, seed=0),
+        {"N", "d", "T", "m", "seed"},
+    ),
+    "gaussian_mechanism_delta": (
+        gaussian_mechanism_delta, dict(eps=0.5, sigma=1.0, sensitivity=1.0), set()
+    ),
+    "amplified_eps": (amplified_eps, dict(eps=0.5, rate=0.1), set()),
+}
+RULED_FIELDS = [f"{call}.{name}" for call, (_, args, _) in RULED.items() for name in args]
+COUNT_FIELDS = [f"{call}.{name}" for call, (_, _, counts) in RULED.items() for name in sorted(counts)]
+
+# other checked arguments, each with a call that passes the value as that argument
+OTHER_SITES = {
+    "delta_only_local.q": lambda v: delta_only_local(v, 1.0, 1.0, 0.5),
+    "GaussianMixture1D.sigma": lambda v: GaussianMixture1D(np.array([0.0]), np.array([1.0]), v),
+    "HockeyStickQuery.alpha": lambda v: HockeyStickQuery(v, UNIT, UNIT),
+    "ajc_decompose.gamma": lambda v: ajc_decompose(UNIT, UNIT, UNIT, gamma=v, alpha=2.0),
+    "ajc_decompose.alpha": lambda v: ajc_decompose(UNIT, UNIT, UNIT, gamma=0.5, alpha=v),
+    "binomial_log_weights.d": lambda v: binomial_log_weights(v, 0.5),
+    "integrate_adaptive.abs_tol": lambda v: integrate_adaptive(
+        np.ones_like, 0.0, 1.0, abs_tol=v, break_points=()
+    ),
+}
+
+
+class TestInputRules:
+    """One rule per scalar input: a value is read with float(), a count is
+    whole and not a bool, and anything else is a DomainError naming it."""
+
+    @pytest.mark.parametrize("bad", ["abc", None])
+    @pytest.mark.parametrize("field", RULED_FIELDS)
+    def test_unreadable_value_names_its_field(self, field, bad):
+        call, name = field.split(".")
+        fn, args, _ = RULED[call]
+        with pytest.raises(DomainError, match=f"^{name} must .*, got {re.escape(repr(bad))}$"):
+            fn(**{**args, name: bad})
+
+    @pytest.mark.parametrize("bad", ["abc", None])
+    @pytest.mark.parametrize("site", sorted(OTHER_SITES))
+    def test_other_sites_name_their_argument(self, site, bad):
+        name = site.split(".")[1]
+        with pytest.raises(DomainError, match=f"^{name} must .*, got {re.escape(repr(bad))}$"):
+            OTHER_SITES[site](bad)
+
+    @pytest.mark.parametrize("field", [f for f in RULED_FIELDS if f != "SimConfig.seed"])
+    def test_numeric_string_read_as_number(self, field):
+        # seed keeps its own int-only rule
+        call, name = field.split(".")
+        fn, args, counts = RULED[call]
+        number = 3 if name in counts else 1.0
+        from_text = fn(**{**args, name: str(number)})
+        assert from_text == fn(**{**args, name: number})
+        if isinstance(from_text, (SamplingParams, SimConfig)):
+            assert type(getattr(from_text, name)) is type(number)
+
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    def test_bool_count_refused(self, field):
+        call, name = field.split(".")
+        fn, args, _ = RULED[call]
+        with pytest.raises(DomainError, match=f"^{name} must .*, got True$"):
+            fn(**{**args, name: True})
+
+    def test_int_count_kept_exactly(self):
+        big = 2**60 + 1  # float(big) would round it
+        assert checked("d", big, Rule.COUNT) == big
+        assert SamplingParams(p=0.1, q=0.1, d=big, C=1.0, sigma=1.0).d == big
+        assert checked("d", 3.0, Rule.COUNT) == 3 and type(checked("d", "3", Rule.COUNT)) is int
+        with pytest.raises(DomainError, match=r"^C must be finite and positive, got 10{400}$"):
+            checked("C", 10**400, Rule.POSITIVE)
+
+    def test_main_refuses_d_past_exact_lattice_counts(self):
+        # Main's lattice counts 0..d+1 must be exact doubles; the refusal
+        # comes before any array is built
+        with pytest.raises(DomainError, match=r"^d must be below 2\*\*53"):
+            binomial_log_weights(2**53, 0.1)
+        with pytest.raises(DomainError, match=r"^d must be below 2\*\*53"):
+            binomial_log_weights(10**308, 0.1)
 
 
 class TestGaussianMechanismDelta:
