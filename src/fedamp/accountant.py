@@ -317,8 +317,7 @@ def _invert_monotone(
     Brent before the other end closes in. Raises DomainError unless
     delta_target lies in (0, 1), and CalibrationError if the endpoints are
     not ordered or the target is unreachable at the top."""
-    if not (math.isfinite(delta_target) and 0.0 < delta_target < 1.0):
-        raise DomainError(f"delta_target must lie in (0, 1), got {delta_target}")
+    delta_target = checked("delta_target", delta_target, Rule.DELTA_TARGET)
     lo, hi = bracket
     delta_lo = delta_at(lo)
     delta_hi = delta_at(hi)
@@ -367,8 +366,7 @@ def calibrate_sigma(
     CalibrationError if the target is unreachable at the cap or the deltas
     at the bracket's ends are not ordered.
     """
-    if not (math.isfinite(eps_target) and eps_target > 0.0):
-        raise DomainError(f"eps_target must be positive, got {eps_target}")
+    eps_target = checked("eps_target", eps_target, Rule.EPS_TARGET)
     sigma_bracket = (SIGMA_BRACKET[0], SIGMA_BRACKET[1] if sigma_cap is None else sigma_cap)
     if not sigma_bracket[0] <= sigma_bracket[1]:
         raise DomainError(f"sigma bracket [{sigma_bracket[0]}, {sigma_bracket[1]}] is empty")

@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
-from .numerics import DomainError, Rule, checked, find_root_bracketed, integrate_adaptive
+from .numerics import DomainError, Rule, checked, find_root_bracketed, integrate_adaptive, special
 
 if TYPE_CHECKING:
     from .accountant import SamplingParams
@@ -235,7 +234,7 @@ class HockeyStickQuery:
         """Exact integral of num - alpha * den over [z, inf): one fsum of
         both table columns times the means' Gaussian survival terms, each
         accurate deep in the tail by ndtr's erfc backend."""
-        s = ndtr((self.means - z) / self.sigma)
+        s = special.ndtr((self.means - z) / self.sigma)
         return math.fsum(np.concatenate([self.weights[:, 0] * s, -self.weights[:, 1] * s]))
 
 
@@ -293,9 +292,9 @@ def binomial_log_weights(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     radius = math.sqrt(350.0 * d)
     i = np.arange(max(0, math.ceil(d * q - radius)), min(d, math.floor(d * q + radius)) + 1)
     logw = (
-        gammaln(d + 1.0)
-        - gammaln(i + 1.0)
-        - gammaln(d - i + 1.0)
+        special.gammaln(d + 1.0)
+        - special.gammaln(i + 1.0)
+        - special.gammaln(d - i + 1.0)
         + i * math.log(q)
         + (d - i) * math.log1p(-q)
     )
@@ -327,13 +326,17 @@ def round_mixtures(
         raise DomainError("mixture components must be finite")
     if not all(math.isfinite(sum(t)) and min(t) >= 0.0 for t in branch_weights):
         raise DomainError(f"branch weights must be finite and nonnegative: {branch_weights}")
-    means = np.arange(idx[-1] + 2) * params.C
+    # the kept band idx is contiguous, so only 0 and the counts idx[0] to
+    # idx[-1] + 1 can carry weight: O(sqrt(d)) lattice points, not O(dq)
+    first = max(int(idx[0]), 1)
+    means = np.concatenate([[0], np.arange(first, idx[-1] + 2)]) * params.C
+    slot = idx - (first - 1)
     mixtures = []
     for absent, unsampled, sampled in branch_weights:
         weights = np.zeros(means.size)
         weights[0] = absent
-        weights[idx] += unsampled * w
-        weights[idx + 1] += sampled * w
+        weights[slot] += unsampled * w
+        weights[slot + 1] += sampled * w
         keep = weights != 0.0
         if not keep.any():
             raise DomainError("mixture needs at least one nonzero component")

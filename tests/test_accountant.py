@@ -646,6 +646,45 @@ class TestCalibrateSigma:
             )
 
 
+class TestTargetDomain:
+    """The targets go through the rule table like every other scalar input:
+    a value is read with float(), and anything else is a domain error with
+    the words of an out-of-range one."""
+
+    @staticmethod
+    def calibrate(eps_target=0.015, delta_target=1e-6):
+        return calibrate_sigma(Scheme.UPPER_BOUND, p=0.1, q=0.1, d=30, C=1.0,
+                               eps_target=eps_target, delta_target=delta_target)
+
+    @pytest.mark.parametrize("target", ["abc", None, [0.5], 1j, math.nan, math.inf, 0.0])
+    def test_eps_target(self, target):
+        with pytest.raises(DomainError, match=r"^eps_target must be positive, got "):
+            self.calibrate(eps_target=target)
+
+    @pytest.mark.parametrize("target", ["abc", None, [1e-6], 1j, math.nan, 0.0, 1.0])
+    @pytest.mark.parametrize("entry", ["calibrate_sigma", "eps_for_delta"])
+    def test_delta_target(self, entry, target):
+        with pytest.raises(DomainError, match=re.escape("delta_target must lie in (0, 1), got ")):
+            if entry == "calibrate_sigma":
+                self.calibrate(delta_target=target)
+            else:
+                eps_for_delta(Scheme.MAIN, params(), target)
+
+    def test_numeric_strings_are_their_numbers(self):
+        assert self.calibrate("0.015", "1e-6") == self.calibrate()
+        assert eps_for_delta(Scheme.UPPER_BOUND, params(), "1e-6") == eps_for_delta(
+            Scheme.UPPER_BOUND, params(), 1e-6
+        )
+
+    def test_numpy_scalars_are_real(self):
+        assert self.calibrate(np.float64(0.015), np.float64(1e-6)) == self.calibrate()
+        # a float32 target is its double value: the residuals stay doubles
+        target = np.float32(1e-6)
+        assert self.calibrate(delta_target=target) == self.calibrate(delta_target=float(target))
+        sigma = self.calibrate(delta_target=target)
+        assert delta_upper_bound(params(d=30, sigma=sigma), 0.015).delta <= target
+
+
 class TestEpsForDelta:
     @pytest.mark.parametrize(
         "scheme",

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammaln, ndtr
 
-from fedamp import divergence
+from fedamp import accountant, divergence
 from fedamp.accountant import SamplingParams, delta_main, main_pair
 from fedamp.cli import (
     VERIFY_GRID_D,
@@ -1172,3 +1173,74 @@ class TestRoundMixturesUnchecked:
                 round_mixtures(pr, triple)
         with pytest.raises(DomainError):
             round_mixtures(SamplingParams(p=0.3, q=0.2, d=5, C=1e308, sigma=1.0), (0.0, 0.0, 1.0))
+
+
+def whole_lattice_mixtures(params, *branch_weights):
+    """round_mixtures' (means, weights) built as it once built them: on every
+    lattice point from 0 to the top of the binomial band, then filtered."""
+    idx, logw = binomial_log_weights(params.d, params.q)
+    w = np.exp(logw)
+    w = w / w.sum()
+    means = np.arange(idx[-1] + 2) * params.C
+    built = []
+    for absent, unsampled, sampled in branch_weights:
+        weights = np.zeros(means.size)
+        weights[0] = absent
+        weights[idx] += unsampled * w
+        weights[idx + 1] += sampled * w
+        keep = weights != 0.0
+        built.append((means[keep], weights[keep]))
+    return built
+
+
+class TestRoundMixturesBand:
+    """round_mixtures allocates only the lattice points that can carry
+    weight: 0 and the binomial band."""
+
+    def test_same_arrays_as_the_whole_lattice_on_the_verify_grid(self, monkeypatch):
+        calls = []
+
+        def recorded(params, *branch_weights):
+            calls.append((params, branch_weights))
+            return round_mixtures(params, *branch_weights)
+
+        # main_pair's and worst_case_pair's triples at every grid point
+        monkeypatch.setattr(accountant, "round_mixtures", recorded)
+        monkeypatch.setattr(divergence, "round_mixtures", recorded)
+        main_pair.cache_clear()
+        for pr, eps in all_verify_grid_points():
+            main_pair(pr, eps)
+            worst_case_pair(pr)
+        main_pair.cache_clear()
+        assert len(calls) == 2 * 576
+        for params, branch_weights in calls:
+            got = round_mixtures(params, *branch_weights)
+            for mixture, (means, weights) in zip(got, whole_lattice_mixtures(params, *branch_weights),
+                                                 strict=True):
+                assert mixture.means.tobytes() == means.tobytes()
+                assert mixture.weights.tobytes() == weights.tobytes()
+                assert mixture.step == params.C
+
+    @pytest.mark.parametrize("d, q", [(3000, 0.5), (10**5, 0.1), (5000, 0.9), (12, 1.0), (0, 0.3)])
+    def test_same_arrays_where_the_band_leaves_zero(self, d, q):
+        # the verify grid's bands all start at count 0; these start above it
+        pr = SamplingParams(p=0.3, q=q, d=d, C=0.7, sigma=1.3)
+        triples = [(0.7, 0.24, 0.06), (0.7, 0.3, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]
+        got = round_mixtures(pr, *triples)
+        for mixture, (means, weights) in zip(got, whole_lattice_mixtures(pr, *triples), strict=True):
+            assert mixture.means.tobytes() == means.tobytes()
+            assert mixture.weights.tobytes() == weights.tobytes()
+
+    def test_memory_at_huge_d(self):
+        # the whole lattice at d = 1e8, q = 0.1 takes three 80 MB arrays
+        pr = SamplingParams(p=0.1, q=0.1, d=10**8, C=1.0, sigma=1.0)
+        tracemalloc.start()
+        try:
+            unsampled, sampled = round_mixtures(pr, (0.5, 0.5, 0.0), (0.0, 0.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert unsampled.means[0] == 0.0 and unsampled.means[1] > 9e6
+        np.testing.assert_array_equal(sampled.means, unsampled.means[1:] + 1.0)
+        assert sampled.total_mass == pytest.approx(1.0, abs=1e-12)

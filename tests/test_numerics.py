@@ -5,7 +5,10 @@ are compared at tolerances the double-precision implementations must meet.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -334,3 +337,31 @@ class TestBreakPoints:
     def test_non_finite_point_rejected(self, bad):
         with pytest.raises(DomainError, match=f"break point must be finite, got {bad!r}"):
             integrate_adaptive(lambda z: z, 0.0, 1.0, abs_tol=1e-14, break_points=[0.5, bad, 2.0])
+
+
+# imports fedamp and its command line, trains at a fixed sigma, then makes
+# the accountant's first call, printing after each whether scipy.special's
+# ufuncs are loaded
+FIRST_LOAD_PROBE = """
+import sys
+import fedamp, fedamp.cli
+from fedamp.accountant import SamplingParams, delta_upper_bound
+from fedamp.simulator import SimConfig, Task, run_training
+loaded = lambda: "scipy.special._ufuncs" in sys.modules
+print(loaded())
+for task in Task:
+    run_training(SimConfig(N=5, d=3, p=0.5, q=0.5, C=1.0, sigma=1.0, T=4, eta=0.1, m=2, seed=0), task)
+print(loaded())
+delta_upper_bound(SamplingParams(p=0.1, q=0.1, d=3, C=1.0, sigma=1.0), 0.5)
+print(loaded())
+"""
+
+
+def test_scipy_special_loads_on_the_accountants_first_call():
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", FIRST_LOAD_PROBE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert probe.stdout.split() == ["False", "False", "True"]

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -388,6 +389,28 @@ class TestTaskFunctions:
         for z in (0.0, 745.0, -745.0, 1e4, -1e4, math.inf, -math.inf):
             assert loss_at(z) == float(np.logaddexp(0.0, z)), z
         assert math.isnan(loss_at(math.nan))
+
+    def test_logistic_factor_is_scipys_expit_formula(self):
+        # X = [m, 1] at w = [1, 0]: the margin is m and the second column of
+        # a gradient row is the factor -y expit(-y m) itself
+        rng = np.random.default_rng(8)
+        margins = np.concatenate([
+            rng.standard_normal(20000) * 10.0 ** rng.uniform(-3.0, 2.8, 20000),
+            [800.0, -800.0, 709.9, -709.9, 1e300, -1e300, 0.0],
+        ])
+        y = np.where(rng.uniform(size=margins.size) < 0.5, 1.0, -1.0)
+        X = np.column_stack([margins, np.ones_like(margins)])
+        # run_training ignores overflow around every round; nothing else warns
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            factor = task_sample_grads(Task.LOGISTIC_REGRESSION, np.array([1.0, 0.0]), X, y)[:, 1]
+            formula = -y * (1.0 / (1.0 + np.exp(-(-y * margins))))
+        assert factor.tobytes() == formula.tobytes()
+        # numpy's exp and the C library's, which scipy's expit calls, differ
+        # by at most 1 ulp; 1 + e and the quotient can take that to 4
+        np.testing.assert_array_max_ulp(factor, -y * expit(-y * margins), maxulp=4)
+        far = np.abs(margins) > 709.8
+        assert np.array_equal(factor[far], np.where(y * margins > 0, 0.0, -y)[far])
 
     def test_linear_loss(self):
         w = np.zeros(2)
