@@ -2,7 +2,9 @@
 
 A round releases a Gaussian-noised sum in which a target element appears
 only if its client participates (probability p) and then samples it
-(probability q). Four schemes certify (eps, delta) for that release:
+(probability q). Five schemes give its delta at eps. ub, ols and gm are
+certificates (CERTIFIED_SCHEMES), bounds on the worst case over
+neighbouring datasets; main and lb each evaluate one pair and fall below it.
 
 * Main: the amplified bound. delta is pq times a hockey-stick divergence,
   at alpha' = e^{eps'}, between binomially weighted Gaussian mixtures,
@@ -13,6 +15,7 @@ only if its client participates (probability p) and then samples it
 * UpperBound (ub): p times OnlyLocal, a closed-form relaxation of Main.
 * LowerBound (lb): the subsampled Gaussian bound at probability pq; no
   scheme consistent with the protocol can certify less.
+* GaussianMechanism (gm): the Gaussian mechanism, unsampled.
 
 Subsampling at rate r turns a mechanism that meets eps' = amplified_eps(eps, r)
 into one that meets eps: main and lb run at r = pq, ols and ub at r = q,
@@ -354,29 +357,29 @@ def calibrate_sigma(
     C: float,
     eps_target: float,
     delta_target: float,
-    sigma_cap: float | None = None,
+    sigma_cap: float = SIGMA_BRACKET[1],
 ) -> float:
     """Smallest sigma in [SIGMA_BRACKET[0], sigma_cap] certifying
-    (eps_target, delta_target); sigma_cap None means SIGMA_BRACKET[1].
+    (eps_target, delta_target).
 
     Solves delta(sigma) = delta_target in log sigma with Brent's method,
     on the empirically verified monotone nonincrease of delta in sigma; one
     step below the answer, sigma / (1 + SIGMA_REL_TOL), misses the target.
-    Raises DomainError on an empty bracket (a cap below the floor), and
-    CalibrationError if the target is unreachable at the cap or the deltas
-    at the bracket's ends are not ordered.
+    Raises DomainError on a cap not finite and positive or below the floor,
+    and CalibrationError if the target is unreachable at the cap or the
+    deltas at the bracket's ends are not ordered.
     """
     eps_target = checked("eps_target", eps_target, Rule.EPS_TARGET)
-    sigma_bracket = (SIGMA_BRACKET[0], SIGMA_BRACKET[1] if sigma_cap is None else sigma_cap)
-    if not sigma_bracket[0] <= sigma_bracket[1]:
-        raise DomainError(f"sigma bracket [{sigma_bracket[0]}, {sigma_bracket[1]}] is empty")
+    sigma_cap = checked("sigma_cap", sigma_cap, Rule.POSITIVE)
+    if sigma_cap < SIGMA_BRACKET[0]:
+        raise DomainError(f"sigma bracket [{SIGMA_BRACKET[0]}, {sigma_cap}] is empty")
 
     def delta_at(sigma: float) -> float:
         params = SamplingParams(p=p, q=q, d=d, C=C, sigma=sigma)
         return delta_for_scheme(scheme, params, eps_target).delta
 
     return _invert_monotone(
-        delta_at, "sigma", sigma_bracket, delta_target, math.log, math.exp
+        delta_at, "sigma", (SIGMA_BRACKET[0], sigma_cap), delta_target, math.log, math.exp
     )
 
 

@@ -24,6 +24,7 @@ from click.core import ParameterSource
 
 from .accountant import (
     CERTIFIED_SCHEMES,
+    SIGMA_BRACKET,
     CalibrationError,
     SamplingParams,
     Scheme,
@@ -243,7 +244,8 @@ def curve(scheme_names, out_path, **grid):
 @click.option("--C", "C", type=float, required=True)
 @click.option("--eps", type=float, required=True)
 @click.option("--delta", type=float, required=True)
-@click.option("--sigma-cap", type=float, help="upper end of the sigma search bracket")
+@click.option("--sigma-cap", type=float, default=SIGMA_BRACKET[1],
+              help="upper end of the sigma search bracket")
 @_io_flags
 def calibrate(scheme_name, p, q, d, C, eps, delta, sigma_cap, out_path):
     """Smallest sigma meeting a per-round (eps, delta) target."""

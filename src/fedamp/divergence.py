@@ -249,9 +249,7 @@ def mix(parts: Sequence[tuple[float, GaussianMixture1D]]) -> GaussianMixture1D:
     sigma = parts[0][1].sigma
     used = []
     for coeff, mixture in parts:
-        coeff = float(coeff)
-        if coeff < 0.0:
-            raise DomainError(f"mix coefficients must be nonnegative, got {coeff}")
+        coeff = checked("coefficient", coeff, Rule.NONNEGATIVE)
         if coeff == 0.0:
             continue
         if mixture.sigma != sigma:
@@ -281,9 +279,8 @@ def binomial_log_weights(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     d = checked("d", d, Rule.COUNT)
     if d + 1 > 2**53:
         raise DomainError(f"d must be below 2**53 for exact lattice counts, got {d:.6g}")
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must lie in [0, 1], got {q}")
-    if d == 0 or q == 0.0:
+    q = checked("q", q, Rule.PROBABILITY)
+    if d == 0:
         return np.array([0]), np.array([0.0])
     if q == 1.0:
         return np.array([d]), np.array([0.0])

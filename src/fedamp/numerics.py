@@ -74,9 +74,11 @@ class RootResult:
 
 class Rule:
     """The rule table: one scalar input domain per row, as (words, stored
-    type, test). A plain namespace: an Enum's member lookup and .value
-    would add a few hundred nanoseconds to every check."""
+    type, test), that `checked` applies to every scalar input in src/ but
+    SimConfig's int-only seed. A plain namespace: an Enum's member lookup
+    and .value would add a few hundred nanoseconds to every check."""
 
+    FINITE = ("be finite", float, math.isfinite)
     PROBABILITY = ("lie in (0, 1]", float, lambda x: 0.0 < x <= 1.0)
     POSITIVE = ("be finite and positive", float, lambda x: 0.0 < x < math.inf)
     NONNEGATIVE = ("be finite and >= 0", float, lambda x: 0.0 <= x < math.inf)
@@ -90,9 +92,9 @@ class Rule:
 
 def checked(name: str, value, rule: tuple):
     """value as the stored type of rule, a Rule row, if it passes the row's
-    test, else DomainError "{name} must {words}, got {value!r}". The value
-    is read with float(), so numeric strings pass; an int count is tested
-    and kept exactly, and a count must be whole and not a bool."""
+    test, else DomainError "{name} must {words}, got {value!r}" for a value
+    of any type. It is read with float(), so numeric strings pass; an int
+    count is tested and kept exactly, and a count must be whole, not a bool."""
     words, kind, test = rule
     try:
         number = value if kind is int and type(value) is int else float(value)
@@ -106,11 +108,11 @@ def checked(name: str, value, rule: tuple):
     raise DomainError(f"{name} must {words}, got {value!r}")
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+def _interval(lo, hi) -> tuple[float, float]:
+    lo, hi = checked("lo", lo, Rule.FINITE), checked("hi", hi, Rule.FINITE)
+    if not lo < hi:
+        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
+    return lo, hi
 
 
 def gaussian_mechanism_delta(eps: float, sigma: float, sensitivity: float) -> float:
@@ -151,12 +153,9 @@ def find_root_bracketed(
     half-width drops below (ROOT_XTOL + ROOT_RTOL |x|) / 2 or f is exactly
     0, never on a small |f|. The result carries the final bracket.
     """
-    lo = _require_finite("lo", lo)
-    hi = _require_finite("hi", hi)
-    if not lo < hi:
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    prev, f_prev = lo, _require_finite("f(lo)", f(lo))
-    best, f_best = hi, _require_finite("f(hi)", f(hi))
+    lo, hi = _interval(lo, hi)
+    prev, f_prev = lo, checked("f(lo)", float(f(lo)), Rule.FINITE)
+    best, f_best = hi, checked("f(hi)", float(f(hi)), Rule.FINITE)
     if f_prev == 0.0:
         return RootResult(lo, 0.0, (lo, lo))
     if f_best == 0.0:
@@ -202,7 +201,7 @@ def find_root_bracketed(
         best += step if abs(step) > tol else math.copysign(tol, half)
         f_best = float(f(best))
         if not math.isfinite(f_best):  # the message is built only on failure
-            _require_finite(f"f({best})", f_best)
+            checked(f"f({best})", f_best, Rule.FINITE)
     raise RuntimeError(f"no root within {ROOT_MAX_STEPS} steps on [{lo}, {hi}]")
 
 
@@ -296,16 +295,13 @@ def integrate_adaptive(
     Raises AccuracyError if the tolerance is not certified within
     QUADRATURE_MAX_EVALS evaluations.
     """
-    lo = _require_finite("lo", lo)
-    hi = _require_finite("hi", hi)
+    lo, hi = _interval(lo, hi)
     abs_tol = checked("abs_tol", abs_tol, Rule.POSITIVE)
-    if not lo < hi:
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
 
     points = np.asarray(break_points, dtype=float)
     finite = np.isfinite(points)
     if not finite.all():
-        _require_finite("break point", points[~finite][0])
+        checked("break point", float(points[~finite][0]), Rule.FINITE)
     edges = np.unique(np.concatenate([[lo, hi], points[(lo < points) & (points < hi)]]))
 
     lows = edges[:-1]

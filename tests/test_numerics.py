@@ -16,12 +16,19 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from fedamp import numerics
-from fedamp.accountant import SamplingParams, amplified_eps, delta_only_local
+from fedamp.accountant import (
+    SamplingParams,
+    Scheme,
+    amplified_eps,
+    calibrate_sigma,
+    delta_only_local,
+)
 from fedamp.divergence import (
     GaussianMixture1D,
     HockeyStickQuery,
     ajc_decompose,
     binomial_log_weights,
+    mix,
 )
 from fedamp.numerics import (
     AccuracyError,
@@ -67,9 +74,19 @@ OTHER_SITES = {
     "ajc_decompose.gamma": lambda v: ajc_decompose(UNIT, UNIT, UNIT, gamma=v, alpha=2.0),
     "ajc_decompose.alpha": lambda v: ajc_decompose(UNIT, UNIT, UNIT, gamma=0.5, alpha=v),
     "binomial_log_weights.d": lambda v: binomial_log_weights(v, 0.5),
+    "binomial_log_weights.q": lambda v: binomial_log_weights(3, v),
+    "find_root_bracketed.lo": lambda v: find_root_bracketed(lambda x: x, v, 1.0),
+    "find_root_bracketed.hi": lambda v: find_root_bracketed(lambda x: x, -1.0, v),
+    "integrate_adaptive.lo": lambda v: integrate_adaptive(np.ones_like, v, 1.0, 1e-9, ()),
+    "integrate_adaptive.hi": lambda v: integrate_adaptive(np.ones_like, 0.0, v, 1e-9, ()),
     "integrate_adaptive.abs_tol": lambda v: integrate_adaptive(
         np.ones_like, 0.0, 1.0, abs_tol=v, break_points=()
     ),
+    "calibrate_sigma.sigma_cap": lambda v: calibrate_sigma(
+        Scheme.UPPER_BOUND, p=0.1, q=0.1, d=30, C=1.0, eps_target=0.015, delta_target=1e-6,
+        sigma_cap=v,
+    ),
+    "mix.coefficient": lambda v: mix([(v, UNIT)]),
 }
 
 
@@ -102,6 +119,12 @@ class TestInputRules:
         assert from_text == fn(**{**args, name: number})
         if isinstance(from_text, (SamplingParams, SimConfig)):
             assert type(getattr(from_text, name)) is type(number)
+
+    def test_numeric_string_q_read_as_number(self):
+        from_text = binomial_log_weights(3, "0.5")
+        from_number = binomial_log_weights(3, 0.5)
+        for got, want in zip(from_text, from_number):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("field", COUNT_FIELDS)
     def test_bool_count_refused(self, field):
