@@ -321,8 +321,9 @@ def round_mixtures(
     w = w / w.sum()
     if not math.isfinite(float(idx[-1] + 1) * params.C):
         raise DomainError("mixture components must be finite")
-    if not all(math.isfinite(sum(t)) and min(t) >= 0.0 for t in branch_weights):
-        raise DomainError(f"branch weights must be finite and nonnegative: {branch_weights}")
+    branch_weights = [
+        [checked("branch weight", b, Rule.NONNEGATIVE) for b in t] for t in branch_weights
+    ]
     # the kept band idx is contiguous, so only 0 and the counts idx[0] to
     # idx[-1] + 1 can carry weight: O(sqrt(d)) lattice points, not O(dq)
     first = max(int(idx[0]), 1)

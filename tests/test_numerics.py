@@ -29,6 +29,7 @@ from fedamp.divergence import (
     ajc_decompose,
     binomial_log_weights,
     mix,
+    round_mixtures,
 )
 from fedamp.numerics import (
     AccuracyError,
@@ -87,6 +88,9 @@ OTHER_SITES = {
         sigma_cap=v,
     ),
     "mix.coefficient": lambda v: mix([(v, UNIT)]),
+    "round_mixtures.branch weight": lambda v: round_mixtures(
+        SamplingParams(p=0.3, q=0.2, d=5, C=1.0, sigma=1.0), (0.0, v, 1.0)
+    ),
 }
 
 
