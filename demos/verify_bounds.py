@@ -33,8 +33,10 @@ print(f"{len(points)} points")
 print(f"max |closed - quadrature|      : {worst_quad:.3e}")
 print(f"max (pair oracle - closed form): {worst_pair:.3e}")
 print()
-print("The pair oracle staying at or below the closed form means every")
-print("certified (eps, delta) is honest for the constructed pair. Note the")
-print("looser comparison schemes do not sandwich the exact curve everywhere;")
-print("`fedamp verify` reports the ordering point by point, and the README")
-print("discusses where and why it fails.")
+print("The pair oracle staying at or below the closed form means main's delta")
+print("bounds the constructed pair's divergence. That pair is not the worst")
+print("case over neighbouring datasets, so main is no certificate; only the")
+print("certified schemes bound the worst case. Note the looser comparison")
+print("schemes do not sandwich the exact curve everywhere; `fedamp verify`")
+print("reports the ordering point by point, and the README discusses where")
+print("and why it fails.")

@@ -2,7 +2,7 @@
 
 A round releases a Gaussian-noised sum in which a target element appears
 only if its client participates (probability p) and then samples it
-(probability q). Five schemes give its delta at eps. ub, ols and gm are
+(probability q). Four schemes give its delta at eps. ub and ols are
 certificates (CERTIFIED_SCHEMES), bounds on the worst case over
 neighbouring datasets; main and lb each evaluate one pair and fall below it.
 
@@ -11,15 +11,15 @@ neighbouring datasets; main and lb each evaluate one pair and fall below it.
   evaluated in closed form above the integrand's single crossing z*, the
   root of the pair's log likelihood ratio less log alpha'.
 * OnlyLocal (ols): amplification by the local sampling alone (probability
-  q); a subsampled Gaussian mechanism bound.
+  q); a subsampled Gaussian mechanism bound. At q = 1 it is the unsampled
+  Gaussian mechanism.
 * UpperBound (ub): p times OnlyLocal, a closed-form relaxation of Main.
 * LowerBound (lb): the subsampled Gaussian bound at probability pq; no
   scheme consistent with the protocol can certify less.
-* GaussianMechanism (gm): the Gaussian mechanism, unsampled.
 
 Subsampling at rate r turns a mechanism that meets eps' = amplified_eps(eps, r)
-into one that meets eps: main and lb run at r = pq, ols and ub at r = q,
-and gm at r = 1, where eps' is eps itself.
+into one that meets eps: main and lb run at r = pq, ols and ub at r = q.
+At r = 1, eps' is eps itself. Every certified delta is delta_only_local's.
 
 All routines are pure. main_pair is memoized with one entry on its frozen
 inputs, so the closed form and both oracles at one (params, eps) share one
@@ -77,14 +77,11 @@ class Scheme(Enum):
     ONLY_LOCAL = "ols"
     UPPER_BOUND = "ub"
     LOWER_BOUND = "lb"
-    GAUSSIAN_MECHANISM = "gm"
 
 
 # Schemes whose delta bounds the worst case over neighbouring datasets.
 # main and lb each evaluate one pair and fall below that worst case.
-CERTIFIED_SCHEMES = frozenset(
-    {Scheme.UPPER_BOUND, Scheme.ONLY_LOCAL, Scheme.GAUSSIAN_MECHANISM}
-)
+CERTIFIED_SCHEMES = frozenset({Scheme.UPPER_BOUND, Scheme.ONLY_LOCAL})
 
 
 _PARAM_RULES = {"p": Rule.PROBABILITY, "q": Rule.PROBABILITY, "d": Rule.COUNT,
@@ -298,8 +295,6 @@ def delta_for_scheme(
         return delta_upper_bound(params, eps)
     if scheme is Scheme.LOWER_BOUND:
         return delta_lower_bound(params, eps)
-    if scheme is Scheme.GAUSSIAN_MECHANISM:
-        return PrivacyPoint(gaussian_mechanism_delta(eps, params.sigma, params.C))
     raise DomainError(f"unknown scheme {scheme!r}")
 
 
@@ -438,13 +433,8 @@ class SweepRow:
 
 _COORDS = ("p", "q", "d", "C", "sigma")  # SamplingParams' fields
 
-_ROW_ERRORS = (
-    DomainError,
-    CalibrationError,
-    DegenerateIntegrandError,
-    ValueError,
-    OverflowError,
-)
+# DomainError is a ValueError
+_ROW_ERRORS = (CalibrationError, DegenerateIntegrandError, ValueError, OverflowError)
 
 
 def _sweep_point(

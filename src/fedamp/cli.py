@@ -71,9 +71,7 @@ VERIFY_GRID_D = (1, 10, 30, 100)
 VERIFY_GRID_SIGMA = (0.5, 1.0, 2.0, 5.0)
 VERIFY_GRID_EPS = (0.015, 0.1, 0.5, 1.0)
 
-_SCHEME_CHOICE = click.Choice(
-    sorted(s.value for s in Scheme if s is not Scheme.GAUSSIAN_MECHANISM)
-)
+_SCHEME_CHOICE = click.Choice(sorted(s.value for s in Scheme))
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -130,8 +128,8 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     # 17 significant digits: lossless for 64-bit floats.
     return "%.17g" % float(value)
 

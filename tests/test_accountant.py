@@ -293,6 +293,24 @@ class TestMainIntegrand:
         assert count_integrand_sign_changes(pr, 0.5) == expected
 
 
+# Where Main's closed form is at least RELATIVE_ORACLE_FLOOR, it must match the
+# quadrature oracle within RELATIVE_ORACLE_TOL of itself.
+RELATIVE_ORACLE_FLOOR = 1e-13
+RELATIVE_ORACLE_TOL = 1e-8
+
+
+def _relative_oracle_gaps() -> list[float]:
+    """|closed - quadrature| / closed at each verify-grid point at or above
+    the floor; delta_main is read through the module, so a monkeypatch
+    reaches it."""
+    gaps = []
+    for pr, eps in _default_verify_points():
+        closed = accountant.delta_main(pr, eps).delta
+        if closed >= RELATIVE_ORACLE_FLOOR:
+            gaps.append(abs(closed - delta_main_quadrature(pr, eps)) / closed)
+    return gaps
+
+
 class TestFindZStar:
     def test_no_cosampling_closed_form(self):
         # with d=0 the integrand is phi_C - alpha' * phi_0, whose crossing
@@ -395,6 +413,23 @@ class TestDeltaMain:
             closed = delta_main(pr, eps).delta
             quad = delta_main_quadrature(pr, eps)
             assert abs(closed - quad) <= 1e-10, (pr, eps, closed, quad)
+
+    def test_quadrature_agrees_relatively_on_verify_grid(self):
+        gaps = _relative_oracle_gaps()
+        assert len(gaps) == 375
+        assert max(gaps) <= RELATIVE_ORACLE_TOL  # 3.02e-9 measured
+
+    @pytest.mark.parametrize("scale, below", [(1.0 - 1e-5, 1e-8), (1.0 - 1e-3, 1e-11)])
+    def test_relative_check_sees_small_delta_mutants(self, monkeypatch, scale, below):
+        # each mutant keeps criterion 3's 1e-10 absolute bound
+        exact = accountant.delta_main
+
+        def mutant(pr, eps):
+            point = exact(pr, eps)
+            return replace(point, delta=point.delta * scale) if point.delta < below else point
+
+        monkeypatch.setattr(accountant, "delta_main", mutant)
+        assert max(_relative_oracle_gaps()) > RELATIVE_ORACLE_TOL
 
     def test_matches_constructed_pair_divergence(self):
         for p, q, d, C, sigma, eps in [
@@ -553,13 +588,14 @@ class TestDeltaForScheme:
             assert delta_upper_bound(pr, eps).delta == pr.p * delta_only_local(
                 pr.q, pr.sigma, pr.C, eps
             ).delta
+            # ols at q = 1 is the unsampled Gaussian mechanism
             assert delta_for_scheme(
-                Scheme.GAUSSIAN_MECHANISM, pr, eps
+                Scheme.ONLY_LOCAL, replace(pr, q=1.0), eps
             ).delta == gaussian_mechanism_delta(eps, pr.sigma, pr.C)
 
     def test_plain_mechanism_ignores_sampling(self):
-        a = delta_for_scheme(Scheme.GAUSSIAN_MECHANISM, params(p=0.1, q=0.1), 0.3)
-        b = delta_for_scheme(Scheme.GAUSSIAN_MECHANISM, params(p=0.9, q=0.5, d=99), 0.3)
+        a = delta_for_scheme(Scheme.ONLY_LOCAL, params(p=0.1, q=1.0), 0.3)
+        b = delta_for_scheme(Scheme.ONLY_LOCAL, params(p=0.9, q=1.0, d=99), 0.3)
         assert a.delta == b.delta == gaussian_mechanism_delta(0.3, 1.0, 1.0)
 
 
@@ -687,17 +723,13 @@ class TestTargetDomain:
 
 class TestEpsForDelta:
     @pytest.mark.parametrize(
-        "scheme",
-        [
-            Scheme.MAIN,
-            Scheme.ONLY_LOCAL,
-            Scheme.UPPER_BOUND,
-            Scheme.LOWER_BOUND,
-            Scheme.GAUSSIAN_MECHANISM,
-        ],
+        "scheme, q",
+        [pytest.param(scheme, 0.1, id=str(scheme)) for scheme in Scheme]
+        # the unsampled Gaussian mechanism
+        + [pytest.param(Scheme.ONLY_LOCAL, 1.0, id="Scheme.ONLY_LOCAL-q=1")],
     )
-    def test_round_trip(self, scheme):
-        pr = params(p=0.1, q=0.1, d=5, sigma=2.0)
+    def test_round_trip(self, scheme, q):
+        pr = params(p=0.1, q=q, d=5, sigma=2.0)
         eps = eps_for_delta(scheme, pr, 1e-5)
         assert delta_for_scheme(scheme, pr, eps).delta <= 1e-5
         lower = max(0.0, eps - 10.0 * EPS_ABS_TOL)

@@ -14,7 +14,7 @@ from fedamp.cli import (
     VERIFY_HEADER,
     main,
 )
-from fedamp.simulator import SimConfig, Task, run_training
+from fedamp.simulator import MetricsRow, SimConfig, Task, run_training
 
 runner = CliRunner()
 
@@ -213,6 +213,11 @@ class TestCalibrate:
         ])
         assert rows_of(result.stdout)[0]["certified"] == certified
 
+    def test_scheme_choices_are_every_scheme(self):
+        for command in ("curve", "calibrate", "simulate"):
+            (option,) = [o for o in main.commands[command].params if "--scheme" in o.opts]
+            assert list(option.type.choices) == sorted(s.value for s in Scheme), command
+
     def test_missing_parameter(self):
         result = runner.invoke(main, [
             "calibrate", "--scheme", "main", "--p", "0.1", "--q", "0.1",
@@ -299,9 +304,14 @@ class TestSimulate:
         config = SimConfig(
             N=10, d=3, p=0.5, q=0.5, C=1.0, sigma=0.3, T=3, eta=0.1, m=2, seed=0
         )
-        rows = run_training(config, Task.LINEAR_REGRESSION)
-        # 17 significant digits reproduce the double exactly
-        assert [float(r["loss"]) for r in rows_of(result.stdout)] == [r.loss for r in rows]
+        # every column is the training row's, and 17 significant digits
+        # reproduce each double exactly
+        cells = [
+            MetricsRow(int(r["iteration"]), float(r["loss"]), float(r["grad_norm"]),
+                       int(r["participants"]), int(r["sampled_elements"]))
+            for r in rows_of(result.stdout)
+        ]
+        assert cells == run_training(config, Task.LINEAR_REGRESSION)
 
     def test_calibrated_sigma_matches_calibrate_command(self):
         result = runner.invoke(main, self.BASE + [
