@@ -220,9 +220,10 @@ def delta_main_quadrature(params: SamplingParams, eps: float) -> float:
     sign boundaries and integrates the clamped integrand over the pieces
     between them that its scan finds positive, so neither find_z_star nor
     the tail sums enter. The pair sits on the lattice kC, so the scan is
-    spaced sigma/10 or finer unless it would take over 65,536 points; then
-    it is capped and the whole 12-sigma support is one piece. Used by
-    verification and the acceptance suite.
+    spaced sigma/10 or finer and the pieces are integrated on lattice cells
+    at most sigma wide, unless the scan would take over 65,536 points; then
+    it is capped and the whole 12-sigma support is one adaptive piece. Used
+    by verification and the acceptance suite.
     """
     return params.p * params.q * hockey_stick(main_pair(params, eps))
 

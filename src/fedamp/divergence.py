@@ -5,7 +5,7 @@ mixture whose components share one standard deviation. This module gives
 that family a canonical value type, builds one round's output mixtures on
 the lattice kC that Poisson subsampling produces, gives a mixture pair its
 densities, log likelihood ratio, exact tails and hockey-stick divergence
-(by adaptive quadrature), and checks the advanced-joint-convexity identity
+(by Gauss-Kronrod quadrature), and checks the advanced-joint-convexity identity
 linking a mixture divergence to its conditional parts.
 
 Divergence quadrature runs at 1e-13 absolute tolerance, several orders
@@ -15,12 +15,13 @@ densities (one blocked kernel pass), scans and tails read the table.
 The sign scan ahead of the quadrature is sized by sigma: its spacing is at
 most sigma / SCAN_POINTS_PER_SIGMA. round_mixtures records the lattice step
 C on every mixture it builds, so a pair of them is scanned on a lattice of
-its own by one Toeplitz product of its coefficients with precomputed
-Gaussian taps, with no point cap up to _LATTICE_MAX_POINTS points; small
-lattice pairs and all hand-built pairs take the kernel scan, on at most
-HOCKEY_STICK_SCAN_POINTS points. The quadrature integrates only the pieces
-between sign boundaries that the scan finds positive, or the whole 12-sigma
-support where the point cap leaves the scan coarser than that spacing.
+its own, and integrated by GK15 on cells at most sigma wide, each by one
+Toeplitz product of its coefficients with precomputed Gaussian taps, up to
+_LATTICE_MAX_POINTS values; small lattice pairs and all hand-built pairs take
+the kernel scan, on at most HOCKEY_STICK_SCAN_POINTS points, and hand-built
+pairs adaptive quadrature. Only the pieces between sign boundaries that the
+scan finds positive are integrated, or the whole 12-sigma support where the
+point cap leaves the scan coarser than that spacing.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .numerics import DomainError, Rule, checked, find_root_bracketed, integrate_adaptive, special
+from .numerics import gk15_nodes, gk15_sums
 
 if TYPE_CHECKING:
     from .accountant import SamplingParams
@@ -53,6 +55,7 @@ _FLUSH_FLOOR = 2.0**-900  # flushed rows below this times their weight sum are r
 # kernel scan is capped or takes at least this many (point x mean) terms.
 _LATTICE_MAX_POINTS = 1 << 16
 _LATTICE_MIN_TERMS = 1 << 14
+_PRODUCT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -360,21 +363,45 @@ def _scan_grid(query: HockeyStickQuery) -> np.ndarray:
     return np.linspace(lo, hi, min(HOCKEY_STICK_SCAN_POINTS, points))
 
 
+def _lattice_sums(query, step, r, j_first, rows, fractions):
+    """(sums, c): sigma sqrt(2 pi) (num - alpha * den) at (j + f) h, h = step / r,
+    for j from j_first in rows of r and f in fractions (in [0, 1)); row
+    j - j_first holds point j. With c_k the num minus alpha * den weight at
+    lattice point k, point j, f sees mean k step = k r h as c_k g(j + f - k r),
+    g(n) = exp(-(n h / sigma)^2 / 2): one Toeplitz product (_lattice_product)
+    with r * len(fractions) tap columns g(u r + phase + f), one exp per tap,
+    not one per term. Taps past _FLUSH_SIGMAS, subnormal or 0, are 0."""
+    k = np.rint(query.means / step).astype(np.int64)  # exact: the means are fl(k * step)
+    c = np.zeros(int(k[-1] - k[0]) + 1)
+    c[k - k[0]] = query.weights[:, 0] - query.weights[:, 1]
+    # tap (u, phase, f) is g(offset + u r + phase + f); rows and c indices
+    # meet only for u in [1 - c.size, rows - 1], and terms only within the band
+    offset = j_first - int(k[0]) * r
+    h = step / r
+    band = _FLUSH_SIGMAS * query.sigma / h
+    u_lo = max(1 - c.size, math.ceil((-band - fractions[-1] - offset - (r - 1)) / r))
+    u_hi = min(rows - 1, math.floor((band - offset) / r))
+    taps = (offset + u_lo * r + np.arange((u_hi - u_lo + 1) * r))[:, None] + fractions
+    taps *= h / query.sigma
+    taps *= taps
+    taps *= -0.5
+    far = taps < _LOG_DBL_MIN
+    np.copyto(np.exp(taps, out=taps), 0.0, where=far)
+    sums = _lattice_product(c, taps.reshape(-1, r * len(fractions)), u_lo, rows)
+    return sums.reshape(-1, len(fractions)), c
+
+
 def _lattice_scan(query: HockeyStickQuery):
     """(grid, values): the sign scan of a pair whose mixtures record one
     lattice step s (means k * s, from round_mixtures), or None for any other.
 
     The grid is _window's ends lo and hi with the points j * h strictly
     between them, h = s / r, r = ceil(SCAN_POINTS_PER_SIGMA * s / sigma),
-    so the spacing is at most sigma / SCAN_POINTS_PER_SIGMA. There the
-    kernel term of point j and mean k is g(j - k r), g(n) = exp(-(n h /
-    sigma)^2 / 2), so the interior values are one Toeplitz product
-    (_lattice_product) of the coefficients c_k, num minus alpha * den
-    weight, with r decimated tap columns g(u r + phase): one exp per tap,
-    not one per term. Taps past _FLUSH_SIGMAS, subnormal or 0, are 0.
-    Points whose value is below _FLUSH_FLOOR * sum |c_k|, both ends of
-    every sign flip, lo, hi and the neighbours of each take exact `signed`
-    values in one call, repeated only while a flip has an end without one.
+    so the spacing is at most sigma / SCAN_POINTS_PER_SIGMA; the interior
+    values are _lattice_sums at f = 0. Points whose value is below
+    _FLUSH_FLOOR * sum |c_k|, both ends of every sign flip, lo, hi and the
+    neighbours of each take exact `signed` values in one call, repeated
+    only while a flip has an end without one.
 
     A scan of more than _LATTICE_MAX_POINTS points returns None, so no
     array here holds more than about 2 * _LATTICE_MAX_POINTS doubles,
@@ -383,7 +410,6 @@ def _lattice_scan(query: HockeyStickQuery):
     step = query.numerator.step
     if step is None or step != query.denominator.step:
         return None
-    k = np.rint(query.means / step).astype(np.int64)  # exact: the means are fl(k * step)
     sigma = query.sigma
     lo, hi = _window(query)
     # the scan has fewer points than this; it also keeps r finite
@@ -397,27 +423,13 @@ def _lattice_scan(query: HockeyStickQuery):
     while j_hi * h >= hi:
         j_hi -= 1
     inner = j_hi - j_lo + 1
-    rows = -(-inner // r)  # interior point j_lo + row * r + phase
-    c = np.zeros(int(k[-1] - k[0]) + 1)
-    c[k - k[0]] = query.weights[:, 0] - query.weights[:, 1]
-    # tap (u, phase) is g(offset + u r + phase); rows and c indices meet
-    # only for u in [1 - c.size, rows - 1], and terms only within the band
-    offset = j_lo - int(k[0]) * r
-    band = _FLUSH_SIGMAS * sigma / h
-    u_lo = max(1 - c.size, math.ceil((-band - offset - (r - 1)) / r))
-    u_hi = min(rows - 1, math.floor((band - offset) / r))
-    taps = (offset + u_lo * r + np.arange((u_hi - u_lo + 1) * r)) * (h / sigma)
-    taps *= taps
-    taps *= -0.5
-    far = taps < _LOG_DBL_MIN
-    np.copyto(np.exp(taps, out=taps), 0.0, where=far)
+    product, c = _lattice_sums(query, step, r, j_lo, -(-inner // r), np.zeros(1))
 
     grid = np.empty(inner + 2)
     grid[0], grid[-1] = lo, hi
     np.multiply(np.arange(j_lo, j_hi + 1), h, out=grid[1:-1])
     values = np.empty(inner + 2)
-    product = _lattice_product(c, taps.reshape(-1, r), u_lo, rows)
-    np.divide(product.ravel()[:inner], sigma * SQRT_2PI, out=values[1:-1])
+    np.divide(product[:inner, 0], sigma * SQRT_2PI, out=values[1:-1])
     values[0], values[-1] = values[1], values[-2]
     need = np.abs(values) < _FLUSH_FLOOR * np.abs(c).sum() / (sigma * SQRT_2PI)
     need[0] = need[-1] = True
@@ -437,18 +449,76 @@ def _lattice_scan(query: HockeyStickQuery):
 
 def _lattice_product(c: np.ndarray, taps: np.ndarray, u_lo: int, rows: int) -> np.ndarray:
     """out[q, phase] = sum over k of c[k] * taps[q - k - u_lo, phase] (0
-    outside taps), for q in [0, rows): the Toeplitz product of _lattice_scan.
+    outside taps), for q in [0, rows): the Toeplitz product of _lattice_sums.
 
-    One matrix product, O(rows * r * min(c.size, len(taps))) multiply-adds,
-    of the reversed taps with a strided view of the 0-padded c whose row q
-    is c[q - u_hi : q - u_lo + 1]; the view copies nothing."""
+    One matrix product per block of max(c.size, _PRODUCT_BLOCK) rows, so
+    O(rows * r * (c.size + block)) multiply-adds however many taps, of the
+    reversed taps the block meets with a strided view of the 0-padded c
+    whose row q is c[q - u_hi : q - u_lo + 1]; the view copies nothing.
+    Subnormal terms slow it up to 100x, so the taps (0 or >= 2^-1022) are
+    scaled by 2^e and the result back, exactly: a term with |c[k]| >= 2^-e
+    is normal, and e = 1020 - max(0, exponent of sum |c|) keeps sums finite."""
+    block = max(c.size, _PRODUCT_BLOCK)
+    if rows > block:
+        out = np.zeros((rows, taps.shape[1]))
+        for start in range(0, rows, block):
+            lo, hi = max(0, start - c.size + 1 - u_lo), min(len(taps), start + block - u_lo)
+            if lo < hi:
+                n = min(block, rows - start)
+                out[start : start + n] = _lattice_product(c, taps[lo:hi], u_lo + lo - start, n)
+        return out
     rows_t = len(taps)
     u_hi = u_lo + rows_t - 1
     padded = np.zeros(rows + rows_t - 1)
     first, last = max(0, -u_hi), min(c.size, len(padded) - u_hi)
     padded[first + u_hi : last + u_hi] = c[first:last]
     window = np.ndarray((rows, rows_t), float, padded, 0, (padded.itemsize,) * 2)
-    return window @ taps[::-1]
+    scale = 2.0 ** (1020 - max(0, math.frexp(float(np.abs(c).sum()))[1]))
+    out = window @ (taps[::-1] * scale)
+    out /= scale
+    return out
+
+
+_CELL_FRACTIONS = gk15_nodes(np.zeros(1), np.ones(1))[0][0]  # GK15 nodes on [0, 1]
+
+
+def _lattice_cells(query: HockeyStickQuery, pieces: list[tuple[float, float]]):
+    """(lows, highs, integrals, errors): GK15 on cells covering the pieces of
+    a pair whose mixtures record one lattice step s; None for any other, or
+    where whole cells and lattice would take over _LATTICE_MAX_POINTS values.
+
+    Cells have width h = s / r, r = ceil(s / sigma), so h <= sigma and every
+    mean k s = k r h is a cell edge. The clamped node values of all whole
+    cells are one _lattice_sums; the partial cells at piece ends, and pieces
+    within one cell, take the clamped `signed` in one call."""
+    step = query.numerator.step
+    if step is None or step != query.denominator.step or step > _LATTICE_MAX_POINTS * query.sigma:
+        return None
+    r = math.ceil(step / query.sigma)
+    h = step / r
+    ends, runs = [], []
+    for a, b in pieces:
+        j_a, j_b = math.ceil(a / h), math.floor(b / h)
+        if j_a < j_b:
+            runs.append((j_a, j_b))
+            ends += [(a, j_a * h), (j_b * h, b)]
+        else:
+            ends.append((a, b))
+    j_first = runs[0][0] if runs else 0
+    rows = -(-(runs[-1][1] - j_first) // r) if runs else 0
+    if 15 * rows * r + (query.means[-1] - query.means[0]) / step > _LATTICE_MAX_POINTS:
+        return None
+    lows, highs = np.array([(a, b) for a, b in ends if a < b]).reshape(-1, 2).T
+    points, half = gk15_nodes(lows, highs)
+    values = query.signed(points.ravel()) if lows.size else points.ravel()
+    if runs:
+        j = np.concatenate([np.arange(j_a, j_b) for j_a, j_b in runs])
+        sums = _lattice_sums(query, step, r, j_first, rows, _CELL_FRACTIONS)[0]
+        # unscaled; the half-widths take the 1 / (sigma sqrt(2 pi)) instead
+        values = np.concatenate([values, sums[j - j_first].ravel()])
+        half = np.concatenate([half, np.full(j.size, 0.5 * h / (query.sigma * SQRT_2PI))])
+        lows, highs = np.concatenate([lows, j * h]), np.concatenate([highs, (j + 1) * h])
+    return lows, highs, *gk15_sums(np.maximum(values, 0.0).reshape(-1, 15), half)
 
 
 def _flips(values: np.ndarray) -> np.ndarray:
@@ -482,10 +552,8 @@ def hockey_stick(query: HockeyStickQuery) -> float:
     12-sigma support (_sign_scan), and find_root_bracketed refines each
     boundary, starting from the scan's values at its bracket's ends. The
     boundaries cut the support into pieces of alternating sign. The clamped
-    integrand is integrated only over the pieces the scan found positive,
-    each at its width's share of DEFAULT_ABS_TOL, so the error budgets sum
-    to DEFAULT_ABS_TOL; with no positive piece the result is 0 and no
-    quadrature runs.
+    integrand is integrated only over the pieces the scan found positive;
+    with no positive piece the result is 0 and no quadrature runs.
 
     That trusts a scan spaced sigma/10 or finer. Pairs built by
     round_mixtures, which carry their lattice step, get one with no point
@@ -494,10 +562,15 @@ def hockey_stick(query: HockeyStickQuery) -> float:
     get the kernel scan of at most HOCKEY_STICK_SCAN_POINTS points. Where
     that cap binds, the scan may be coarser, so the whole support is one
     piece, and each bracket's ends are evaluated afresh: scalar kernel rows
-    can differ from the scan's blocked ones in the last bit. Every boundary
-    and every component mean is a break point, so no GK15 node set falls
-    between narrow bumps (sigma far below their spacing); all break points
-    come from the pair, none from find_z_star. Clamped to [0, 1].
+    can differ from the scan's blocked ones in the last bit.
+
+    Uncapped lattice pairs take GK15 on cells at most sigma wide (_lattice_cells).
+    Other pairs, and lattice pairs with too many cells, integrate each piece
+    adaptively with every boundary and mean as a break point, so no GK15 node
+    set falls between narrow bumps (sigma far below their spacing). Each cell
+    or piece has its width's share of DEFAULT_ABS_TOL; a cell whose |K15 - G7|
+    exceeds its share is integrated adaptively at that share with the same
+    break points, none from find_z_star. Clamped to [0, 1].
     """
     grid, values, capped = _sign_scan(query)
     flips = _flips(values)
@@ -522,11 +595,17 @@ def hockey_stick(query: HockeyStickQuery) -> float:
     def clamped(z: np.ndarray) -> np.ndarray:
         return np.maximum(query.signed(z), 0.0)
 
+    # a piece with no GK15 estimate (inf) is integrated adaptively
+    lows, highs = np.array(pieces).T
+    integrals, errors = np.zeros(len(pieces)), np.full(len(pieces), math.inf)
+    cells = None if capped else _lattice_cells(query, pieces)
+    if cells is not None:
+        lows, highs, integrals, errors = cells
     breaks = np.concatenate([boundaries, query.means])
-    width = sum(b - a for a, b in pieces)
-    value = 0.0
-    for a, b in pieces:
-        tol = DEFAULT_ABS_TOL * (b - a) / width
+    budgets = DEFAULT_ABS_TOL * (highs - lows) / sum(b - a for a, b in pieces)
+    rough = errors > budgets
+    value = math.fsum(integrals[~rough])
+    for a, b, tol in zip(lows[rough], highs[rough], budgets[rough]):
         value += integrate_adaptive(clamped, a, b, abs_tol=tol, break_points=breaks).value
     return min(1.0, max(0.0, value))
 

@@ -253,6 +253,29 @@ class TestVerify:
             assert float(row["abs_diff"]) <= 1e-10
         assert "verify: 2 points" in result.stderr
 
+    def test_relative_gap_reported(self):
+        # a stderr line of its own, over the rows with closed >= 1e-20; it
+        # does not change the exit status or the abs_diff line
+        result = runner.invoke(main, [
+            "verify", "--sweep", "eps", "--from", "0.015", "--to", "1",
+            "--points", "4", "--p", "0.01", "--q", "0.01", "--d", "10",
+            "--C", "1", "--sigma", "2", "--ajc",
+        ])
+        assert result.exit_code == 0
+        rows = rows_of(result.stdout)
+        gaps = [
+            float(row["abs_diff"]) / float(row["delta_closed_form"])
+            for row in rows if float(row["delta_closed_form"]) >= 1e-20
+        ]
+        assert 0 < len(gaps) < len(rows)
+        lines = result.stderr.splitlines()
+        assert lines[-2].startswith("verify: 4 points, max abs_diff = ")
+        assert lines[-2].endswith(", 0 failing")
+        assert lines[-1] == (
+            f"verify: max relative gap = {max(gaps):.3e} over {len(gaps)} points"
+            " with closed >= 1e-20 (report only)"
+        )
+
     def test_ordering_violation_flagged(self):
         # at this point the lower-bound reduction exceeds the amplified
         # bound, so the ordering column goes false and the exit is nonzero

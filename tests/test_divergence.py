@@ -43,6 +43,7 @@ from fedamp.numerics import (
     QuadratureResult,
     find_root_bracketed,
     gaussian_mechanism_delta,
+    gk15_nodes,
     integrate_adaptive,
 )
 
@@ -794,6 +795,127 @@ class TestDenseReference:
             assert hockey_stick(query) == pytest.approx(
                 dense_hockey_stick(query), rel=0.0, abs=1e-13
             )
+
+
+def random_lattice_queries(seed):
+    """Main's pair and the constructed pair at one random point for every
+    step C in {1, 0.3, 1.7, 0.05} and d in {0, 1, 3, 10, 40}; sigma is
+    log-uniform on [0.02, 5], p, q and eps uniform on [0.01, 1]."""
+    rng = np.random.default_rng(seed)
+    queries = []
+    for C, d in itertools.product((1.0, 0.3, 1.7, 0.05), (0, 1, 3, 10, 40)):
+        sigma = math.exp(rng.uniform(math.log(0.02), math.log(5.0)))
+        p, q, eps = (float(x) for x in rng.uniform(0.01, 1.0, size=3))
+        pr = SamplingParams(p=p, q=q, d=d, C=C, sigma=sigma)
+        queries += [main_pair(pr, eps), HockeyStickQuery(math.exp(eps), *worst_case_pair(pr))]
+    return queries
+
+
+class TestLatticeCells:
+    """Uncapped lattice pairs integrate GK15 on cells at most sigma wide,
+    the whole cells' nodes from one Toeplitz product; that must match the
+    dense reference, and a cell whose error estimate is over its budget
+    must fall back to adaptive quadrature."""
+
+    @staticmethod
+    def record_cells(monkeypatch):
+        cells, found = divergence._lattice_cells, []
+
+        def recording(query, pieces):
+            out = cells(query, pieces)
+            found.append(out)
+            return out
+
+        monkeypatch.setattr(divergence, "_lattice_cells", recording)
+        return found
+
+    @staticmethod
+    def record_quadratures(monkeypatch):
+        calls = []
+
+        def recording(f, lo, hi, abs_tol, break_points):
+            calls.append((lo, hi))
+            return integrate_adaptive(f, lo, hi, abs_tol=abs_tol, break_points=break_points)
+
+        monkeypatch.setattr(divergence, "integrate_adaptive", recording)
+        return calls
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_matches_dense_reference(self, monkeypatch):
+        # 5.6e-16 at most, measured; every query with a positive piece
+        # takes the cells
+        found = self.record_cells(monkeypatch)
+        for query in random_lattice_queries(seed=3):
+            found.clear()
+            value = hockey_stick(query)
+            assert all(cells is not None for cells in found)
+            assert value == pytest.approx(dense_hockey_stick(query), rel=0.0, abs=1e-13)
+
+    def test_whole_cell_nodes_match_signed(self):
+        # at the nodes gk15_nodes places in cells j * h to (j + 1) * h over
+        # the whole window, the product is num - alpha * den within rounding:
+        # a tap sees (n + f) h where the kernel sees fl(z) - m, and |z| 2^-53
+        # in z moves a term by |t| <= _FLUSH_SIGMAS times that over sigma
+        # (1.4e-12 measured at |z| / sigma = 447); terms the taps flush are
+        # below 2^-1022 each
+        queries = verify_grid_queries(verify_grid_sample(48, seed=8))
+        for query in queries + random_lattice_queries(seed=4):
+            step, sigma = query.numerator.step, query.sigma
+            r = math.ceil(step / sigma)
+            h = step / r
+            lo, hi = TestSignScan.window(query)
+            j = np.arange(math.ceil(lo / h), math.floor(hi / h))
+            sums, c = divergence._lattice_sums(
+                query, step, r, int(j[0]), -(-j.size // r), divergence._CELL_FRACTIONS
+            )
+            values = sums[: j.size] / (sigma * SQRT_2PI)
+            points, _ = gk15_nodes(j * h, (j + 1) * h)
+            a, b = (column.reshape(points.shape) for column in kernel_columns(query, points.ravel()))
+            rel = 1e-12 + 1e-14 * np.abs(points) / sigma
+            flushed = 2.0**-1022 * np.abs(c).sum() / (sigma * SQRT_2PI)
+            assert (np.abs(values - (a - b)) <= rel * (a + b) + flushed).all()
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_rough_cells_fall_back(self, monkeypatch):
+        # with every error estimate over its budget, each cell is one
+        # adaptive quadrature at its share of DEFAULT_ABS_TOL, and the sum
+        # still matches
+        sums = divergence.gk15_sums
+
+        def over_budget(values, half):
+            return sums(values, half)[0], np.full(len(half), np.inf)
+
+        monkeypatch.setattr(divergence, "gk15_sums", over_budget)
+        found = self.record_cells(monkeypatch)
+        calls = self.record_quadratures(monkeypatch)
+        for query in random_lattice_queries(seed=5)[::4]:
+            found.clear()
+            calls.clear()
+            value = hockey_stick(query)
+            assert len(calls) == sum(len(cells[0]) for cells in found)
+            assert value == pytest.approx(dense_hockey_stick(query), rel=0.0, abs=1e-13)
+
+    def test_verify_grid_rarely_falls_back(self, monkeypatch):
+        # of the 1,152 lattice pairs fedamp verify integrates, the 1,062 with
+        # a positive piece all take the cells, and 3 cells fall back
+        found = self.record_cells(monkeypatch)
+        calls = self.record_quadratures(monkeypatch)
+        for query in verify_grid_queries(all_verify_grid_points()):
+            hockey_stick(query)
+        assert len(found) == 1062 and all(cells is not None for cells in found)
+        assert len(calls) == 3
+
+    def test_off_lattice_and_capped_pairs_integrate_each_piece(self, monkeypatch):
+        found = self.record_cells(monkeypatch)
+        calls = self.record_quadratures(monkeypatch)
+        queries = ajc_queries() + [perturbed(q) for q in capped_grid_queries()[:2]]
+        for query in queries:
+            calls.clear()
+            grid, values, capped = divergence._sign_scan(query)
+            hockey_stick(query)
+            signs = values[np.concatenate([[0], divergence._flips(values) + 1])] > 0.0
+            assert len(calls) == (1 if capped else np.count_nonzero(signs))
+        assert found == [None] * len(found)
 
 
 def reference_terms(query: HockeyStickQuery, z: float) -> tuple[float, float]:

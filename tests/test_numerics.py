@@ -39,6 +39,8 @@ from fedamp.numerics import (
     checked,
     find_root_bracketed,
     gaussian_mechanism_delta,
+    gk15_nodes,
+    gk15_sums,
     integrate_adaptive,
 )
 from fedamp.simulator import SimConfig
@@ -316,6 +318,20 @@ class TestIntegrateAdaptive:
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
             integrate_adaptive(np.ones_like, 0.0, 1.0, abs_tol=0.0, break_points=())
+
+
+class TestGK15:
+    def test_rule_degrees(self):
+        # G7 integrates degree 13 exactly and K15 more, so |K15 - G7| is
+        # rounding for z^13 and not for z^14
+        lows, highs = np.array([0.0, -1.0]), np.array([1.0, 2.0])
+        points, half = gk15_nodes(lows, highs)
+        assert (points[:, 0] > lows).all() and (points[:, -1] < highs).all()
+        for k, gauss_exact in ((13, True), (14, False)):
+            kronrod, errors = gk15_sums(points**k, half)
+            exact = (highs ** (k + 1) - lows ** (k + 1)) / (k + 1)
+            np.testing.assert_allclose(kronrod, exact, rtol=1e-13)
+            assert (errors < 1e-13 * np.abs(exact)).all() == gauss_exact
 
 
 class TestBreakPoints:
